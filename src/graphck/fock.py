@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .graphs import EdgeInstance, Graph, GraphError, SignedEdge, is_omega
 from .paths import Path
-from .structure import find_cycles
 
 
 class FockError(GraphError):
@@ -145,7 +144,7 @@ def build_basis(
         if bad:
             raise FockError("marks %s are not regular vertices" % sorted(bad))
     has_omega = any(is_omega(b.multiplicity) for b in g.bundles)
-    cyclic = bool(find_cycles(g))
+    cyclic = bool(g.cycle_vertices)
     if depth is None:
         if cyclic:
             raise FockError("a cyclic graph needs an explicit depth")

@@ -297,6 +297,128 @@ class Graph:
             frontier.extend(b.terminus for b in self._out[w])
         return frozenset(seen)
 
+    # Derived facts, computed once per graph.  Everything below rests on one
+    # iterative Tarjan pass, so it runs in O(V+E) with no recursion.
+
+    @cached_property
+    def sccs(self) -> tuple[frozenset[str], ...]:
+        """Strongly connected components in reverse topological order."""
+        out = self._out
+        return tuple(tarjan(self.vertices, lambda v: [b.terminus for b in out[v]]))
+
+    @cached_property
+    def scc_index(self) -> dict[str, int]:
+        """Vertex -> position of its component in sccs."""
+        return {v: i for i, comp in enumerate(self.sccs) for v in comp}
+
+    @cached_property
+    def cyclic_sccs(self) -> dict[int, str]:
+        """Component index -> the kind shared by every cycle inside it.
+
+        A component is bare when each of its vertices has exactly one
+        out-instance inside it (an omega bundle counts as two), so it is a
+        single cycle.  A bare component without an exit holds a terminal
+        cycle and one with an exit a transitory cycle: an exit leaves the
+        component and so never comes back.  Every cycle of any other cyclic
+        component has an exit that returns to it.
+        """
+        kinds: dict[int, str] = {}
+        for i, comp in enumerate(self.sccs):
+            bare = True
+            exits = False
+            cyclic = len(comp) > 1
+            for v in comp:
+                inside = 0
+                for b in self._out[v]:
+                    if b.terminus in comp:
+                        inside += 2 if is_omega(b.multiplicity) else b.multiplicity
+                        cyclic = True
+                    else:
+                        exits = True
+                bare = bare and inside == 1
+            if not cyclic:
+                continue
+            if not bare:
+                kinds[i] = "returning"
+            else:
+                kinds[i] = "transitory" if exits else "terminal"
+        return kinds
+
+    @cached_property
+    def cycle_vertices(self) -> frozenset[str]:
+        """Vertices lying on at least one directed cycle."""
+        return frozenset(v for i in self.cyclic_sccs for v in self.sccs[i])
+
+    @cached_property
+    def paths_into(self) -> dict[str, object]:
+        """Vertex -> number of directed paths ending there, OMEGA if infinite.
+
+        Infinite exactly on the vertices reachable from a cycle vertex or
+        from the terminus of an omega bundle; the other vertices are acyclic
+        singleton components, counted by n(v) = 1 + sum mult * n(origin) in
+        topological order.
+        """
+        table: dict[str, object] = {}
+        frontier = list(self.cycle_vertices)
+        frontier.extend(b.terminus for b in self.bundles if is_omega(b.multiplicity))
+        while frontier:
+            w = frontier.pop()
+            if w not in table:
+                table[w] = OMEGA
+                frontier.extend(b.terminus for b in self._out[w])
+        for comp in reversed(self.sccs):
+            for v in comp:
+                if v not in table:
+                    table[v] = 1 + sum(b.multiplicity * table[b.origin] for b in self._in[v])
+        return table
+
+
+def tarjan(vertices: Iterable[str], succ) -> list[frozenset[str]]:
+    """Strongly connected components, reverse topological order.
+
+    Iterative Tarjan: roots are taken in the order of vertices and the
+    successors of v in the order succ(v) lists them.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    onstack: set[str] = set()
+    stack: list[str] = []
+    out: list[frozenset[str]] = []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w in onstack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    out.append(frozenset(comp))
+    return out
+
 
 def subgraph_le(sub: Graph, sup: Graph) -> bool:
     """Instance-wise inclusion: every vertex and edge of sub occurs in sup."""

@@ -4,11 +4,13 @@ Cycles are found at the bundle level (one representative instance each)
 and classified by what their exits do: none (terminal), some but none
 leading back (transitory), or at least one returning.  The flags are
 boolean combinations of the census with reachability facts, each carrying
-a human-readable witness.
+a human-readable witness.  Everything but the census reads the strongly
+connected components cached on the graph and runs in O(V+E).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import (
@@ -20,6 +22,7 @@ from .graphs import (
     GraphError,
     SignedEdge,
     is_omega,
+    tarjan,
 )
 from .paths import Path
 from .points import AperiodicDescriptor, FinitePath, act
@@ -65,13 +68,13 @@ class Cycle:
 
 
 def _canonical_rotation(steps: tuple[EdgeInstance, ...]) -> tuple[EdgeInstance, ...]:
-    best = None
-    for j in range(len(steps)):
-        rot = steps[j:] + steps[:j]
-        key = tuple(e.sort_key() for e in rot)
-        if best is None or key < best[0]:
-            best = (key, rot)
-    return best[1]
+    """Rotate a cycle so its smallest step comes first.
+
+    The steps of a vertex-simple cycle leave distinct vertices, so they are
+    distinct and the smallest one alone fixes the minimal rotation.
+    """
+    j = min(range(len(steps)), key=lambda i: steps[i].sort_key())
+    return steps[j:] + steps[:j]
 
 
 def _cycle_count(bundles) -> object:
@@ -83,97 +86,81 @@ def _cycle_count(bundles) -> object:
     return total
 
 
-def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
-    """All vertex-simple directed cycles, classified, smallest first."""
-    seen: dict[tuple, tuple[EdgeBundle, ...]] = {}
-    order = {v: i for i, v in enumerate(g.vertices)}
+def _circuits(start: str, succ: dict[str, list[EdgeBundle]]):
+    """Johnson's circuit search: every cycle through start, as bundles.
 
-    def walk(start: str, at: str, trail: tuple[EdgeBundle, ...], onpath: set):
-        for b in g.delta1(at).bundles:
-            t = b.terminus
-            if t == start:
-                steps = _canonical_rotation(tuple(x.instance(0) for x in trail + (b,)))
-                seen[tuple(e.sort_key() for e in steps)] = trail + (b,)
-                if len(seen) > cap:
-                    raise CycleCapError("more than %d cycles" % cap)
-            elif t not in onpath and order[t] > order[start]:
-                walk(start, t, trail + (b,), onpath | {t})
-
-    for v in g.vertices:
-        walk(v, v, (), {v})
-    out = []
-    for key in sorted(seen):
-        bundles = seen[key]
-        steps = _canonical_rotation(tuple(b.instance(0) for b in bundles))
-        out.append(Cycle(steps, _classify_cycle(g, steps), _cycle_count(bundles)))
-    return tuple(out)
-
-
-def _exits(g: Graph, steps: tuple[EdgeInstance, ...]):
-    """Instances leaving a cycle vertex other than the cycle's own step."""
-    for e in steps:
-        for b in g.delta1(e.origin).bundles:
-            if b is e.bundle and not is_omega(b.multiplicity) and b.multiplicity == 1:
-                continue
-            if b is e.bundle:
-                # another parallel instance of the same bundle
-                yield b.instance(1 if e.index == 0 else 0)
-            else:
-                yield b.instance(0)
-
-
-def _classify_cycle(g: Graph, steps: tuple[EdgeInstance, ...]) -> str:
-    vset = set(e.origin for e in steps)
-    kinds = set()
-    for e in _exits(g, steps):
-        if vset & g.reachable(e.terminus):
-            return "returning"
-        kinds.add("leaves")
-    return "transitory" if kinds else "terminal"
-
-
-def _scc_partition(g: Graph) -> list[frozenset[str]]:
-    """Strongly connected components, reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    out: list[frozenset[str]] = []
-    counter = [0]
-
-    def strong(v: str):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        for b in g.delta1(v).bundles:
+    A vertex stays blocked while no path from it back to start avoids the
+    current trail; the blocked_by lists say whom to unblock once one does.
+    """
+    blocked = {start}
+    blocked_by: dict[str, set[str]] = {}
+    trail: list[EdgeBundle] = []
+    stack = [(start, iter(succ[start]))]
+    closed = [False]
+    while stack:
+        v, nbrs = stack[-1]
+        for b in nbrs:
             w = b.terminus
-            if w not in index:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif w in onstack:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                onstack.discard(w)
-                comp.add(w)
-                if w == v:
-                    break
-            out.append(frozenset(comp))
+            if w == start:
+                yield (*trail, b)
+                closed[-1] = True
+            elif w not in blocked:
+                trail.append(b)
+                blocked.add(w)
+                stack.append((w, iter(succ[w])))
+                closed.append(False)
+                break
+        else:
+            stack.pop()
+            if trail:
+                trail.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [v]
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        unblock.extend(blocked_by.pop(u, ()))
+            else:
+                for b in succ[v]:
+                    blocked_by.setdefault(b.terminus, set()).add(v)
 
-    for v in g.vertices:
-        if v not in index:
-            strong(v)
-    return out
 
+def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
+    """All vertex-simple directed cycles, classified, smallest first.
 
-def _has_internal_cycle(g: Graph, comp: frozenset[str]) -> bool:
-    if len(comp) > 1:
-        return True
-    (v,) = comp
-    return any(b.terminus == v for b in g.delta1(v).bundles)
+    Johnson's algorithm (SIAM J. Comput. 4, 1975), run only inside the
+    cyclic components: O((V+E)(C+1)) for C cycles.  Each cycle takes its
+    kind from its component.  Raises CycleCapError past cap cycles.
+    """
+    found: list[tuple[EdgeBundle, ...]] = []
+    todo = [g.sccs[i] for i in g.cyclic_sccs]
+    while todo:
+        comp = todo.pop()
+        succ = {v: [b for b in g.delta1(v).bundles if b.terminus in comp] for v in comp}
+        start = min(comp)
+        for bundles in _circuits(start, succ):
+            found.append(bundles)
+            if len(found) > cap:
+                raise CycleCapError("more than %d cycles" % cap)
+        # the cycles avoiding start lie in the components of what is left
+        rest = comp - {start}
+
+        def inner(v: str) -> list[str]:
+            return [b.terminus for b in succ[v] if b.terminus in rest]
+
+        for sub in tarjan(rest, inner):
+            if len(sub) > 1 or any(t in sub for v in sub for t in inner(v)):
+                todo.append(sub)
+    out = []
+    for bundles in found:
+        steps = _canonical_rotation(tuple(b.instance(0) for b in bundles))
+        kind = g.cyclic_sccs[g.scc_index[steps[0].origin]]
+        out.append(Cycle(steps, kind, _cycle_count(bundles)))
+    out.sort(key=lambda c: tuple(e.sort_key() for e in c.instances))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -201,6 +188,39 @@ class StructureReport:
         }
 
 
+def _cofinality(g: Graph) -> tuple[bool, str]:
+    """Does every vertex reach every cyclic component and every sink and
+    infinite emitter?  If not, a witness naming the first vertex, in
+    g.vertices order, that misses a target, and the first target it
+    misses: cyclic components in Tarjan order, then singular vertices in
+    g.vertices order.
+
+    Targets are bits of one int per component, filled in one pass over
+    the components in reverse topological order.
+    """
+    cyclic = list(g.cyclic_sccs)
+    singular = [v for v in g.vertices if v in g.sinks or v in g.infinite_emitters]
+    reach = [0] * len(g.sccs)
+    for j, i in enumerate(cyclic):
+        reach[i] |= 1 << j
+    for j, s in enumerate(singular, start=len(cyclic)):
+        reach[g.scc_index[s]] |= 1 << j
+    for i, comp in enumerate(g.sccs):
+        for v in comp:
+            for b in g.delta1(v).bundles:
+                reach[i] |= reach[g.scc_index[b.terminus]]
+    full = (1 << (len(cyclic) + len(singular))) - 1
+    for v in g.vertices:
+        missed = full & ~reach[g.scc_index[v]]
+        if missed:
+            j = (missed & -missed).bit_length() - 1
+            if j < len(cyclic):
+                at = min(g.sccs[cyclic[j]])
+                return False, "vertex %s does not reach the cycle component at %s" % (v, at)
+            return False, "vertex %s does not reach %s" % (v, singular[j - len(cyclic)])
+    return True, ""
+
+
 def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
     cycles = find_cycles(g, cycle_cap)
     wit: dict[str, str] = {}
@@ -220,18 +240,20 @@ def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
     elif transitory:
         wit["essentially_principal"] = "no walk returns to the cycle %s" % transitory[0]
 
-    cycle_verts = set()
-    for c in cycles:
-        cycle_verts.update(c.vertices)
-    reach = {v: g.reachable(v) for v in g.vertices}
+    # vertices with a walk into a cycle: one reverse BFS from the cycle vertices
+    meets = set(g.cycle_vertices)
+    queue = deque(meets)
+    while queue:
+        for b in g.in_bundles(queue.popleft()):
+            if b.origin not in meets:
+                meets.add(b.origin)
+                queue.append(b.origin)
     meets_all = True
     for v in g.vertices:
-        if not (reach[v] & cycle_verts):
+        if v not in meets:
             meets_all = False
             if cycles:
-                wit.setdefault(
-                    "locally_contractive", "no walk from %s meets a cycle" % v
-                )
+                wit["locally_contractive"] = "no walk from %s meets a cycle" % v
             break
     if not cycles:
         wit["locally_contractive"] = "no cycles at all"
@@ -239,23 +261,9 @@ def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
     if terminal and "locally_contractive" not in wit:
         wit["locally_contractive"] = wit["essentially_free"]
 
-    sccs = _scc_partition(g)
-    cycle_sccs = [comp for comp in sccs if _has_internal_cycle(g, comp)]
-    singular = set(g.sinks) | set(g.infinite_emitters)
-    cofinal = True
-    for v in g.vertices:
-        for comp in cycle_sccs:
-            if not (reach[v] & comp):
-                cofinal = False
-                wit.setdefault(
-                    "cofinal",
-                    "vertex %s does not reach the cycle component at %s"
-                    % (v, sorted(comp)[0]),
-                )
-        for s in singular:
-            if s not in reach[v]:
-                cofinal = False
-                wit.setdefault("cofinal", "vertex %s does not reach %s" % (v, s))
+    cofinal, wit_cofinal = _cofinality(g)
+    if not cofinal:
+        wit["cofinal"] = wit_cofinal
 
     simple = cofinal and not terminal
     if not cofinal:
@@ -297,9 +305,9 @@ def isotropy(x):
 def _bfs_to(g: Graph, u: str, targets) -> Path | None:
     prev: dict[str, tuple[str, EdgeInstance]] = {}
     seen = {u}
-    queue = [u]
+    queue = deque([u])
     while queue:
-        at = queue.pop(0)
+        at = queue.popleft()
         if at in targets:
             word = []
             while at != u:
@@ -321,9 +329,9 @@ def _path_within(g: Graph, comp: frozenset[str], src: str, dst: str) -> tuple[Ed
         return ()
     prev: dict[str, tuple[str, EdgeInstance]] = {}
     seen = {src}
-    queue = [src]
+    queue = deque([src])
     while queue:
-        at = queue.pop(0)
+        at = queue.popleft()
         for b in g.delta1(at).bundles:
             t = b.terminus
             if t not in comp or t in seen:
@@ -355,7 +363,7 @@ def free_point_from(g: Graph, u: str):
     if hit is not None:
         return FinitePath(hit)
     reach = g.reachable(u)
-    for comp in _scc_partition(g):
+    for comp in g.sccs:
         if not (comp & reach):
             continue
         branching = None
@@ -391,28 +399,10 @@ def count_paths_into(g: Graph, u: str):
     """Directed paths ending at u, the unit included; OMEGA when infinite.
 
     Infinite exactly when some cycle vertex or some target of an
-    infinite bundle reaches u.
+    infinite bundle reaches u.  A lookup in the table cached on g.
     """
     g.check_vertex(u)
-    from .trees import vertices_on_cycles
-
-    sources = set(vertices_on_cycles(g))
-    for b in g.bundles:
-        if is_omega(b.multiplicity):
-            sources.add(b.terminus)
-    for s in sources:
-        if u in g.reachable(s):
-            return OMEGA
-    memo: dict[str, int] = {}
-
-    def f(v: str) -> int:
-        if v not in memo:
-            memo[v] = 1 + sum(
-                b.multiplicity * f(b.origin) for b in g.in_bundles(v)
-            )
-        return memo[v]
-
-    return f(u)
+    return g.paths_into[u]
 
 
 def toeplitz_ideal_report(g: Graph, marks) -> dict[str, object]:

@@ -291,14 +291,4 @@ class FiberTree:
 
 def vertices_on_cycles(g: Graph) -> frozenset[str]:
     """Vertices lying on at least one directed cycle."""
-    cache = getattr(g, "_cycle_vertices", None)
-    if cache is None:
-        found = set()
-        for v in g.vertices:
-            for b in g.delta1(v).bundles:
-                if v in g.reachable(b.terminus):
-                    found.add(v)
-                    break
-        cache = frozenset(found)
-        g._cycle_vertices = cache  # type: ignore[attr-defined]
-    return cache
+    return g.cycle_vertices

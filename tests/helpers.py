@@ -228,3 +228,232 @@ def naive_invariants(g: Graph, skip_above: int = 50000):
                     key = tuple(sorted((u, f) for u, f in fmap.items() if f))
                     out.add((nset, key))
     return out
+
+
+# Reference implementations of graphck.structure, kept as differential
+# oracles: the unblocked walk census, the reachability-based flags and the
+# recursive path count.  They are quadratic or worse and recursive, so they
+# only suit small graphs.
+
+
+def _oracle_rotation(steps):
+    best = None
+    for j in range(len(steps)):
+        rot = steps[j:] + steps[:j]
+        key = tuple(e.sort_key() for e in rot)
+        if best is None or key < best[0]:
+            best = (key, rot)
+    return best[1]
+
+
+def _oracle_cycle_count(bundles):
+    total = 1
+    for b in bundles:
+        if is_omega(b.multiplicity):
+            return OMEGA
+        total *= b.multiplicity
+    return total
+
+
+def _oracle_exits(g: Graph, steps):
+    """Instances leaving a cycle vertex other than the cycle's own step."""
+    for e in steps:
+        for b in g.delta1(e.origin).bundles:
+            if b is e.bundle and not is_omega(b.multiplicity) and b.multiplicity == 1:
+                continue
+            if b is e.bundle:
+                # another parallel instance of the same bundle
+                yield b.instance(1 if e.index == 0 else 0)
+            else:
+                yield b.instance(0)
+
+
+def _oracle_classify(g: Graph, steps) -> str:
+    vset = set(e.origin for e in steps)
+    kinds = set()
+    for e in _oracle_exits(g, steps):
+        if vset & g.reachable(e.terminus):
+            return "returning"
+        kinds.add("leaves")
+    return "transitory" if kinds else "terminal"
+
+
+def oracle_find_cycles(g: Graph, cap: int = 10000):
+    """All vertex-simple cycles by an unblocked walk from each vertex."""
+    from graphck.structure import Cycle, CycleCapError
+
+    seen: dict = {}
+    order = {v: i for i, v in enumerate(g.vertices)}
+
+    def walk(start, at, trail, onpath):
+        for b in g.delta1(at).bundles:
+            t = b.terminus
+            if t == start:
+                steps = _oracle_rotation(tuple(x.instance(0) for x in trail + (b,)))
+                seen[tuple(e.sort_key() for e in steps)] = trail + (b,)
+                if len(seen) > cap:
+                    raise CycleCapError("more than %d cycles" % cap)
+            elif t not in onpath and order[t] > order[start]:
+                walk(start, t, trail + (b,), onpath | {t})
+
+    for v in g.vertices:
+        walk(v, v, (), {v})
+    out = []
+    for key in sorted(seen):
+        bundles = seen[key]
+        steps = _oracle_rotation(tuple(b.instance(0) for b in bundles))
+        out.append(Cycle(steps, _oracle_classify(g, steps), _oracle_cycle_count(bundles)))
+    return tuple(out)
+
+
+def _oracle_sccs(g: Graph):
+    """Strongly connected components, reverse topological order (recursive)."""
+    index: dict = {}
+    low: dict = {}
+    onstack: set = set()
+    stack: list = []
+    out: list = []
+    counter = [0]
+
+    def strong(v):
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        onstack.add(v)
+        for b in g.delta1(v).bundles:
+            w = b.terminus
+            if w not in index:
+                strong(w)
+                low[v] = min(low[v], low[w])
+            elif w in onstack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            comp = set()
+            while True:
+                w = stack.pop()
+                onstack.discard(w)
+                comp.add(w)
+                if w == v:
+                    break
+            out.append(frozenset(comp))
+
+    for v in g.vertices:
+        if v not in index:
+            strong(v)
+    return out
+
+
+def _oracle_has_internal_cycle(g: Graph, comp) -> bool:
+    if len(comp) > 1:
+        return True
+    (v,) = comp
+    return any(b.terminus == v for b in g.delta1(v).bundles)
+
+
+def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
+    """The structure flags and witnesses from the census and per-vertex
+    reachability.  The cofinal witness is the first failing vertex in
+    g.vertices order, missing first a cycle component in Tarjan order,
+    then a sink or infinite emitter in g.vertices order."""
+    from graphck.structure import StructureReport
+
+    cycles = oracle_find_cycles(g, cycle_cap)
+    wit: dict = {}
+    terminal = [c for c in cycles if c.kind == "terminal"]
+    transitory = [c for c in cycles if c.kind == "transitory"]
+
+    af = not cycles
+    if cycles:
+        wit["af"] = "cycle %s" % cycles[0]
+
+    essentially_free = not terminal
+    if terminal:
+        wit["essentially_free"] = "cycle %s has no exit" % terminal[0]
+    essentially_principal = not terminal and not transitory
+    if terminal:
+        wit["essentially_principal"] = wit["essentially_free"]
+    elif transitory:
+        wit["essentially_principal"] = "no walk returns to the cycle %s" % transitory[0]
+
+    cycle_verts = set()
+    for c in cycles:
+        cycle_verts.update(c.vertices)
+    reach = {v: g.reachable(v) for v in g.vertices}
+    meets_all = True
+    for v in g.vertices:
+        if not (reach[v] & cycle_verts):
+            meets_all = False
+            if cycles:
+                wit.setdefault("locally_contractive", "no walk from %s meets a cycle" % v)
+            break
+    if not cycles:
+        wit["locally_contractive"] = "no cycles at all"
+    locally_contractive = bool(cycles) and not terminal and meets_all
+    if terminal and "locally_contractive" not in wit:
+        wit["locally_contractive"] = wit["essentially_free"]
+
+    cycle_sccs = [comp for comp in _oracle_sccs(g) if _oracle_has_internal_cycle(g, comp)]
+    singular = [v for v in g.vertices if v in g.sinks or v in g.infinite_emitters]
+    cofinal = True
+    for v in g.vertices:
+        for comp in cycle_sccs:
+            if not (reach[v] & comp):
+                cofinal = False
+                wit.setdefault(
+                    "cofinal",
+                    "vertex %s does not reach the cycle component at %s"
+                    % (v, sorted(comp)[0]),
+                )
+        for s in singular:
+            if s not in reach[v]:
+                cofinal = False
+                wit.setdefault("cofinal", "vertex %s does not reach %s" % (v, s))
+
+    simple = cofinal and not terminal
+    if not cofinal:
+        wit["simple"] = wit["cofinal"]
+    elif terminal:
+        wit["simple"] = wit["essentially_free"]
+
+    purely_infinite_simple = simple and bool(cycles) and meets_all
+    if not purely_infinite_simple and "purely_infinite_simple" not in wit:
+        if not simple:
+            wit["purely_infinite_simple"] = wit["simple"]
+        else:
+            wit["purely_infinite_simple"] = wit["locally_contractive"]
+
+    return StructureReport(
+        graph=g,
+        cycles=cycles,
+        af=af,
+        locally_contractive=locally_contractive,
+        cofinal=cofinal,
+        essentially_free=essentially_free,
+        essentially_principal=essentially_principal,
+        simple=simple,
+        purely_infinite_simple=purely_infinite_simple,
+        witnesses=wit,
+    )
+
+
+def oracle_count_paths_into(g: Graph, u: str):
+    """Directed paths ending at u by a recursive memo; OMEGA when some
+    cycle vertex or omega terminus reaches u."""
+    sources = set()
+    for v in g.vertices:
+        for b in g.delta1(v).bundles:
+            if v in g.reachable(b.terminus):
+                sources.add(v)
+            if is_omega(b.multiplicity):
+                sources.add(b.terminus)
+    for s in sources:
+        if u in g.reachable(s):
+            return OMEGA
+    memo: dict = {}
+
+    def f(v):
+        if v not in memo:
+            memo[v] = 1 + sum(b.multiplicity * f(b.origin) for b in g.in_bundles(v))
+        return memo[v]
+
+    return f(u)

@@ -74,6 +74,19 @@ def test_basis_modes_and_errors(graphs):
     assert not build_basis(graphs["chain"], depth=1).exact
 
 
+def test_basis_of_graph_with_many_cycles():
+    # K9 has far more than 10^4 simple cycles; asking whether it is
+    # acyclic must not list them
+    n = 9
+    edges = [
+        "edge e%d_%d : v%d -> v%d" % (i, j, i, j) for i in range(n) for j in range(n) if i != j
+    ]
+    g = parse_graph("; ".join(["vertex v%d" % i for i in range(n)] + edges))
+    basis = build_basis(g, depth=1)
+    assert not basis.exact
+    assert len(basis.paths) == n + n * (n - 1)
+
+
 def test_generators_on_edge(graphs):
     basis = build_basis(graphs["edge"])
     pmat, smat = generator_matrices(basis)
