@@ -163,7 +163,7 @@ class Delta1:
 
     bundles: tuple[EdgeBundle, ...]
 
-    @property
+    @cached_property
     def infinite(self) -> bool:
         return any(is_omega(b.multiplicity) for b in self.bundles)
 
@@ -247,11 +247,21 @@ class Graph:
         """Parse ``e`` (index 0) or ``e#3`` into an edge instance."""
         name, _, idx = text.partition("#")
         b = self.bundle(name)
-        return b.instance(int(idx) if idx else 0)
+        try:
+            index = int(idx) if idx else 0
+        except ValueError:
+            raise GraphError("bad edge index %r" % idx) from None
+        return b.instance(index)
 
     def delta1(self, v: str) -> Delta1:
         self.check_vertex(v)
-        return Delta1(self._out[v])
+        return self._delta1s[v]
+
+    @cached_property
+    def _delta1s(self) -> dict[str, Delta1]:
+        # built on first use: quotient_data makes a graph per family and
+        # never asks it for out-edges
+        return {v: Delta1(bs) for v, bs in self._out.items()}
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)

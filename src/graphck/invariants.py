@@ -7,6 +7,15 @@ excludes nothing; an excluded edge landing on a member lands on one that
 excludes something; and a finite-valence vertex all of whose out-edges
 land on members with empty exclusions is itself a member.
 
+The members H of a family that exclude nothing form a hereditary
+saturated set.  Every other member is an infinite emitter outside H
+whose omega bundles all land in H, with a forced, nonempty exclusion
+set: the instances of its finite bundles that land outside H.  Calling
+those vertices B(H), the families are in bijection with the pairs
+(H, R) for R within B(H), so there are sum over H of 2^|B(H)| of them.
+enumerate_invariants lists the closed sets H by NextClosure, at
+O(|V| (V+E)) delay each, and then spends O(V+E) on every family.
+
 Over a tree, each family spreads to the open set union of the cones
 V(u; F_u), and conversely an open set is scanned back to the family of
 apexes whose cone boundary it swallows; the two directions invert each
@@ -164,7 +173,7 @@ def invariant_leq(a: Invariant, b: Invariant) -> bool:
     """a below b: smaller family, larger exclusion sets where both defined."""
     if not a.vertices <= b.vertices:
         return False
-    return all(a.f(u) >= b.f(u) for u in a.vertices)
+    return all(a.f(u) >= es for u, es in b.exclusions if u in a.vertices)
 
 
 @dataclass(frozen=True)
@@ -180,81 +189,121 @@ class Enumeration:
         return len(self.invariants)
 
 
-def _f_options(g: Graph, u: str, omega_f_bound: int):
-    """Candidate exclusion sets at an infinite-valence member.
+def _closed_sets(g: Graph):
+    """Every hereditary saturated vertex set, each once, by Ganter's
+    NextClosure in lectic order over the sorted vertices.
 
-    Whole finite bundles in any combination; with a positive bound, also
-    index prefixes of the omega bundles, to probe for families the
-    bundle-wise rules would flag.
+    The closure of a set adds everything reachable from it, then each
+    regular vertex whose every bundle lands inside.  One saturation pass
+    with successors first suffices: a vertex on a cycle outside a
+    hereditary set always has a successor outside it.
     """
-    d = g.delta1(u)
-    finite_bundles = [b for b in d.bundles if not is_omega(b.multiplicity)]
-    omega_bundles = [b for b in d.bundles if is_omega(b.multiplicity)]
-    base = []
-    for k in range(len(finite_bundles) + 1):
-        for combo in itertools.combinations(finite_bundles, k):
-            base.append(frozenset(e for b in combo for e in b.instances()))
-    if omega_f_bound <= 0 or not omega_bundles:
-        return base
-    out = []
-    prefix_choices = [range(omega_f_bound + 1)] * len(omega_bundles)
-    for sizes in itertools.product(*prefix_choices):
-        extra = frozenset(
-            b.instance(i) for b, size in zip(omega_bundles, sizes) for i in range(size)
-        )
-        for fs in base:
-            out.append(fs | extra)
-    return out
+    verts = sorted(g.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    succ = [[index[b.terminus] for b in g.delta1(v).bundles] for v in verts]
+    saturating = [index[v] for comp in g.sccs for v in comp if v in g.regular_vertices]
+
+    def close(seed: bytearray) -> bytearray:
+        inside = bytearray(seed)
+        stack = [i for i in range(n) if inside[i]]
+        while stack:
+            for j in succ[stack.pop()]:
+                if not inside[j]:
+                    inside[j] = 1
+                    stack.append(j)
+        for i in saturating:
+            if not inside[i] and all(inside[j] for j in succ[i]):
+                inside[i] = 1
+        return inside
+
+    a = close(bytearray(n))
+    while True:
+        yield frozenset(v for v, x in zip(verts, a) if x)
+        for i in range(n - 1, -1, -1):
+            if a[i]:
+                a[i] = 0
+                continue
+            a[i] = 1
+            b = close(a)
+            if b[:i] == a[:i]:
+                a = b
+                break
+            a[i] = 0
+        else:
+            return
 
 
 def enumerate_invariants(g: Graph, omega_f_bound: int = 0) -> Enumeration:
     """All admissible families, smallest first.
 
-    Exclusion sets are searched over whole finite bundles at the
-    infinite-valence members; omega_f_bound > 0 additionally probes
-    exclusion sets sampling the omega bundles, and any admissible family
-    found that way is flagged as the finite shadow of an infinite batch.
+    One family per closed set H and subset R of its breaking vertices
+    B(H) (see the module docstring).  Every family still passes through
+    is_invariant, whose notes are collected; a failure raises.
+
+    Excluding part of a bundle is never admissible, and neither is
+    excluding any instance of an omega bundle: the unexcluded instances
+    force the terminus into H, while an excluded one forbids that.  So
+    the exclusion sets that omega_f_bound > 0 asks to probe along the
+    omega bundles can never add a family, nothing is ever flagged, and
+    the bound changes nothing.
     """
-    verts = sorted(g.vertices)
-    emitters = sorted(set(verts) & g.infinite_emitters)
+    emitters = sorted(g.infinite_emitters)
     found = []
-    flagged = []
     notes = set()
-    for k in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, k):
-            nset = frozenset(combo)
-            live = [u for u in emitters if u in nset]
-            options = [_f_options(g, u, omega_f_bound) for u in live]
-            for picks in itertools.product(*options):
-                inv = Invariant.make(nset, dict(zip(live, picks)))
+    for h in _closed_sets(g):
+        breaking = []
+        for u in emitters:
+            bundles = g.delta1(u).bundles
+            if u in h or any(is_omega(b.multiplicity) and b.terminus not in h for b in bundles):
+                continue
+            excl = [
+                e
+                for b in bundles
+                if not is_omega(b.multiplicity) and b.terminus not in h
+                for e in b.instances()
+            ]
+            if excl:
+                breaking.append((u, excl))
+        for k in range(len(breaking) + 1):
+            for picks in itertools.combinations(breaking, k):
+                inv = Invariant.make(h.union(u for u, _ in picks), dict(picks))
                 res = is_invariant(g, inv)
-                if res.ok:
-                    found.append(inv)
-                    notes.update(res.notes)
-                    if any(is_omega(e.bundle.multiplicity) for _, es in inv.exclusions for e in es):
-                        flagged.append(
-                            "%s stands for an infinite batch of families along its omega exclusions"
-                            % inv
-                        )
+                if not res.ok:
+                    raise InvariantError(
+                        "enumerated family %s is not admissible: %s" % (inv, res.failures[0])
+                    )
+                found.append(inv)
+                notes.update(res.notes)
     found.sort(key=lambda i: i.sort_key())
-    return Enumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
+    return Enumeration(tuple(found), (), tuple(sorted(notes)))
 
 
 def hasse_edges(invariants) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) with element i directly below element j."""
+    """Covering pairs (i, j) with element i directly below element j.
+
+    up[i] is the bitmask of the elements strictly above element i; the
+    covers of i are what up[i] holds beyond the union of up[m] over its
+    members m.
+    """
     invs = list(invariants)
-    below = [
-        [invariant_leq(a, b) and a != b for b in invs]
+    up = [
+        sum(1 << j for j, b in enumerate(invs) if invariant_leq(a, b) and a != b)
         for a in invs
     ]
     edges = []
-    for i, a in enumerate(invs):
-        for j, b in enumerate(invs):
-            if not below[i][j]:
-                continue
-            if any(below[i][m] and below[m][j] for m in range(len(invs))):
-                continue
-            edges.append((i, j))
+    for i, above in enumerate(up):
+        higher = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            higher |= up[low.bit_length() - 1]
+            rest ^= low
+        covers = above & ~higher
+        while covers:
+            low = covers & -covers
+            edges.append((i, low.bit_length() - 1))
+            covers ^= low
     return edges
 
 

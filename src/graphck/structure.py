@@ -363,11 +363,12 @@ def free_point_from(g: Graph, u: str):
     if hit is not None:
         return FinitePath(hit)
     reach = g.reachable(u)
+    order = {v: i for i, v in enumerate(g.vertices)}
     for comp in g.sccs:
         if not (comp & reach):
             continue
         branching = None
-        for v in comp:
+        for v in sorted(comp, key=order.__getitem__):
             inside = []
             for b in g.delta1(v).bundles:
                 if b.terminus not in comp:

@@ -457,3 +457,87 @@ def oracle_count_paths_into(g: Graph, u: str):
         return memo[v]
 
     return f(u)
+
+
+# Reference implementations of graphck.invariants, kept as differential
+# oracles: the candidate scan over all 2^|V| vertex sets times every
+# product of whole-bundle exclusion options, and the cubic cover search.
+
+
+def _oracle_f_options(g: Graph, u: str, omega_f_bound: int):
+    """Candidate exclusion sets at an infinite-valence member.
+
+    Whole finite bundles in any combination; with a positive bound, also
+    index prefixes of the omega bundles, to probe for families the
+    bundle-wise rules would flag.
+    """
+    import itertools
+
+    d = g.delta1(u)
+    finite_bundles = [b for b in d.bundles if not is_omega(b.multiplicity)]
+    omega_bundles = [b for b in d.bundles if is_omega(b.multiplicity)]
+    base = []
+    for k in range(len(finite_bundles) + 1):
+        for combo in itertools.combinations(finite_bundles, k):
+            base.append(frozenset(e for b in combo for e in b.instances()))
+    if omega_f_bound <= 0 or not omega_bundles:
+        return base
+    out = []
+    prefix_choices = [range(omega_f_bound + 1)] * len(omega_bundles)
+    for sizes in itertools.product(*prefix_choices):
+        extra = frozenset(
+            b.instance(i) for b, size in zip(omega_bundles, sizes) for i in range(size)
+        )
+        for fs in base:
+            out.append(fs | extra)
+    return out
+
+
+def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
+    """All admissible families by checking every candidate with
+    is_invariant; omega_f_bound > 0 also probes exclusion sets sampling
+    the omega bundles and flags any admissible family found that way."""
+    import itertools
+
+    from graphck.invariants import Enumeration, Invariant, is_invariant
+
+    verts = sorted(g.vertices)
+    emitters = sorted(set(verts) & g.infinite_emitters)
+    found = []
+    flagged = []
+    notes = set()
+    for k in range(len(verts) + 1):
+        for combo in itertools.combinations(verts, k):
+            nset = frozenset(combo)
+            live = [u for u in emitters if u in nset]
+            options = [_oracle_f_options(g, u, omega_f_bound) for u in live]
+            for picks in itertools.product(*options):
+                inv = Invariant.make(nset, dict(zip(live, picks)))
+                res = is_invariant(g, inv)
+                if res.ok:
+                    found.append(inv)
+                    notes.update(res.notes)
+                    if any(is_omega(e.bundle.multiplicity) for _, es in inv.exclusions for e in es):
+                        flagged.append(
+                            "%s stands for an infinite batch of families along its omega exclusions"
+                            % inv
+                        )
+    found.sort(key=lambda i: i.sort_key())
+    return Enumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
+
+
+def oracle_hasse_edges(invariants):
+    """Covering pairs (i, j) by the cubic search for an element between."""
+    from graphck.invariants import invariant_leq
+
+    invs = list(invariants)
+    below = [[invariant_leq(a, b) and a != b for b in invs] for a in invs]
+    edges = []
+    for i in range(len(invs)):
+        for j in range(len(invs)):
+            if not below[i][j]:
+                continue
+            if any(below[i][m] and below[m][j] for m in range(len(invs))):
+                continue
+            edges.append((i, j))
+    return edges

@@ -152,6 +152,13 @@ def test_exit_code_usage(capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_exit_code_bad_edge_index(capsys):
+    code, out, err = run(capsys, "standard-form", "chain", "a#x", "u")
+    assert code == 1
+    assert out == ""
+    assert err == "error: in path 'a#x': bad edge index 'x'\n"
+
+
 def test_exit_code_cap(tmp_path, capsys):
     lines = ["vertex v%d" % i for i in range(7)]
     for i in range(7):

@@ -79,6 +79,9 @@ def test_delta1(graphs):
     with pytest.raises(GraphError):
         d.finite_instances()
     assert [str(e) for e in d.iter_instances(omega_cap=2)] == ["a#0", "a#1"]
+    assert graphs["oinf"].delta1("u") is d
+    with pytest.raises(GraphError):
+        graphs["oinf"].delta1("nowhere")
 
 
 def test_instance_parsing(graphs):
@@ -90,6 +93,8 @@ def test_instance_parsing(graphs):
     g2 = parse_graph("vertex u\nedge e : u -> u * 2")
     with pytest.raises(GraphError):
         g2.instance("e#2")
+    with pytest.raises(GraphError, match="bad edge index 'x'"):
+        g2.instance("e#x")
 
 
 def _reachable_oracle(g: Graph, v: str) -> frozenset:

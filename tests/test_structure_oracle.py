@@ -77,13 +77,12 @@ def test_long_chain_and_ring_need_no_recursion():
     assert all(count_paths_into(ring, v) is graphck.OMEGA for v in ring.vertices)
 
 
-def _analyze_under_hash_seed(seed: str) -> str:
+def _run_under_hash_seed(seed: str, code: str, *argv: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphck.__file__)))
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys; from graphck.cli import main; sys.exit(main(sys.argv[1:]))"
     done = subprocess.run(
-        [sys.executable, "-c", code, "analyze", "t2"],
+        [sys.executable, "-c", code, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -93,7 +92,28 @@ def _analyze_under_hash_seed(seed: str) -> str:
     return done.stdout
 
 
+def _analyze_under_hash_seed(seed: str) -> str:
+    code = "import sys; from graphck.cli import main; sys.exit(main(sys.argv[1:]))"
+    return _run_under_hash_seed(seed, code, "analyze", "t2")
+
+
 def test_cofinal_witness_ignores_hash_seed():
     first = _analyze_under_hash_seed("1")
     assert first == _analyze_under_hash_seed("6")
     assert "vertex c0 does not reach g10" in first
+
+
+_FREE_POINT = """
+from graphck.graphs import parse_graph
+from graphck.structure import free_point_from
+g = parse_graph("vertex u; vertex v; edge a : u -> v; edge b : v -> u; edge c : u -> u; edge d : v -> v")
+x = free_point_from(g, "u")
+print(x.alpha, x.cycle, x.ret)
+"""
+
+
+def test_free_point_ignores_hash_seed():
+    # the branching vertex is the first of its component in g.vertices order
+    first = _run_under_hash_seed("1", _FREE_POINT)
+    assert first == _run_under_hash_seed("2", _FREE_POINT)
+    assert first == "u (a, b) (c,)\n"
