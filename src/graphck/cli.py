@@ -180,7 +180,8 @@ def cmd_rep_verify(args) -> int:
         "size": basis.size,
         "exact": basis.exact,
         "relations": [
-            {"name": r.name, "holds": r.holds, "witness": r.witness} for r in reports
+            {"name": r.name, "holds": r.holds, "witness": r.witness, "checked": r.checked}
+            for r in reports
         ],
         "dimension": dim,
     }

@@ -4,7 +4,8 @@
 first steps along the named instances removed; over a walk fiber the
 apex may be a walk like ``a.~b``.  ``&`` and ``-`` bind tightest, then
 ``|`` and ``^`` left to right, and a single ``==`` on the outside turns
-the result into a truth value.  ``0`` is the empty set.
+the result into a truth value.  ``0`` is the empty set.  Parentheses
+nest at most MAX_NESTING deep; a deeper expression is a SetExprError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ __all__ = ["SetExprError", "parse_setexpr", "first_apex"]
 class SetExprError(GraphError):
     pass
 
+
+# Each parenthesis costs the recursive-descent parser three stack frames,
+# so this stays far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
 
@@ -52,6 +57,7 @@ class _Parser:
         self.tree = tree
         self.toks = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -96,8 +102,12 @@ class _Parser:
     def factor(self) -> RingSet:
         t = self.peek()
         if t == "(":
+            if self.nesting == MAX_NESTING:
+                raise SetExprError("parentheses nest deeper than %d" % MAX_NESTING)
             self.take()
+            self.nesting += 1
             inner = self.union()
+            self.nesting -= 1
             self.take(")")
             return inner
         if t == "0":

@@ -6,7 +6,10 @@ Everything takes an explicit random.Random so each test pins its own seed.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
+from graphck.fock import FockError, RelationReport
 from graphck.graphs import OMEGA, EdgeBundle, Graph, SignedEdge, is_omega
 from graphck.paths import Path
 
@@ -541,3 +544,261 @@ def oracle_hasse_edges(invariants):
                 continue
             edges.append((i, j))
     return edges
+
+
+# Reference implementations of graphck.fock, kept as differential oracles:
+# the generators as exact rational matrices, the relations checked by
+# matrix products, and the span dimension as a rational rank.
+
+
+@dataclass(frozen=True)
+class OracleSparseOperator:
+    """A rational matrix as a {(row, col): value} dict, zeros dropped."""
+
+    size: int
+    entries: tuple
+
+    @classmethod
+    def of(cls, size: int, items) -> "OracleSparseOperator":
+        cleaned = {}
+        for (i, j), v in dict(items).items():
+            v = Fraction(v)
+            if v:
+                cleaned[(i, j)] = v
+        return cls(size, tuple(sorted(cleaned.items())))
+
+    @classmethod
+    def zero(cls, size: int) -> "OracleSparseOperator":
+        return cls(size, ())
+
+    @classmethod
+    def identity(cls, size: int) -> "OracleSparseOperator":
+        return cls.of(size, {(i, i): 1 for i in range(size)})
+
+    def todict(self) -> dict:
+        return dict(self.entries)
+
+    def __matmul__(self, other: "OracleSparseOperator") -> "OracleSparseOperator":
+        if self.size != other.size:
+            raise FockError("operator sizes differ")
+        by_row: dict[int, list] = {}
+        for (i, k), v in other.entries:
+            by_row.setdefault(i, []).append((k, v))
+        out: dict[tuple[int, int], Fraction] = {}
+        for (i, k), v in self.entries:
+            for j, w in by_row.get(k, ()):
+                key = (i, j)
+                out[key] = out.get(key, Fraction(0)) + v * w
+        return OracleSparseOperator.of(self.size, out)
+
+    def __add__(self, other: "OracleSparseOperator") -> "OracleSparseOperator":
+        out = dict(self.entries)
+        for key, v in other.entries:
+            out[key] = out.get(key, Fraction(0)) + v
+        return OracleSparseOperator.of(self.size, out)
+
+    def __sub__(self, other: "OracleSparseOperator") -> "OracleSparseOperator":
+        out = dict(self.entries)
+        for key, v in other.entries:
+            out[key] = out.get(key, Fraction(0)) - v
+        return OracleSparseOperator.of(self.size, out)
+
+    def adjoint(self) -> "OracleSparseOperator":
+        return OracleSparseOperator.of(self.size, {(j, i): v for (i, j), v in self.entries})
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def restrict_columns(self, keep) -> "OracleSparseOperator":
+        return OracleSparseOperator.of(
+            self.size, {(i, j): v for (i, j), v in self.entries if j in keep}
+        )
+
+    def is_diagonal_01(self) -> bool:
+        return all(i == j and v in (0, 1) for (i, j), v in self.entries)
+
+
+def oracle_generator_matrices(basis):
+    """(P, S) as rational matrices: diagonal projections onto the paths
+    starting at each vertex, and the prepend operators, truncated where a
+    prepended path falls outside the basis."""
+    idx = basis.index()
+    n = basis.size
+    g = basis.graph
+    pmat = {}
+    for u in g.vertices:
+        pmat[u] = OracleSparseOperator.of(
+            n, {(i, i): 1 for i, p in enumerate(basis.paths) if p.origin == u}
+        )
+    smat = {}
+    for b in g.bundles:
+        cap = basis.omega_cap if is_omega(b.multiplicity) else None
+        for e in b.instances(cap):
+            entries = {}
+            for p, i in idx.items():
+                if p.origin != e.terminus:
+                    continue
+                q = Path(e.origin, (SignedEdge(e),) + p.word)
+                j = idx.get(q)
+                if j is not None:
+                    entries[(j, i)] = 1
+            smat[e] = OracleSparseOperator.of(n, entries)
+    return pmat, smat
+
+
+def _oracle_agree(a, b, interior) -> bool:
+    return (a - b).restrict_columns(interior).is_zero()
+
+
+def oracle_verify_relations(basis):
+    """The generator relations checked by matrix products, column by
+    column, on the interior columns of a truncated basis."""
+    g = basis.graph
+    pmat, smat = oracle_generator_matrices(basis)
+    n = basis.size
+    interior = basis.interior_columns()
+    reports = []
+
+    def report(name, holds, witness=""):
+        reports.append(RelationReport(name, holds, witness))
+
+    total = OracleSparseOperator.zero(n)
+    ortho = True
+    witness = ""
+    for u, p in pmat.items():
+        total = total + p
+        if not (p @ p - p).is_zero() or not (p.adjoint() - p).is_zero():
+            ortho = False
+            witness = "projection at %s" % u
+    for u in g.vertices:
+        for v in g.vertices:
+            if u < v and not (pmat[u] @ pmat[v]).is_zero():
+                ortho = False
+                witness = "%s and %s overlap" % (u, v)
+    report("vertex projections orthogonal", ortho, witness)
+    report(
+        "vertex projections sum to one",
+        (total - OracleSparseOperator.identity(n)).is_zero(),
+    )
+
+    ok = True
+    witness = ""
+    for e, s in smat.items():
+        if not _oracle_agree(s.adjoint() @ s, pmat[e.terminus], interior):
+            ok = False
+            witness = str(e)
+            break
+    report("translations are partial isometries onto their target", ok, witness)
+
+    ok = True
+    witness = ""
+    edges = sorted(smat, key=lambda e: e.sort_key())
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            if not (smat[e].adjoint() @ smat[f]).restrict_columns(interior).is_zero():
+                ok = False
+                witness = "%s against %s" % (e, f)
+        if not _oracle_agree(pmat[e.origin] @ smat[e], smat[e], interior):
+            ok = False
+            witness = "%s not supported at %s" % (e, e.origin)
+    report("translations have orthogonal ranges", ok, witness)
+
+    ok = True
+    witness = ""
+    for u in g.vertices:
+        acc = OracleSparseOperator.zero(n)
+        for b in g.delta1(u).bundles:
+            cap = basis.omega_cap if is_omega(b.multiplicity) else None
+            for e in b.instances(cap):
+                acc = acc + smat[e] @ smat[e].adjoint()
+        defect = (pmat[u] - acc).restrict_columns(interior)
+        if not defect.is_diagonal_01():
+            ok = False
+            witness = "defect at %s is not a subprojection" % u
+            break
+    report("range sums stay under their vertex", ok, witness)
+
+    ok = True
+    witness = ""
+    for u in sorted(basis.marks):
+        acc = OracleSparseOperator.zero(n)
+        for b in g.delta1(u).bundles:
+            for e in b.instances():
+                acc = acc + smat[e] @ smat[e].adjoint()
+        if not _oracle_agree(pmat[u], acc, interior):
+            ok = False
+            witness = "marked vertex %s keeps a defect" % u
+            break
+    if basis.marks:
+        report("marked vertices saturate", ok, witness)
+    return reports
+
+
+def _oracle_pair_operator(basis, idx, alpha: Path, beta: Path) -> OracleSparseOperator:
+    entries = {}
+    for p, i in idx.items():
+        if p.origin != beta.terminus:
+            continue
+        q_from = Path(beta.origin, beta.word + p.word)
+        q_to = Path(alpha.origin, alpha.word + p.word)
+        i_from = idx.get(q_from)
+        i_to = idx.get(q_to)
+        if i_from is not None and i_to is not None:
+            entries[(i_to, i_from)] = 1
+    return OracleSparseOperator.of(basis.size, entries)
+
+
+def _oracle_all_directed_paths(g: Graph) -> list[Path]:
+    out = [Path.unit(v) for v in g.vertices]
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for b in g.delta1(p.terminus).bundles:
+                if is_omega(b.multiplicity):
+                    raise FockError("infinite bundle in an exact enumeration")
+                for e in b.instances():
+                    nxt.append(p.append(e))
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _oracle_rank(rows: list[dict]) -> int:
+    pivots: dict[tuple[int, int], dict] = {}
+    rank = 0
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead in pivots:
+                basis_row = pivots[lead]
+                factor = row[lead] / basis_row[lead]
+                for key, v in basis_row.items():
+                    row[key] = row.get(key, Fraction(0)) - factor * v
+                row = {k: v for k, v in row.items() if v}
+            else:
+                pivots[lead] = row
+                rank += 1
+                break
+    return rank
+
+
+def oracle_algebra_dimension(basis) -> int:
+    """Rank over the rationals of the span of the translation pair
+    operators S_a S_b*, a and b ending at a common vertex; needs an exact
+    basis."""
+    if not basis.exact:
+        raise FockError("dimension needs an exact basis")
+    idx = basis.index()
+    by_terminus: dict[str, list[Path]] = {}
+    for p in _oracle_all_directed_paths(basis.graph):
+        by_terminus.setdefault(p.terminus, []).append(p)
+    rows = []
+    for t, group in sorted(by_terminus.items()):
+        for alpha in group:
+            for beta in group:
+                op = _oracle_pair_operator(basis, idx, alpha, beta)
+                if not op.is_zero():
+                    rows.append(op.todict())
+    return _oracle_rank(rows)

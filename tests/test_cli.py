@@ -176,3 +176,66 @@ def test_exit_code_semantic(tmp_path, capsys):
     # marks that are not regular vertices are a semantic breach
     code, _, err = run(capsys, "rep-verify", "chain", "--marks", "w")
     assert code == 1 and "regular" in err
+
+
+def test_rep_verify_counts_checked_columns(capsys):
+    code, data = run_json(capsys, "rep-verify", "chain")
+    assert code == 0 and data["size"] == 3
+    assert [r["checked"] for r in data["relations"]] == [3] * 6
+
+    # depth 4 on a loop: 5 paths, the 4 shorter than the depth are interior
+    code, data = run_json(capsys, "rep-verify", "loop", "--mode", "toeplitz", "--depth", "4")
+    assert code == 0 and data["size"] == 5
+    assert [r["checked"] for r in data["relations"]] == [5, 5, 4, 4, 4]
+
+
+def test_rep_verify_vacuous(capsys):
+    # every path on o2 and loop ends at the one regular vertex, so the ck
+    # basis is empty: nothing was checked, which is not reported as ok
+    for graph in ("o2", "loop"):
+        code, out, _ = run(capsys, "rep-verify", graph, "--mode", "ck", "--depth", "3")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "%s: ck basis of 0 paths (truncated)" % graph
+        assert len(lines) == 7
+        assert all(line.endswith(": vacuous") for line in lines[1:])
+        code, data = run_json(capsys, "rep-verify", graph, "--mode", "ck", "--depth", "3")
+        assert code == 0
+        assert all(r["holds"] and r["checked"] == 0 for r in data["relations"])
+
+    # depth 0 keeps only the vertices: the projections are checked, no
+    # translation is
+    code, out, _ = run(capsys, "rep-verify", "loop", "--mode", "toeplitz", "--depth", "0")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "vertex projections orthogonal: ok",
+        "vertex projections sum to one: ok",
+        "translations are partial isometries onto their target: vacuous",
+        "translations have orthogonal ranges: vacuous",
+        "range sums stay under their vertex: vacuous",
+    ]
+
+
+def test_rep_verify_without_depth_on_omega_graph(capsys):
+    # only the omega cap truncates this acyclic basis, so every column counts
+    code, data = run_json(capsys, "rep-verify", "mix")
+    assert code == 0 and not data["exact"]
+    assert all(r["holds"] and r["checked"] == data["size"] for r in data["relations"])
+
+
+def test_exit_code_bad_truncation(capsys):
+    code, out, err = run(capsys, "rep-verify", "chain", "--depth", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: depth must be at least 0, got -1\n"
+    code, out, err = run(capsys, "rep-verify", "o2", "--depth", "3", "--omega-truncate", "0")
+    assert code == 1 and out == ""
+    assert err == "error: omega cap must be at least 1, got 0\n"
+
+
+def test_setcalc_nesting_cap(capsys):
+    deep = "(" * 3000 + "V(u)" + ")" * 3000
+    code, out, err = run(capsys, "setcalc", "chain", deep)
+    assert code == 1 and out == ""
+    assert err == "error: parentheses nest deeper than 100\n"
+    code, out, _ = run(capsys, "setcalc", "chain", "(" * 100 + "V(u)" + ")" * 100)
+    assert code == 0 and out.strip() == "{V(u)}"
