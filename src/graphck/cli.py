@@ -310,6 +310,8 @@ def _singleton_checks(rng, g, sub, sub_marks, lines) -> bool:
 
 
 def cmd_limit_check(args) -> int:
+    if args.chains < 1:
+        raise UsageError("--chains must be at least 1, got %d" % args.chains)
     g = _load(args.graph)
     rng = random.Random(args.seed)
     marks = g.regular_vertices

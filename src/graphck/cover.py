@@ -250,6 +250,10 @@ def af_block_enumerate(
 
     Enlarging the subgraph or the length bound only ever adds pairs.
     """
+    if n < 0:
+        raise PointError("length must be at least 0, got %d" % n)
+    if omega_cap < 1:
+        raise PointError("omega cap must be at least 1, got %d" % omega_cap)
     if not subgraph_le(sub, g):
         raise PointError("marked subgraph is not included in the graph")
     groups: dict[tuple[int, str], list[Path]] = {}

@@ -307,10 +307,6 @@ def hasse_edges(invariants) -> list[tuple[int, int]]:
     return edges
 
 
-def _endpoint(tree, p):
-    return p.terminus if isinstance(tree, FiberTree) else p
-
-
 def _universe(tree, depth: int, omega_cap: int):
     # the family calculus lives on the directed part of the fiber: cones
     # at vertices reached against the direction are not translation stable
@@ -328,7 +324,7 @@ def open_set_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> Rin
     """
     rs = RingSet.empty(tree)
     for p in _universe(tree, depth, omega_cap):
-        u = _endpoint(tree, p)
+        u = tree.endpoint(p)
         if u in inv.vertices:
             block = RingSet.of(tree, [BasicSet(p, inv.f(u))])
             if not rs.contains(block):
@@ -345,7 +341,7 @@ def residue_part_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) ->
     rs = RingSet.empty(tree)
     rv = inv.r_vertices
     for p in _universe(tree, depth, omega_cap):
-        u = _endpoint(tree, p)
+        u = tree.endpoint(p)
         if u in inv.vertices and u not in rv:
             block = RingSet.of(tree, [BasicSet(p, frozenset())])
             if not rs.contains(block):

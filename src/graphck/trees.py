@@ -7,6 +7,15 @@ reduced walks starting at the base.  Fibers are typically infinite, so the
 interface never asks for global enumeration; everything is driven by
 out-edge inspection, child steps, and the unique walk between two vertices.
 
+Each tree supplies only ``check_vertex``, ``child``, ``vkey`` and
+
+* ``word(v)``: the reduced word of signed edges from the root to v,
+* ``endpoint(v)``: the graph vertex under v, whose out-edges are v's.
+
+The rest is written once in ``Tree``.  Two root words part at their longest
+common prefix, and the unique walk between their vertices is the reversed
+tail of the first followed by the tail of the second (Serre, *Trees*).
+
 Tree edges are identified by the underlying edge instance, anchored at the
 vertex they leave; all excluded-edge bookkeeping in the calculus compares
 instances at a fixed anchor, which keeps that identification sound.
@@ -14,9 +23,7 @@ instances at a fixed anchor, which keeps that identification sound.
 
 from __future__ import annotations
 
-from functools import cached_property
-
-from .graphs import Delta1, EdgeInstance, Graph, GraphError, is_omega
+from .graphs import Delta1, EdgeInstance, Graph, GraphError, SignedEdge, is_omega
 from .paths import Path
 
 Step = tuple[EdgeInstance, bool]  # instance plus direction of traversal
@@ -26,8 +33,60 @@ class TreeError(GraphError):
     pass
 
 
-class FiniteTree:
-    """An explicit finite directed tree over a parsed graph."""
+class Tree:
+    """Walks, out-edges and boundary tests from root words and endpoints."""
+
+    graph: Graph
+
+    def out_edges(self, v) -> Delta1:
+        return self.graph.delta1(self.endpoint(v))
+
+    def validate_out_edge(self, v, e: EdgeInstance):
+        if e not in self.out_edges(v):
+            raise TreeError("edge %s does not leave the end of %s" % (e, v))
+
+    def walk(self, u, v) -> tuple[Step, ...]:
+        """The unique reduced walk from u to v, as anchored steps."""
+        a = self.word(self.check_vertex(u))
+        b = self.word(self.check_vertex(v))
+        k = 0
+        while k < len(a) and k < len(b) and a[k] == b[k]:
+            k += 1
+        up = tuple((s.edge, not s.forward) for s in reversed(a[k:]))
+        return up + tuple((s.edge, s.forward) for s in b[k:])
+
+    def ekey(self, e: EdgeInstance):
+        return e.sort_key()
+
+    def is_sink(self, v) -> bool:
+        return self.out_edges(v).is_empty
+
+    def is_infinite_vertex(self, v) -> bool:
+        return self.out_edges(v).infinite
+
+    def in_sigma(self, v) -> bool:
+        return not self.is_boundary_vertex(v)
+
+    def is_boundary_vertex(self, v) -> bool:
+        d = self.out_edges(v)
+        return d.is_empty or d.infinite
+
+    def touches_boundary(self, apex, excluded=frozenset()) -> bool:
+        """Does the cone at apex (minus excluded first steps) meet the boundary?
+
+        It does when the apex is a boundary vertex, or when some first step
+        is left: a forward walk in a finite graph either stops at a sink or
+        goes on forever, so every cone holds a boundary point.  The excluded
+        instances all leave the apex, so counting them finds a step left.
+        """
+        for e in excluded:
+            self.validate_out_edge(apex, e)
+        return self.is_boundary_vertex(apex) or len(excluded) < self.out_edges(apex).count
+
+
+class FiniteTree(Tree):
+    """An explicit finite directed tree over a parsed graph, rooted at its
+    first vertex."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -36,26 +95,21 @@ class FiniteTree:
                 raise TreeError("tree edges cannot carry multiplicities: %s" % b)
         if len(graph.bundles) != len(graph.vertices) - 1:
             raise TreeError("edge count does not match a tree")
-        # undirected adjacency, then connectivity
-        adj: dict[str, list[tuple[str, EdgeInstance, bool]]] = {
-            v: [] for v in graph.vertices
-        }
-        for b in graph.bundles:
-            e = b.instance(0)
-            adj[b.origin].append((b.terminus, e, True))
-            adj[b.terminus].append((b.origin, e, False))
-        self._adj = adj
+        # connectivity by a search from the root, recording root words
         root = graph.vertices[0]
-        seen = {root}
+        words: dict[str, tuple[SignedEdge, ...]] = {root: ()}
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            for w, _, _ in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(graph.vertices):
+            steps = [SignedEdge(b.instance(0)) for b in graph.delta1(v).bundles]
+            steps += [SignedEdge(b.instance(0), False) for b in graph.in_bundles(v)]
+            for s in steps:
+                if s.terminus not in words:
+                    words[s.terminus] = words[v] + (s,)
+                    frontier.append(s.terminus)
+        if len(words) != len(graph.vertices):
             raise TreeError("tree is not connected")
+        self._words = words
 
     def __eq__(self, other):
         return isinstance(other, FiniteTree) and other.graph is self.graph
@@ -73,91 +127,27 @@ class FiniteTree:
     def check_vertex(self, v: str) -> str:
         return self.graph.check_vertex(v)
 
-    def out_edges(self, v: str) -> Delta1:
-        return self.graph.delta1(v)
+    def word(self, v: str) -> tuple[SignedEdge, ...]:
+        return self._words[v]
+
+    def endpoint(self, v: str) -> str:
+        return v
 
     def child(self, v: str, e: EdgeInstance) -> str:
-        if e.origin != v:
-            raise TreeError("edge %s does not leave %s" % (e, v))
+        self.validate_out_edge(v, e)
         return e.terminus
-
-    def validate_out_edge(self, v: str, e: EdgeInstance):
-        if e.origin != v:
-            raise TreeError("edge %s does not leave %s" % (e, v))
-
-    def walk(self, u: str, v: str) -> tuple[Step, ...]:
-        """The unique reduced walk from u to v, as anchored steps."""
-        self.check_vertex(u)
-        self.check_vertex(v)
-        if u == v:
-            return ()
-        prev: dict[str, tuple[str, EdgeInstance, bool]] = {u: None}  # type: ignore[dict-item]
-        frontier = [u]
-        while frontier and v not in prev:
-            nxt = []
-            for x in frontier:
-                for w, e, fwd in self._adj[x]:
-                    if w not in prev:
-                        prev[w] = (x, e, fwd)
-                        nxt.append(w)
-            frontier = nxt
-        steps = []
-        at = v
-        while at != u:
-            x, e, fwd = prev[at]
-            steps.append((e, fwd))
-            at = x
-        steps.reverse()
-        return tuple(steps)
 
     def vkey(self, v: str):
         return v
 
-    def ekey(self, e: EdgeInstance):
-        return e.sort_key()
 
-    def is_sink(self, v: str) -> bool:
-        return self.out_edges(v).is_empty
-
-    def is_infinite_vertex(self, v: str) -> bool:
-        return False
-
-    def in_sigma(self, v: str) -> bool:
-        return not self.is_sink(v)
-
-    def is_boundary_vertex(self, v: str) -> bool:
-        return self.is_sink(v)
-
-    def cone_vertices(self, apex: str, excluded=frozenset()) -> list[str]:
-        """Vertices reachable from apex by forward steps, first steps filtered."""
-        for e in excluded:
-            self.validate_out_edge(apex, e)
-        out = [apex]
-        frontier = [
-            e.terminus for e in self.out_edges(apex).finite_instances() if e not in excluded
-        ]
-        while frontier:
-            v = frontier.pop()
-            out.append(v)
-            frontier.extend(e.terminus for e in self.out_edges(v).finite_instances())
-        return out
-
-    def touches_boundary(self, apex: str, excluded=frozenset()) -> bool:
-        """Does the cone at apex (minus excluded first steps) meet the boundary?
-
-        In a finite tree the boundary consists of the sinks, so this asks
-        whether the cone contains one.
-        """
-        return any(self.is_sink(v) for v in self.cone_vertices(apex, excluded))
-
-
-class FiberTree:
+class FiberTree(Tree):
     """The tree of all reduced walks of a graph starting at one base vertex.
 
-    Vertices are Path objects with the base as origin; the positive tree
-    edges from a walk p are the forward extensions p -> p.append(e) over the
-    positive graph edges leaving p's endpoint (an appended edge may cancel,
-    so a child may be a shorter walk).
+    Vertices are Path objects with the base as origin, rooted at the unit;
+    the positive tree edges from a walk p are the forward extensions
+    p -> p.append(e) over the positive graph edges leaving p's endpoint (an
+    appended edge may cancel, so a child may be a shorter walk).
     """
 
     def __init__(self, graph: Graph, base: str):
@@ -186,63 +176,17 @@ class FiberTree:
             raise TreeError("walk %s does not start at %s" % (p, self.base))
         return p
 
-    def out_edges(self, p: Path) -> Delta1:
-        return self.graph.delta1(p.terminus)
+    def word(self, p: Path) -> tuple[SignedEdge, ...]:
+        return p.word
+
+    def endpoint(self, p: Path) -> str:
+        return p.terminus
 
     def child(self, p: Path, e: EdgeInstance) -> Path:
         return p.append(e)
 
-    def validate_out_edge(self, p: Path, e: EdgeInstance):
-        if e.origin != p.terminus:
-            raise TreeError("edge %s does not leave the end of %s" % (e, p))
-
-    def walk(self, u: Path, v: Path) -> tuple[Step, ...]:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return tuple((s.edge, s.forward) for s in (u.inverse() * v).word)
-
     def vkey(self, p: Path):
         return p.sort_key()
-
-    def ekey(self, e: EdgeInstance):
-        return e.sort_key()
-
-    def is_sink(self, p: Path) -> bool:
-        return self.out_edges(p).is_empty
-
-    def is_infinite_vertex(self, p: Path) -> bool:
-        return self.out_edges(p).infinite
-
-    def in_sigma(self, p: Path) -> bool:
-        d = self.out_edges(p)
-        return not d.is_empty and not d.infinite
-
-    def is_boundary_vertex(self, p: Path) -> bool:
-        d = self.out_edges(p)
-        return d.is_empty or d.infinite
-
-    def touches_boundary(self, apex: Path, excluded=frozenset()) -> bool:
-        """Does the cone at apex (minus excluded first steps) meet the boundary?
-
-        The cone meets the boundary exactly when the apex endpoint is itself
-        a sink or infinite emitter, or a sink, infinite emitter, or cycle
-        vertex is reachable through an allowed first step (a cycle gives
-        infinite forward walks through the cone).
-        """
-        g = self.graph
-        end = apex.terminus
-        skipped: dict = {}
-        for e in excluded:
-            self.validate_out_edge(apex, e)
-            skipped[e.bundle] = skipped.get(e.bundle, 0) + 1
-        if end in g.sinks or end in g.infinite_emitters:
-            return True
-        beyond: set[str] = set()
-        for b in g.delta1(end).bundles:
-            if is_omega(b.multiplicity) or skipped.get(b, 0) < b.multiplicity:
-                beyond |= g.reachable(b.terminus)
-        bad = g.sinks | g.infinite_emitters | vertices_on_cycles(g)
-        return bool(beyond & bad)
 
     def vertices_to_depth(self, depth: int, omega_cap: int = 3) -> list[Path]:
         """All fiber vertices of word length <= depth, omega bundles truncated."""
@@ -276,8 +220,6 @@ class FiberTree:
         return out
 
     def _signed_extensions(self, p: Path, omega_cap: int):
-        from .graphs import SignedEdge
-
         at = p.terminus
         for b in self.graph.delta1(at).bundles:
             cap = omega_cap if is_omega(b.multiplicity) else None
@@ -287,8 +229,3 @@ class FiberTree:
             cap = omega_cap if is_omega(b.multiplicity) else None
             for e in b.instances(cap):
                 yield SignedEdge(e, forward=False)
-
-
-def vertices_on_cycles(g: Graph) -> frozenset[str]:
-    """Vertices lying on at least one directed cycle."""
-    return g.cycle_vertices

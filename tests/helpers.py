@@ -802,3 +802,80 @@ def oracle_algebra_dimension(basis) -> int:
                 if not op.is_zero():
                     rows.append(op.todict())
     return _oracle_rank(rows)
+
+
+# --- the per-tree walks and boundary tests that the shared common-prefix
+# walk and the out-degree boundary test in graphck.trees replaced ---
+
+
+def oracle_walk(tree, u, v):
+    """The walk from u to v: a search over the undirected tree for a finite
+    tree, the groupoid product u^-1 * v for a fiber."""
+    from graphck.trees import FiberTree
+
+    tree.check_vertex(u)
+    tree.check_vertex(v)
+    if isinstance(tree, FiberTree):
+        return tuple((s.edge, s.forward) for s in (u.inverse() * v).word)
+    if u == v:
+        return ()
+    adj = {w: [] for w in tree.graph.vertices}
+    for b in tree.graph.bundles:
+        e = b.instance(0)
+        adj[b.origin].append((b.terminus, e, True))
+        adj[b.terminus].append((b.origin, e, False))
+    prev = {u: None}
+    frontier = [u]
+    while frontier and v not in prev:
+        nxt = []
+        for x in frontier:
+            for w, e, fwd in adj[x]:
+                if w not in prev:
+                    prev[w] = (x, e, fwd)
+                    nxt.append(w)
+        frontier = nxt
+    steps = []
+    at = v
+    while at != u:
+        x, e, fwd = prev[at]
+        steps.append((e, fwd))
+        at = x
+    steps.reverse()
+    return tuple(steps)
+
+
+def oracle_touches_boundary(tree, apex, excluded=frozenset()):
+    """Does the cone at apex minus excluded first steps meet the boundary?
+
+    A finite tree lists its cone and looks for a sink in it.  A fiber asks
+    whether the apex endpoint is a sink or infinite emitter, or a sink,
+    infinite emitter or cycle vertex is reachable through an allowed first
+    step, searching the graph once per bundle.
+    """
+    from graphck.trees import FiberTree
+
+    for e in excluded:
+        tree.validate_out_edge(apex, e)
+    g = tree.graph
+    if not isinstance(tree, FiberTree):
+        cone = [apex]
+        frontier = [
+            e.terminus for e in tree.out_edges(apex).finite_instances() if e not in excluded
+        ]
+        while frontier:
+            v = frontier.pop()
+            cone.append(v)
+            frontier.extend(e.terminus for e in tree.out_edges(v).finite_instances())
+        return any(tree.out_edges(v).is_empty for v in cone)
+    end = apex.terminus
+    skipped: dict = {}
+    for e in excluded:
+        skipped[e.bundle] = skipped.get(e.bundle, 0) + 1
+    if end in g.sinks or end in g.infinite_emitters:
+        return True
+    beyond: set[str] = set()
+    for b in g.delta1(end).bundles:
+        if is_omega(b.multiplicity) or skipped.get(b, 0) < b.multiplicity:
+            beyond |= g.reachable(b.terminus)
+    bad = g.sinks | g.infinite_emitters | g.cycle_vertices
+    return bool(beyond & bad)

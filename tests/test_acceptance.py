@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from graphck.cli import _random_subgraph
 from graphck.corpus import expected
 from graphck.cover import (
     compose_arrows,
@@ -18,7 +19,6 @@ from graphck.cover import (
     standard_form,
 )
 from graphck.fock import FockError, algebra_dimension, all_hold, build_basis, verify_relations
-from graphck.graphs import EdgeBundle, Graph, is_omega
 from graphck.invariants import (
     enumerate_invariants,
     family_open_set,
@@ -260,20 +260,6 @@ def test_criterion_7_verdicts_match_family_order(graphs):
     print("criterion 7: simplicity vs family order and residue cycles agree on all graphs")
 
 
-def _nested_subgraph(rng, g):
-    verts = [v for v in g.vertices if rng.random() < 0.8] or [sorted(g.vertices)[0]]
-    vset = set(verts)
-    bundles = []
-    for b in g.bundles:
-        if b.origin not in vset or b.terminus not in vset or rng.random() > 0.85:
-            continue
-        mult = b.multiplicity
-        if not is_omega(mult) and rng.random() > 0.7:
-            mult = rng.randint(1, mult)
-        bundles.append(EdgeBundle(b.name, b.origin, b.terminus, mult))
-    return Graph(sorted(vset), bundles, name=(g.name or "graph") + ".part")
-
-
 def test_criterion_8_nested_subgraph_coherence(graphs):
     # three nested chains per graph: inherited saturation marks compose,
     # and the span dimension only grows up the chain where it is finite
@@ -282,8 +268,8 @@ def test_criterion_8_nested_subgraph_coherence(graphs):
     for name, g in graphs.items():
         marks = g.regular_vertices
         for _ in range(3):
-            mid = _nested_subgraph(rng, g)
-            small = _nested_subgraph(rng, mid)
+            mid = _random_subgraph(rng, g)
+            small = _random_subgraph(rng, mid)
             mid_marks = induced_marks(mid, g, marks)
             small_marks = induced_marks(small, mid, mid_marks)
             assert small_marks == induced_marks(small, g, marks), name

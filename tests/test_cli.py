@@ -239,3 +239,21 @@ def test_setcalc_nesting_cap(capsys):
     assert err == "error: parentheses nest deeper than 100\n"
     code, out, _ = run(capsys, "setcalc", "chain", "(" * 100 + "V(u)" + ")" * 100)
     assert code == 0 and out.strip() == "{V(u)}"
+
+
+def test_limit_check_needs_a_chain(capsys):
+    for chains in ("0", "-1"):
+        code, out, err = run(capsys, "limit-check", "chain", "--chains", chains)
+        assert code == 1 and out == ""
+        assert err == "error: --chains must be at least 1, got %s\n" % chains
+
+
+def test_af_blocks_bad_truncation(capsys):
+    code, out, err = run(capsys, "af-blocks", "chain", "--length", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: length must be at least 0, got -1\n"
+    code, out, err = run(capsys, "af-blocks", "oinf", "--omega-truncate", "0")
+    assert code == 1 and out == ""
+    assert err == "error: omega cap must be at least 1, got 0\n"
+    code, out, _ = run(capsys, "af-blocks", "chain", "--length", "0")
+    assert code == 0 and out.startswith("3 blocks at length <= 0\n")

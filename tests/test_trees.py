@@ -4,7 +4,7 @@ import pytest
 
 from graphck.graphs import parse_graph
 from graphck.paths import Path, parse_path
-from graphck.trees import FiberTree, FiniteTree, TreeError, vertices_on_cycles
+from graphck.trees import FiberTree, FiniteTree, TreeError
 from helpers import random_tree_graph
 
 
@@ -96,10 +96,10 @@ def test_fiber_omega_truncation(graphs):
 
 
 def test_vertices_on_cycles(graphs):
-    assert vertices_on_cycles(graphs["loop"]) == {"u"}
-    assert vertices_on_cycles(graphs["trans"]) == {"u"}
-    assert vertices_on_cycles(graphs["chain"]) == frozenset()
-    assert vertices_on_cycles(graphs["oinf"]) == {"u"}
+    assert graphs["loop"].cycle_vertices == {"u"}
+    assert graphs["trans"].cycle_vertices == {"u"}
+    assert graphs["chain"].cycle_vertices == frozenset()
+    assert graphs["oinf"].cycle_vertices == {"u"}
 
 
 def test_finite_touches_boundary(graphs):
