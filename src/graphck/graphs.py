@@ -34,6 +34,11 @@ class _Omega:
     def __repr__(self) -> str:
         return "omega"
 
+    def __hash__(self) -> int:
+        # a constant, so set and dict orders involving omega do not follow
+        # the object's address from run to run
+        return 0x0E6A
+
     def __reduce__(self):
         return (_Omega, ())
 

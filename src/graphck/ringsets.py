@@ -49,7 +49,7 @@ class BasicSet:
 def _validate_basic(tree, b: BasicSet) -> None:
     try:
         tree.check_vertex(b.apex)
-        for e in b.excluded:
+        for e in sorted(b.excluded, key=tree.ekey):
             tree.validate_out_edge(b.apex, e)
     except (GraphError, TreeError, PathError) as exc:
         raise RingError("bad basic set %s: %s" % (b, exc)) from None
