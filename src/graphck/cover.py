@@ -220,8 +220,16 @@ class ArrowBlock:
         return "(%s, %s) at %s" % (self.beta1, self.beta2, self.terminus)
 
 
-def _directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int) -> list[Path]:
-    # instances are taken in g so paths compare across the inclusion
+def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> list[Path]:
+    """The directed paths of the marked subgraph of length at most n, omega
+    bundles cut off at omega_cap instances.  Instances are taken in g, so
+    paths compare across the inclusion."""
+    if n < 0:
+        raise PointError("length must be at least 0, got %d" % n)
+    if omega_cap < 1:
+        raise PointError("omega cap must be at least 1, got %d" % omega_cap)
+    if not subgraph_le(sub, g):
+        raise PointError("marked subgraph is not included in the graph")
     steps: dict[str, list[EdgeInstance]] = {v: [] for v in sub.vertices}
     for b in sub.bundles:
         big = g.bundle(b.name)
@@ -250,14 +258,8 @@ def af_block_enumerate(
 
     Enlarging the subgraph or the length bound only ever adds pairs.
     """
-    if n < 0:
-        raise PointError("length must be at least 0, got %d" % n)
-    if omega_cap < 1:
-        raise PointError("omega cap must be at least 1, got %d" % omega_cap)
-    if not subgraph_le(sub, g):
-        raise PointError("marked subgraph is not included in the graph")
     groups: dict[tuple[int, str], list[Path]] = {}
-    for p in _directed_paths_upto(g, sub, n, omega_cap):
+    for p in directed_paths_upto(g, sub, n, omega_cap):
         groups.setdefault((len(p), p.terminus), []).append(p)
     blocks = []
     for (_, t), paths in sorted(groups.items()):

@@ -35,9 +35,7 @@ class _Omega:
         return "omega"
 
     def __hash__(self) -> int:
-        # a constant, so set and dict orders involving omega do not follow
-        # the object's address from run to run
-        return 0x0E6A
+        return 0x0E6A  # not the address, so set orders repeat from run to run
 
     def __reduce__(self):
         return (_Omega, ())

@@ -157,12 +157,9 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
                         % (b.name, t)
                     )
     for u in g.vertices:
-        if u in nset:
+        if u in nset or u not in g.regular_vertices:
             continue
-        d = g.delta1(u)
-        if d.is_empty or d.infinite:
-            continue
-        if all(b.terminus in nset and not fmap[b.terminus] for b in d.bundles):
+        if all(b.terminus in nset and not fmap[b.terminus] for b in g.delta1(u).bundles):
             failures.append(
                 "vertex %s sees only members with empty exclusions and must join the family" % u
             )
@@ -179,7 +176,6 @@ def invariant_leq(a: Invariant, b: Invariant) -> bool:
 @dataclass(frozen=True)
 class Enumeration:
     invariants: tuple[Invariant, ...]
-    flagged: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
 
     def __iter__(self):
@@ -234,7 +230,7 @@ def _closed_sets(g: Graph):
             return
 
 
-def enumerate_invariants(g: Graph, omega_f_bound: int = 0) -> Enumeration:
+def enumerate_invariants(g: Graph) -> Enumeration:
     """All admissible families, smallest first.
 
     One family per closed set H and subset R of its breaking vertices
@@ -244,9 +240,8 @@ def enumerate_invariants(g: Graph, omega_f_bound: int = 0) -> Enumeration:
     Excluding part of a bundle is never admissible, and neither is
     excluding any instance of an omega bundle: the unexcluded instances
     force the terminus into H, while an excluded one forbids that.  So
-    the exclusion sets that omega_f_bound > 0 asks to probe along the
-    omega bundles can never add a family, nothing is ever flagged, and
-    the bound changes nothing.
+    the exclusion set of a breaking vertex is forced, and no finite
+    exclusion set along an omega bundle can add a family.
     """
     emitters = sorted(g.infinite_emitters)
     found = []
@@ -276,7 +271,7 @@ def enumerate_invariants(g: Graph, omega_f_bound: int = 0) -> Enumeration:
                 found.append(inv)
                 notes.update(res.notes)
     found.sort(key=lambda i: i.sort_key())
-    return Enumeration(tuple(found), (), tuple(sorted(notes)))
+    return Enumeration(tuple(found), tuple(sorted(notes)))
 
 
 def hasse_edges(invariants) -> list[tuple[int, int]]:
@@ -315,6 +310,16 @@ def _universe(tree, depth: int, omega_cap: int):
     return list(tree.vertices)
 
 
+def _absorb_union(tree, blocks: Iterable[BasicSet]) -> RingSet:
+    """The union of the blocks in order, skipping each one already covered."""
+    rs = RingSet.empty(tree)
+    for b in blocks:
+        block = RingSet.of(tree, [b])
+        if not rs.contains(block):
+            rs = rs.union(block)
+    return rs
+
+
 def open_set_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> RingSet:
     """The union of the cones V(p; F at endpoint) over member vertices.
 
@@ -322,14 +327,9 @@ def open_set_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> Rin
     unions absorb, so deeper walks only matter until their cones are
     covered.
     """
-    rs = RingSet.empty(tree)
-    for p in _universe(tree, depth, omega_cap):
-        u = tree.endpoint(p)
-        if u in inv.vertices:
-            block = RingSet.of(tree, [BasicSet(p, inv.f(u))])
-            if not rs.contains(block):
-                rs = rs.union(block)
-    return rs
+    walks = _universe(tree, depth, omega_cap)
+    blocks = (BasicSet(p, inv.f(u)) for p in walks if (u := tree.endpoint(p)) in inv.vertices)
+    return _absorb_union(tree, blocks)
 
 
 def residue_part_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> RingSet:
@@ -338,15 +338,7 @@ def residue_part_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) ->
     The open set of the family splits as this part together with the
     single points at the excluding members.
     """
-    rs = RingSet.empty(tree)
-    rv = inv.r_vertices
-    for p in _universe(tree, depth, omega_cap):
-        u = tree.endpoint(p)
-        if u in inv.vertices and u not in rv:
-            block = RingSet.of(tree, [BasicSet(p, frozenset())])
-            if not rs.contains(block):
-                rs = rs.union(block)
-    return rs
+    return open_set_of(tree, Invariant.make(inv.vertices - inv.r_vertices), depth, omega_cap)
 
 
 def _named_omega_indices(w: RingSet, p) -> dict[EdgeBundle, int]:
@@ -427,12 +419,8 @@ def family_open_set(tree, fam: dict) -> RingSet:
     def size(p):
         return len(p.word) if isinstance(p, Path) else 0
 
-    rs = RingSet.empty(tree)
-    for p in sorted(fam, key=lambda p: (size(p), tree.vkey(p))):
-        block = RingSet.of(tree, [BasicSet(p, fam[p])])
-        if not rs.contains(block):
-            rs = rs.union(block)
-    return rs
+    order = sorted(fam, key=lambda p: (size(p), tree.vkey(p)))
+    return _absorb_union(tree, (BasicSet(p, fam[p]) for p in order))
 
 
 @dataclass(frozen=True)
@@ -451,33 +439,35 @@ class QuotientData:
 
 
 def quotient_data(g: Graph, inv: Invariant) -> QuotientData:
+    """The quotient data of a family, which must be admissible."""
     res = is_invariant(g, inv)
     if not res.ok:
         raise InvariantError("not an admissible family: %s" % (res.failures[0],))
+    return build_quotient(g, inv)
+
+
+def build_quotient(g: Graph, inv: Invariant) -> QuotientData:
+    """quotient_data without the admissibility check, for a family already
+    known to be admissible, such as one from enumerate_invariants."""
     rset = inv.r_vertices
     kept = [v for v in g.vertices if v not in inv.vertices or v in rset]
     keptset = set(kept)
     bundles = [b for b in g.bundles if b.origin in keptset and b.terminus in keptset]
     name = (g.name or "graph") + ".quotient"
     q = Graph(kept, bundles, name=name)
-    marks = set(rset)
-    for u in g.vertices:
-        if u in inv.vertices:
-            continue
-        d = g.delta1(u)
-        if not d.is_empty and not d.infinite:
-            marks.add(u)
-    bad = frozenset(marks) - q.regular_vertices
+    marks = rset | (g.regular_vertices - inv.vertices)
+    bad = marks - q.regular_vertices
     if bad:
         raise InvariantError("marks %s fell out of the regular vertices" % sorted(bad))
-    return QuotientData(rset, q, frozenset(marks))
+    return QuotientData(rset, q, marks)
 
 
 def induced_marks(sub: Graph, sup: Graph, marks: Iterable[str]) -> frozenset[str]:
     """Push marked regular vertices down a subgraph inclusion.
 
     A mark survives when the subgraph already carries every out-edge the
-    larger graph gives it, instance for instance.
+    larger graph gives it, instance for instance: the inclusion leaves
+    the subgraph no other bundles there, so its out-bundles are equal.
     """
     if not subgraph_le(sub, sup):
         raise InvariantError("not a subgraph inclusion")
@@ -485,24 +475,8 @@ def induced_marks(sub: Graph, sup: Graph, marks: Iterable[str]) -> frozenset[str
     bad = marks - sup.regular_vertices
     if bad:
         raise InvariantError("marks %s are not regular vertices" % sorted(bad))
-    out = set()
-    for v in marks:
-        if not sub.has_vertex(v):
-            continue
-        full = True
-        for b in sup.delta1(v).bundles:
-            try:
-                small = sub.bundle(b.name)
-            except GraphError:
-                full = False
-                break
-            if is_omega(b.multiplicity):
-                if not is_omega(small.multiplicity):
-                    full = False
-                    break
-            elif is_omega(small.multiplicity) or small.multiplicity != b.multiplicity:
-                full = False
-                break
-        if full:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(
+        v
+        for v in marks
+        if sub.has_vertex(v) and set(sub.delta1(v).bundles) == set(sup.delta1(v).bundles)
+    )

@@ -221,6 +221,13 @@ def _cofinality(g: Graph) -> tuple[bool, str]:
     return True, ""
 
 
+def is_essentially_principal(g: Graph) -> bool:
+    """Does every cycle have an exit that returns to it?  Exactly when
+    every cyclic component is of the returning kind, so no cycle needs
+    to be listed."""
+    return all(kind == "returning" for kind in g.cyclic_sccs.values())
+
+
 def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
     cycles = find_cycles(g, cycle_cap)
     wit: dict[str, str] = {}
@@ -234,7 +241,7 @@ def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
     essentially_free = not terminal
     if terminal:
         wit["essentially_free"] = "cycle %s has no exit" % terminal[0]
-    essentially_principal = not terminal and not transitory
+    essentially_principal = is_essentially_principal(g)
     if terminal:
         wit["essentially_principal"] = wit["essentially_free"]
     elif transitory:
@@ -302,51 +309,28 @@ def isotropy(x):
     return ("nontrivial", alpha)
 
 
-def _bfs_to(g: Graph, u: str, targets) -> Path | None:
-    prev: dict[str, tuple[str, EdgeInstance]] = {}
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        at = queue.popleft()
-        if at in targets:
-            word = []
-            while at != u:
-                parent, e = prev[at]
-                word.append(SignedEdge(e))
-                at = parent
-            return Path(u, tuple(reversed(word)))
-        for b in g.delta1(at).bundles:
-            t = b.terminus
-            if t not in seen:
-                seen.add(t)
-                prev[t] = (at, b.instance(0))
-                queue.append(t)
-    return None
-
-
-def _path_within(g: Graph, comp: frozenset[str], src: str, dst: str) -> tuple[EdgeInstance, ...]:
-    if src == dst:
-        return ()
+def _bfs_word(g: Graph, src: str, targets, within=None) -> tuple[SignedEdge, ...] | None:
+    """A shortest directed word from src to a target, taking instance 0 of
+    each bundle and the first target found, staying inside within when
+    given; None when no target is reached."""
     prev: dict[str, tuple[str, EdgeInstance]] = {}
     seen = {src}
     queue = deque([src])
     while queue:
         at = queue.popleft()
+        if at in targets:
+            word = []
+            while at != src:
+                at, e = prev[at]
+                word.append(SignedEdge(e))
+            return tuple(reversed(word))
         for b in g.delta1(at).bundles:
             t = b.terminus
-            if t not in comp or t in seen:
-                continue
-            prev[t] = (at, b.instance(0))
-            if t == dst:
-                word = []
-                while t != src:
-                    parent, e = prev[t]
-                    word.append(e)
-                    t = parent
-                return tuple(reversed(word))
-            seen.add(t)
-            queue.append(t)
-    raise StructureError("no path from %s to %s inside the component" % (src, dst))
+            if t not in seen and (within is None or t in within):
+                seen.add(t)
+                prev[t] = (at, b.instance(0))
+                queue.append(t)
+    return None
 
 
 def free_point_from(g: Graph, u: str):
@@ -359,9 +343,9 @@ def free_point_from(g: Graph, u: str):
     """
     g.check_vertex(u)
     singular = set(g.sinks) | set(g.infinite_emitters)
-    hit = _bfs_to(g, u, singular)
+    hit = _bfs_word(g, u, singular)
     if hit is not None:
-        return FinitePath(hit)
+        return FinitePath(Path(u, hit))
     reach = g.reachable(u)
     order = {v: i for i, v in enumerate(g.vertices)}
     for comp in g.sccs:
@@ -382,17 +366,14 @@ def free_point_from(g: Graph, u: str):
             continue
         w, inside = branching
         first = inside[0]
-        gamma = (first,) + _path_within(g, comp, first.terminus, w)
         exit_step = next(e for e in inside if e != first)
-        ret = (exit_step,) + _path_within(g, comp, exit_step.terminus, w)
-        alpha = _bfs_to(g, u, {w})
+        alpha = _bfs_word(g, u, {w})
         if alpha is None:
             continue
-        return AperiodicDescriptor(
-            alpha,
-            tuple(SignedEdge(e) for e in gamma),
-            tuple(SignedEdge(e) for e in ret),
-        )
+        # w and both steps' termini share a component, so these words exist
+        gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
+        ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
+        return AperiodicDescriptor(Path(u, alpha), gamma, ret)
     raise StructureError("every walk from %s is eventually periodic" % u)
 
 

@@ -84,7 +84,6 @@ def invocations() -> list[list[str]]:
 
 
 def main() -> int:
-    sys.path.insert(0, HERE)
     records = [run(argv) for argv in invocations()]
     os.makedirs(os.path.dirname(TRANSCRIPT), exist_ok=True)
     with open(TRANSCRIPT, "w", encoding="utf-8") as fh:

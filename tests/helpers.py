@@ -496,13 +496,20 @@ def _oracle_f_options(g: Graph, u: str, omega_f_bound: int):
     return out
 
 
+@dataclass(frozen=True)
+class OracleEnumeration:
+    invariants: tuple
+    flagged: tuple
+    notes: tuple
+
+
 def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
     """All admissible families by checking every candidate with
     is_invariant; omega_f_bound > 0 also probes exclusion sets sampling
     the omega bundles and flags any admissible family found that way."""
     import itertools
 
-    from graphck.invariants import Enumeration, Invariant, is_invariant
+    from graphck.invariants import Invariant, is_invariant
 
     verts = sorted(g.vertices)
     emitters = sorted(set(verts) & g.infinite_emitters)
@@ -526,7 +533,7 @@ def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
                             % inv
                         )
     found.sort(key=lambda i: i.sort_key())
-    return Enumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
+    return OracleEnumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
 
 
 def oracle_hasse_edges(invariants):

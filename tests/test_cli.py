@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphck import corpus, invariants
 from graphck.cli import main
 
 
@@ -63,6 +64,50 @@ def test_ideals_order_not_faithful(capsys):
     assert code == 0
     assert data["order_faithful"] is False
     assert data["count"] == 2
+
+
+def test_ideals_ignores_omega_f_bound(capsys):
+    for name in corpus.GRAPH_NAMES:
+        for fmt in ((), ("--json",)):
+            plain = run(capsys, "ideals", name, *fmt)
+            bounded = run(capsys, "ideals", name, "--omega-f-bound", "2", *fmt)
+            assert bounded == plain, (name, fmt)
+
+
+def _complete_digraph(tmp_path, n):
+    lines = ["vertex v%d" % i for i in range(n)]
+    lines += [
+        "edge e%d_%d : v%d -> v%d" % (i, j, i, j) for i in range(n) for j in range(n) if i != j
+    ]
+    p = tmp_path / ("k%d.graph" % n)
+    p.write_text("\n".join(lines) + "\n")
+    return str(p)
+
+
+def test_ideals_lists_no_cycles(tmp_path, capsys):
+    # K8 has far more than 10000 cycles but only two families
+    k8 = _complete_digraph(tmp_path, 8)
+    code, out, err = run(capsys, "ideals", k8)
+    assert code == 0, err
+    assert out.splitlines()[0] == "k8: 2 families (order faithful: yes)"
+    code, _, err = run(capsys, "analyze", k8)
+    assert code == 2 and err == "cap exceeded: more than 10000 cycles\n"
+
+
+def test_ideals_checks_each_family_once(capsys, monkeypatch):
+    calls = []
+    real = invariants.is_invariant
+
+    def counting(g, inv):
+        calls.append(inv)
+        return real(g, inv)
+
+    monkeypatch.setattr(invariants, "is_invariant", counting)
+    for name in corpus.GRAPH_NAMES:
+        calls.clear()
+        code, data = run_json(capsys, "ideals", name)
+        assert code == 0
+        assert sorted(map(str, calls)) == sorted(f["text"] for f in data["families"]), name
 
 
 def test_rep_verify(capsys):

@@ -81,16 +81,6 @@ def test_enumerate_counts(graphs):
     for name, want in EXPECTED_COUNTS.items():
         env = enumerate_invariants(graphs[name])
         assert len(env) == want, name
-        assert env.flagged == ()
-
-
-def test_enumerate_counts_stable_under_omega_probing(graphs):
-    for name in ("oinf", "mix", "dd", "o2"):
-        g = graphs[name]
-        base = enumerate_invariants(g)
-        probed = enumerate_invariants(g, omega_f_bound=2)
-        assert probed.flagged == ()
-        assert {canon(i) for i in probed} == {canon(i) for i in base}
 
 
 def test_mix_exact_lattice(graphs):
