@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import EdgeInstance, Graph, is_omega, subgraph_le
-from .paths import Path
-from .points import AperiodicDescriptor, FinitePath, Lasso, PointError, act
-from .ringsets import BasicSet, RingSet
+from .paths import Path, directed_upto
+from .points import PointError, act
+from .ringsets import RingSet
 from .trees import FiberTree
 
 
@@ -80,7 +80,7 @@ def standard_form(alpha: Path, y) -> StandardForm:
     while r < k and r < len(w) and alpha.word[k - 1 - r] == w[r].reverse():
         r += 1
     beta1 = alpha.prefix(k - r)
-    beta2 = Path(y.origin, w[:r])
+    beta2 = Path.trusted(y.origin, w[:r])
     return StandardForm(beta1, beta2, y.drop(r))
 
 
@@ -138,7 +138,7 @@ def transversal_translate(g: Graph, x, s=()):
     for i, letter in enumerate(word):
         if not letter.forward:
             k = i + 1
-    alpha = Path(x.origin, word[:k])
+    alpha = Path.trusted(x.origin, word[:k])
     return alpha, x.drop(k)
 
 
@@ -237,16 +237,7 @@ def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> lis
         cap = omega_cap if is_omega(m) else m
         for i in range(cap):
             steps[b.origin].append(big.instance(i))
-    out = [Path.unit(v) for v in sub.vertices]
-    frontier = list(out)
-    for _ in range(n):
-        nxt = []
-        for p in frontier:
-            for e in steps.get(p.terminus, ()):
-                nxt.append(p.append(e))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return directed_upto([Path.unit(v) for v in sub.vertices], steps.__getitem__, n)
 
 
 def af_block_enumerate(

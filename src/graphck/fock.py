@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, is_omega
-from .paths import Path
+from .paths import Path, directed_upto
 
 
 class FockError(GraphError):
@@ -102,20 +102,8 @@ def build_basis(
         depth_eff = depth
     exact = not cyclic and not has_omega and (depth is None or depth >= len(g.vertices) - 1)
 
-    out = []
-    frontier = [Path.unit(v) for v in g.vertices]
-    out.extend(frontier)
-    for _ in range(depth_eff):
-        nxt = []
-        for p in frontier:
-            for b in g.delta1(p.terminus).bundles:
-                cap = omega_cap if is_omega(b.multiplicity) else None
-                for e in b.instances(cap):
-                    nxt.append(p.append(e))
-        out.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
+    units = [Path.unit(v) for v in g.vertices]
+    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(omega_cap), depth_eff)
     if mset:
         out = [p for p in out if p.terminus not in mset]
     out.sort(key=lambda p: p.sort_key())

@@ -380,25 +380,20 @@ def tree_invariant_of(w: RingSet, depth: int = 4, omega_cap: int = 3) -> dict:
             universe.append(b.apex)
             seen.add(b.apex)
 
-    def swallows(block: BasicSet) -> bool:
-        return w.boundary_contains(RingSet.of(tree, [block]))
+    def swallows(apex, excluded=frozenset()) -> bool:
+        # every block asked about is valid: an apex and its own out-edges
+        return w.boundary_contains(RingSet(tree, (BasicSet(apex, excluded),)))
 
     fam = {}
     for p in universe:
         d = tree.out_edges(p)
         if not d.infinite:
-            if swallows(BasicSet(p, frozenset())):
+            if swallows(p):
                 fam[p] = frozenset()
             continue
         named = _named_omega_indices(w, p)
-        ok = True
-        for b in d.bundles:
-            if is_omega(b.multiplicity):
-                probe = b.instance(named.get(b, -1) + 1)
-                if not swallows(BasicSet(tree.child(p, probe), frozenset())):
-                    ok = False
-                    break
-        if not ok:
+        omegas = [b for b in d.bundles if is_omega(b.multiplicity)]
+        if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
             continue
         candidates = []
         for b in d.bundles:
@@ -406,10 +401,8 @@ def tree_invariant_of(w: RingSet, depth: int = 4, omega_cap: int = 3) -> dict:
                 candidates.extend(b.instance(i) for i in range(named.get(b, -1) + 1))
             else:
                 candidates.extend(b.instances())
-        fmin = frozenset(
-            e for e in candidates if not swallows(BasicSet(tree.child(p, e), frozenset()))
-        )
-        if swallows(BasicSet(p, fmin)):
+        fmin = frozenset(e for e in candidates if not swallows(tree.child(p, e)))
+        if swallows(p, fmin):
             fam[p] = fmin
     return fam
 

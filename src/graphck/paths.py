@@ -11,22 +11,13 @@ vertices as units.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graphs import EdgeInstance, Graph, GraphError, SignedEdge
 
 
 class PathError(GraphError):
     pass
-
-
-def reduce_word(word: list[SignedEdge], more) -> list[SignedEdge]:
-    # stack reduction; valid because both inputs are already reduced
-    for s in more:
-        if word and word[-1] == s.reverse():
-            word.pop()
-        else:
-            word.append(s)
-    return word
 
 
 @dataclass(frozen=True)
@@ -46,17 +37,17 @@ class Path:
             prev = s
 
     @classmethod
-    def unit(cls, v: str) -> "Path":
-        return cls(v, ())
+    def trusted(cls, origin: str, word: tuple[SignedEdge, ...]) -> "Path":
+        """A path from a word that is composable from origin and reduced by
+        construction, skipping the checks in __post_init__."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "origin", origin)
+        object.__setattr__(p, "word", word)
+        return p
 
     @classmethod
-    def of(cls, origin: str, letters) -> "Path":
-        word: list[SignedEdge] = []
-        for x in letters:
-            if isinstance(x, EdgeInstance):
-                x = SignedEdge(x)
-            word.append(x)
-        return cls(origin, tuple(word))
+    def unit(cls, v: str) -> "Path":
+        return cls.trusted(v, ())
 
     @property
     def terminus(self) -> str:
@@ -64,10 +55,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.word)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.word
 
     @property
     def is_directed(self) -> bool:
@@ -79,22 +66,27 @@ class Path:
                 "cannot compose: %s ends at %s, %s starts at %s"
                 % (self, self.terminus, other, other.origin)
             )
-        word = reduce_word(list(self.word), other.word)
-        return Path(self.origin, tuple(word))
+        # both words are reduced, so cancelling stops at the first pair
+        # of letters at the junction that are not mutual reverses
+        a, b = self.word, other.word
+        r = 0
+        while r < len(a) and r < len(b) and a[-1 - r] == b[r].reverse():
+            r += 1
+        return Path.trusted(self.origin, a[: len(a) - r] + b[r:])
 
     __mul__ = concat
 
     def inverse(self) -> "Path":
-        return Path(self.terminus, tuple(s.reverse() for s in reversed(self.word)))
+        return Path.trusted(self.terminus, tuple(s.reverse() for s in reversed(self.word)))
 
     def prefix(self, n: int) -> "Path":
-        return Path(self.origin, self.word[:n])
+        return Path.trusted(self.origin, self.word[:n])
 
     def drop(self, n: int) -> "Path":
         """The path left after removing the first n letters."""
         if n == 0:
             return self
-        return Path(self.word[n - 1].terminus, self.word[n:])
+        return Path.trusted(self.word[n - 1].terminus, self.word[n:])
 
     def append(self, e: EdgeInstance) -> "Path":
         """Right-multiply by a single forward edge, cancelling if needed."""
@@ -102,11 +94,17 @@ class Path:
         if s.origin != self.terminus:
             raise PathError("edge %s does not continue %s" % (e, self))
         if self.word and self.word[-1] == s.reverse():
-            return Path(self.origin, self.word[:-1])
-        return Path(self.origin, self.word + (s,))
+            return Path.trusted(self.origin, self.word[:-1])
+        return Path.trusted(self.origin, self.word + (s,))
+
+    @cached_property
+    def letter_keys(self) -> tuple:
+        """The sort keys of the letters; lexicographic order on them puts
+        every prefix before its extensions."""
+        return tuple(s.sort_key() for s in self.word)
 
     def sort_key(self):
-        return (len(self.word), tuple(s.sort_key() for s in self.word), self.origin)
+        return (len(self.word), self.letter_keys, self.origin)
 
     def __str__(self) -> str:
         if not self.word:
@@ -114,6 +112,18 @@ class Path:
         return ".".join(str(s) for s in self.word)
 
     __repr__ = __str__
+
+
+def directed_upto(starts, steps, depth: int) -> list[Path]:
+    """The given paths and their forward extensions by at most depth
+    letters, level by level; steps(v) gives the edge instances used at v."""
+    out, frontier = list(starts), list(starts)
+    for _ in range(depth):
+        frontier = [p.append(e) for p in frontier for e in steps(p.terminus)]
+        if not frontier:
+            break
+        out.extend(frontier)
+    return out
 
 
 def parse_path(graph: Graph, text: str) -> Path:

@@ -132,7 +132,7 @@ class Lasso:
 
     def prefix_path(self, n: int) -> Path:
         """The tree vertex sitting n letters along the ray."""
-        return Path(self.origin, self.word_prefix(n))
+        return Path.trusted(self.origin, self.word_prefix(n))
 
     def drop(self, r: int) -> "Lasso":
         if r <= len(self.stem):

@@ -5,21 +5,33 @@ forward steps, and V(v; F), with F a finite set of out-edges of v, for the
 cone minus the subcones through F.  These basic sets are closed under
 intersection, and differences of basic sets split into finitely many
 disjoint basic sets, so finite disjoint unions of basic sets form a ring of
-sets.  A RingSet is such a disjoint union in a merged, sorted form; two
-RingSets are equal exactly when their symmetric difference is empty, which
-the operations decide without ever enumerating a cone.
+sets.  A RingSet is such a disjoint union in a merged, sorted form.
 
-The geometry driving every case split: for apexes u != v the unique walk
-from u to v either descends all the way (v inside u's cone), ascends all
-the way (u inside v's cone), descends then ascends (the cones overlap in
-the cone of the walk's lowest point), or ascends then descends somewhere
-(disjoint cones).
+Tree.relation places two apexes from their root words: the walk between
+them descends all the way, ascends all the way, descends then ascends
+(the cones overlap in the cone of its lowest point) or is apart.  That
+shapes the block lists of intersect and minus (O(k m) relations for k and
+m blocks) and union and symmdiff (two differences).  Predicates use the
+F-sets instead: F(r) is the set of words r.f1...fm with every fi forward.
+Writing p = t.~e1...~ek with t ending in a forward letter or empty,
+V(p) = F(t) | F(t.~e1) | ... | F(p), the up-step e_k leads into all but
+the last of those, and any other excluded f cuts F(p.f) out of F(p).  Two
+F-sets are nested or disjoint, and F(s) holds r exactly when s is a prefix
+of r reaching past r's last reversed letter.  So a signed sum of blocks is
+constant between the words where its F-sets start, and one lexicographic
+sweep over those words with a stack of prefixes gives its value on each
+piece: O(n log n) for n blocks, no walk.  contains and equals read the
+sweep of self minus other, and the canonical form asserts its blocks
+disjoint by the sweep of their sum.  boundary_contains makes the pieces of
+other minus self one block at a time (O(k m) relations) and stops at the
+first that touches the boundary; no canonical form is built.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graphs import EdgeInstance, GraphError
 from .paths import PathError
@@ -55,120 +67,136 @@ def _validate_basic(tree, b: BasicSet) -> None:
         raise RingError("bad basic set %s: %s" % (b, exc)) from None
 
 
-def _classify(tree, u, v):
-    """Relative position of two apexes; see the module docstring."""
-    steps = tree.walk(u, v)
-    if not steps:
-        return ("equal", steps)
-    drop = 0
-    while drop < len(steps) and steps[drop][1]:
-        drop += 1
-    if drop == len(steps):
-        return ("below", steps)  # v in V(u)
-    if any(fwd for _, fwd in steps[drop:]):
-        return ("apart", steps)  # cones disjoint
-    if drop == 0:
-        return ("above", steps)  # u in V(v)
-    return ("meet", steps, drop)  # cones overlap in the cone of the meet
-
-
-def _meet_vertex(tree, u, steps, drop):
-    at = u
-    for e, _ in steps[:drop]:
-        at = tree.child(at, e)
-    return at
+def _overlap(tree, b: BasicSet, c: BasicSet):
+    """relation(b.apex, c.apex), or None when B and C are disjoint."""
+    rel = kind, first, last, _, _ = tree.relation(b.apex, c.apex)
+    if kind == "apart" or (kind in ("below", "meet") and first in b.excluded):
+        return None
+    return None if kind in ("above", "meet") and last in c.excluded else rel
 
 
 def basic_intersect(tree, b: BasicSet, c: BasicSet) -> BasicSet | None:
     """B cap C as a basic set, or None when empty."""
-    if b.apex == c.apex:
+    rel = _overlap(tree, b, c)
+    if rel is None:
+        return None
+    kind = rel[0]
+    if kind == "equal":
         return BasicSet(b.apex, b.excluded | c.excluded)
-    tag = _classify(tree, b.apex, c.apex)
-    if tag[0] == "apart":
-        return None
-    if tag[0] == "below":
-        return None if tag[1][0][0] in b.excluded else c
-    if tag[0] == "above":
-        return None if tag[1][-1][0] in c.excluded else b
-    _, steps, drop = tag
-    if steps[0][0] in b.excluded or steps[-1][0] in c.excluded:
-        return None
-    return BasicSet(_meet_vertex(tree, b.apex, steps, drop))
-
-
-def _descend_chain(tree, apex, first_excluded, edges) -> list[BasicSet]:
-    # V(apex; first_excluded) minus the cone under the walk `edges`
-    out = [BasicSet(apex, frozenset(first_excluded) | {edges[0]})]
-    at = tree.child(apex, edges[0])
-    for e in edges[1:]:
-        out.append(BasicSet(at, frozenset([e])))
-        at = tree.child(at, e)
-    return out
+    return c if kind == "below" else b if kind == "above" else BasicSet(rel[4])
 
 
 def basic_diff(tree, b: BasicSet, c: BasicSet) -> list[BasicSet]:
     """B minus C as finitely many disjoint basic sets."""
-    if b.apex == c.apex:
-        return [
-            BasicSet(tree.child(b.apex, e))
-            for e in sorted(c.excluded - b.excluded, key=tree.ekey)
-        ]
-    tag = _classify(tree, b.apex, c.apex)
-    if tag[0] == "apart":
+    rel = _overlap(tree, b, c)
+    if rel is None:
         return [b]
-    if tag[0] == "below":
-        steps = tag[1]
-        if steps[0][0] in b.excluded:
-            return [b]
-        edges = [e for e, _ in steps]
-        out = _descend_chain(tree, b.apex, b.excluded, edges)
-        out.extend(
-            BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=tree.ekey)
-        )
-        return out
-    if tag[0] == "above":
-        return [b] if tag[1][-1][0] in c.excluded else []
-    _, steps, drop = tag
-    if steps[0][0] in b.excluded or steps[-1][0] in c.excluded:
-        return [b]
-    edges = [e for e, _ in steps[:drop]]
-    return _descend_chain(tree, b.apex, b.excluded, edges)
+    if rel[0] == "above":
+        return []
+    if rel[0] == "equal":
+        fresh = sorted(c.excluded - b.excluded, key=tree.ekey)
+        return [BasicSet(tree.child(b.apex, e)) for e in fresh]
+    # the chain of cones hanging off the forward walk down to the overlap
+    out, at, cut = [], b.apex, b.excluded
+    for e, _ in tree.walk(b.apex, rel[4]):
+        out.append(BasicSet(at, cut | {e}))
+        at, cut = tree.child(at, e), frozenset()
+    if rel[0] == "below":
+        out.extend(BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=tree.ekey))
+    return out
 
 
 def basic_contains(tree, b: BasicSet, c: BasicSet) -> bool:
     """Is C a subset of B?"""
-    if b.apex == c.apex:
+    kind, first, _, _, _ = tree.relation(b.apex, c.apex)
+    if kind == "equal":
         return c.excluded >= b.excluded
-    tag = _classify(tree, b.apex, c.apex)
-    return tag[0] == "below" and tag[1][0][0] not in b.excluded
+    return kind == "below" and first not in b.excluded
+
+
+def _pieces(tree, blocks, cuts) -> Iterator[BasicSet]:
+    """The blocks minus the cuts as disjoint basic sets, block by block."""
+    for b in blocks:
+        parts = [b]
+        for c in cuts:
+            parts = [d for p in parts for d in basic_diff(tree, p, c)]
+        yield from parts
+
+
+def _levels(tree, plus, minus=()) -> Iterator[int]:
+    """The value of the sum of the plus blocks minus the minus blocks on
+    each piece between the words where their F-sets start (see the module
+    docstring)."""
+    acc: defaultdict[tuple, int] = defaultdict(int)  # letter keys of r -> sign of F(r)
+    for sign, b in [(1, b) for b in plus] + [(-1, b) for b in minus]:
+        w, key = tree.word(b.apex), tree.letter_keys(b.apex)
+        up = w[-1].edge if w and not w[-1].forward else None
+        acc[key] += sign
+        n = len(w)
+        while up not in b.excluded and n and not w[n - 1].forward:
+            n -= 1
+            acc[key[:n]] += sign
+        for e in b.excluded - {up}:
+            acc[key + ((*tree.ekey(e), False),)] -= sign
+    stack = []  # (word, running sum) of the F-sets at prefixes of the word
+    for key, sign in sorted(acc.items()):
+        while stack and key[: len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        stack.append((key, (stack[-1][1] if stack else 0) + sign))
+        top = len(key)  # where the word's forward tail starts
+        while top and not key[top - 1][2]:
+            top -= 1
+        i = len(stack) - 1
+        while i and len(stack[i - 1][0]) >= top:
+            i -= 1
+        yield stack[-1][1] - (stack[i - 1][1] if i else 0)
+
+
+def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
+    """Fold each full child cone into a block that excludes its edge, in
+    the order of a scan from the front that restarts after every fold and
+    moves the folded block to the back.  A fold that leaves exclusions
+    enables no earlier fold, so only a new full cone restarts the scan."""
+    full: dict[object, list[int]] = {}  # apex -> positions of full cones
+    for i, b in enumerate(blocks):
+        if not b.excluded:
+            full.setdefault(b.apex, []).append(i)
+    kids: dict[int, list] = {}  # position -> (edge, child) in edge order
+    i = 0
+    while full and i < len(blocks):
+        b = blocks[i]
+        if b is not None and b.excluded and i not in kids:
+            kids[i] = [(e, tree.child(b.apex, e)) for e in sorted(b.excluded, key=tree.ekey)]
+        e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
+        if e is None:
+            i += 1
+            continue
+        del kids[i]
+        blocks[i] = blocks[full[kid].pop()] = None
+        if not full[kid]:
+            del full[kid]
+        merged = BasicSet(b.apex, b.excluded - {e})
+        blocks.append(merged)
+        if merged.excluded:
+            i += 1
+        else:  # a new full cone, which earlier blocks may fold in
+            full.setdefault(b.apex, []).append(len(blocks) - 1)
+            i = 0
+    return [b for b in blocks if b is not None]
 
 
 def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
+    """Absorbed, sorted and checked disjoint; the blocks must be valid."""
     blocks = list(blocks)
-    for b in blocks:
-        _validate_basic(tree, b)
-    # absorb a full child cone into a sibling block that excludes its edge
-    changed = True
-    while changed:
-        changed = False
-        full = {b.apex: i for i, b in enumerate(blocks) if not b.excluded}
-        for i, b in enumerate(blocks):
-            for e in sorted(b.excluded, key=tree.ekey):
-                j = full.get(tree.child(b.apex, e))
-                if j is not None and j != i:
-                    merged = BasicSet(b.apex, b.excluded - {e})
-                    del blocks[max(i, j)]
-                    del blocks[min(i, j)]
-                    blocks.append(merged)
-                    changed = True
-                    break
-            if changed:
-                break
+    if len(blocks) < 2:
+        return tuple(blocks)
+    blocks = _absorb(tree, blocks)
     blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
-    for i, b in enumerate(blocks):
-        for c in blocks[i + 1 :]:
-            if basic_intersect(tree, b, c) is not None:
-                raise RingError("blocks %s and %s overlap" % (b, c))
+    if any(n > 1 for n in _levels(tree, blocks)):
+        for i, b in enumerate(blocks):
+            for c in blocks[i + 1 :]:
+                if basic_intersect(tree, b, c) is not None:
+                    raise RingError("blocks %s and %s overlap" % (b, c))
     return tuple(blocks)
 
 
@@ -181,6 +209,10 @@ class RingSet:
 
     @classmethod
     def of(cls, tree, blocks: Iterable[BasicSet]) -> "RingSet":
+        """Validated blocks; operations on valid ones skip the checks."""
+        blocks = list(blocks)
+        for b in blocks:
+            _validate_basic(tree, b)
         return cls(tree, _canonical(tree, blocks))
 
     @classmethod
@@ -204,24 +236,19 @@ class RingSet:
 
     def intersect(self, other: "RingSet") -> "RingSet":
         self._check_same(other)
-        out = []
-        for b in self.blocks:
-            for c in other.blocks:
-                d = basic_intersect(self.tree, b, c)
-                if d is not None:
-                    out.append(d)
-        return RingSet.of(self.tree, out)
+        tree = self.tree
+        out = [d for b in self.blocks for c in other.blocks if (d := basic_intersect(tree, b, c))]
+        return RingSet(tree, _canonical(tree, out))
 
     def minus(self, other: "RingSet") -> "RingSet":
         self._check_same(other)
-        parts = list(self.blocks)
-        for c in other.blocks:
-            parts = [d for b in parts for d in basic_diff(self.tree, b, c)]
-        return RingSet.of(self.tree, parts)
+        parts = _pieces(self.tree, self.blocks, other.blocks)
+        return RingSet(self.tree, _canonical(self.tree, parts))
 
     def union(self, other: "RingSet") -> "RingSet":
         self._check_same(other)
-        return RingSet.of(self.tree, list(self.blocks) + list(other.minus(self).blocks))
+        blocks = self.blocks + other.minus(self).blocks
+        return RingSet(self.tree, _canonical(self.tree, blocks))
 
     def symmdiff(self, other: "RingSet") -> "RingSet":
         return self.minus(other).union(other.minus(self))
@@ -230,20 +257,19 @@ class RingSet:
         self._check_same(other)
         if self.blocks == other.blocks:
             return True
-        return self.minus(other).is_empty() and other.minus(self).is_empty()
+        return all(n == 0 for n in _levels(self.tree, self.blocks, other.blocks))
 
     def contains(self, other: "RingSet") -> bool:
         """Is other a subset of self?"""
-        return other.minus(self).is_empty()
+        self._check_same(other)
+        return all(n >= 0 for n in _levels(self.tree, self.blocks, other.blocks))
 
     def has_vertex(self, v) -> bool:
         tree = self.tree
         tree.check_vertex(v)
         for b in self.blocks:
-            if b.apex == v:
-                return True
-            tag = _classify(tree, b.apex, v)
-            if tag[0] == "below" and tag[1][0][0] not in b.excluded:
+            kind, first, _, _, _ = tree.relation(b.apex, v)
+            if kind == "equal" or (kind == "below" and first not in b.excluded):
                 return True
         return False
 
@@ -258,8 +284,11 @@ class RingSet:
         )
 
     def boundary_contains(self, other: "RingSet") -> bool:
-        """Does self cover other up to sets that avoid the boundary?"""
-        return other.minus(self).boundary_is_empty()
+        """Does self cover other up to sets that avoid the boundary?  The
+        first piece of other minus self on the boundary decides."""
+        self._check_same(other)
+        pieces = _pieces(self.tree, other.blocks, self.blocks)
+        return not any(self.tree.touches_boundary(d.apex, d.excluded) for d in pieces)
 
     def boundary_equal(self, other: "RingSet") -> bool:
         return self.boundary_contains(other) and other.boundary_contains(self)

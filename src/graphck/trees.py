@@ -10,11 +10,15 @@ out-edge inspection, child steps, and the unique walk between two vertices.
 Each tree supplies only ``check_vertex``, ``child``, ``vkey`` and
 
 * ``word(v)``: the reduced word of signed edges from the root to v,
-* ``endpoint(v)``: the graph vertex under v, whose out-edges are v's.
+* ``endpoint(v)``: the graph vertex under v, whose out-edges are v's,
+* ``along(v, n)``: the vertex n letters along v's root word.
 
 The rest is written once in ``Tree``.  Two root words part at their longest
 common prefix, and the unique walk between their vertices is the reversed
 tail of the first followed by the tail of the second (Serre, *Trees*).
+``relation(u, v)`` reads off that split alone whether the cones at u and v
+are equal, nested, meet or are apart, in O(depth) letter comparisons and
+with no step list; ``walk`` builds the steps where they are needed.
 
 Tree edges are identified by the underlying edge instance, anchored at the
 vertex they leave; all excluded-edge bookkeeping in the calculus compares
@@ -24,7 +28,7 @@ instances at a fixed anchor, which keeps that identification sound.
 from __future__ import annotations
 
 from .graphs import Delta1, EdgeInstance, Graph, GraphError, SignedEdge, is_omega
-from .paths import Path
+from .paths import Path, directed_upto
 
 Step = tuple[EdgeInstance, bool]  # instance plus direction of traversal
 
@@ -45,6 +49,38 @@ class Tree:
         if e not in self.out_edges(v):
             raise TreeError("edge %s does not leave the end of %s" % (e, v))
 
+    def relation(self, u, v):
+        """(kind, first, last, k, low) for vertices u and v.
+
+        k is the length of the common prefix of the root words.  The walk
+        from u to v climbs u's word back to k, a forward step for each
+        reversed letter, then follows v's word; first and last are the
+        edges of its first and last step.  kind is "equal", "below" (all
+        steps forward: v in V(u)), "above" (all backward), "meet" (forward,
+        then backward) or "apart" (disjoint cones), and low is the apex of
+        V(u) & V(v), or None when apart.
+        """
+        a, b = self.word(u), self.word(v)
+        k, n = 0, min(len(a), len(b))
+        while k < n and (a[k] is b[k] or a[k] == b[k]):
+            k += 1
+        steps = "".join("B" if s.forward else "F" for s in a[k:][::-1])
+        climb = len(steps)
+        steps += "".join("F" if s.forward else "B" for s in b[k:])
+        if not steps:
+            return ("equal", None, None, k, u)
+        first = a[-1].edge if climb else b[k].edge
+        last = b[-1].edge if len(b) > k else a[k].edge
+        drop = len(steps) - len(steps.lstrip("F"))
+        if "F" in steps[drop:]:
+            return ("apart", first, last, k, None)
+        if drop == len(steps):
+            return ("below", first, last, k, v)
+        if drop == 0:
+            return ("above", first, last, k, u)
+        low = self.along(u, len(a) - drop) if drop <= climb else self.along(v, k + drop - climb)
+        return ("meet", first, last, k, low)
+
     def walk(self, u, v) -> tuple[Step, ...]:
         """The unique reduced walk from u to v, as anchored steps."""
         a = self.word(self.check_vertex(u))
@@ -57,6 +93,10 @@ class Tree:
 
     def ekey(self, e: EdgeInstance):
         return e.sort_key()
+
+    def letter_keys(self, v) -> tuple:
+        """Sort keys of the letters of v's root word."""
+        return tuple(s.sort_key() for s in self.word(v))
 
     def is_sink(self, v) -> bool:
         return self.out_edges(v).is_empty
@@ -137,6 +177,10 @@ class FiniteTree(Tree):
         self.validate_out_edge(v, e)
         return e.terminus
 
+    def along(self, v: str, n: int) -> str:
+        """The vertex n letters along v's root word."""
+        return self._words[v][n - 1].terminus if n else self.graph.vertices[0]
+
     def vkey(self, v: str):
         return v
 
@@ -185,6 +229,12 @@ class FiberTree(Tree):
     def child(self, p: Path, e: EdgeInstance) -> Path:
         return p.append(e)
 
+    def along(self, p: Path, n: int) -> Path:
+        return p.prefix(n)
+
+    def letter_keys(self, p: Path) -> tuple:
+        return p.letter_keys
+
     def vkey(self, p: Path):
         return p.sort_key()
 
@@ -198,8 +248,7 @@ class FiberTree(Tree):
                 for s in self._signed_extensions(p, omega_cap):
                     if p.word and s == p.word[-1].reverse():
                         continue
-                    q = Path(p.origin, p.word + (s,))
-                    nxt.append(q)
+                    nxt.append(Path.trusted(p.origin, p.word + (s,)))
             out.extend(nxt)
             frontier = nxt
         out.sort(key=self.vkey)
@@ -207,15 +256,9 @@ class FiberTree(Tree):
 
     def directed_to_depth(self, depth: int, omega_cap: int = 3) -> list[Path]:
         """The fiber vertices under the unit: directed paths up to depth."""
-        out = [self.unit]
-        frontier = [self.unit]
-        for _ in range(depth):
-            nxt = []
-            for p in frontier:
-                for e in self.out_edges(p).iter_instances(omega_cap):
-                    nxt.append(self.child(p, e))
-            out.extend(nxt)
-            frontier = nxt
+        out = directed_upto(
+            [self.unit], lambda v: self.graph.delta1(v).iter_instances(omega_cap), depth
+        )
         out.sort(key=self.vkey)
         return out
 

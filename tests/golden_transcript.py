@@ -66,6 +66,70 @@ def _setcalc_cases(rng: random.Random) -> list[list[str]]:
     return cases
 
 
+def _mangle(rng: random.Random, text: str) -> str:
+    """Delete, insert or duplicate a few characters: a malformed argument."""
+    s = list(text)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(0, len(s))
+        op = rng.randrange(3)
+        if op == 0 and s:
+            del s[min(i, len(s) - 1)]
+        elif op == 1:
+            s.insert(i, rng.choice("~.#@;a0"))
+        else:
+            j = rng.randint(0, len(s))
+            s[i:i] = s[min(i, j) : max(i, j)][:6]
+    return "".join(s)
+
+
+def _arrow_cases(rng: random.Random) -> list[list[str]]:
+    """standard-form and cocycle on seeded walks and points, a fifth of
+    them with one argument mangled."""
+    from graphck import corpus
+    from helpers import arrow_into, random_point
+
+    cases = []
+    for name in corpus.GRAPH_NAMES:
+        g = corpus.load(name)
+        for _ in range(6):
+            x = random_point(rng, g)
+            walk, point = str(arrow_into(rng, g, x)), str(x)
+            if rng.random() < 0.2:
+                if rng.random() < 0.5:
+                    walk = _mangle(rng, walk)
+                else:
+                    point = _mangle(rng, point)
+            cmd = rng.choice(("standard-form", "standard-form", "cocycle"))
+            fmt = ["--json"] if cmd == "standard-form" and rng.random() < 0.4 else []
+            cases.append([cmd, name, walk, point, *fmt])
+    return cases
+
+
+def _af_block_cases() -> list[list[str]]:
+    from graphck import corpus
+
+    cases = []
+    for name in corpus.GRAPH_NAMES:
+        cases.append(["af-blocks", name, "--length", "0"])
+        cases.append(["af-blocks", name, "--length", "2", "--omega-truncate", "2"])
+        cases.append(["af-blocks", name, "--json"])
+    return cases
+
+
+def _setcalc_json_cases(rng: random.Random) -> list[list[str]]:
+    """setcalc --json on every corpus graph, at every base vertex."""
+    from graphck import corpus
+
+    cases = []
+    for name in corpus.GRAPH_NAMES:
+        g = corpus.load(name)
+        for base in sorted(g.vertices):
+            form = rng.choice(EXPRS)
+            expr = form % tuple(_cone(rng, g, base) for _ in range(form.count("%s")))
+            cases.append(["setcalc", name, expr, "--base", base, "--json"])
+    return cases
+
+
 def invocations() -> list[list[str]]:
     from graphck import corpus
 
@@ -80,7 +144,11 @@ def invocations() -> list[list[str]]:
     cases.append(["limit-check", "t2", "--length", "4", "--json"])
     cases.append(["limit-check", "chain", "--length", "-1"])
     cases.append(["limit-check", "chain", "--chains", "0"])
-    return cases + _setcalc_cases(random.Random(6006))
+    cases += _setcalc_cases(random.Random(6006))
+    # added later, after every earlier record, so those stay as they were
+    cases += _arrow_cases(random.Random(7007))
+    cases += _af_block_cases()
+    return cases + _setcalc_json_cases(random.Random(7008))
 
 
 def main() -> int:

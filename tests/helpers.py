@@ -886,3 +886,181 @@ def oracle_touches_boundary(tree, apex, excluded=frozenset()):
             beyond |= g.reachable(b.terminus)
     bad = g.sinks | g.infinite_emitters | g.cycle_vertices
     return bool(beyond & bad)
+
+
+# --- the cone-set calculus as it was before graphck.ringsets read apex
+# relations off root words: every relation from a materialised walk,
+# every block re-validated on every operation, the absorb step rebuilding
+# its dict after each fold, and the pairwise overlap check ---
+
+
+def oracle_classify(tree, u, v):
+    """Relative position of two apexes from the step list of their walk."""
+    steps = tree.walk(u, v)
+    if not steps:
+        return ("equal", steps)
+    drop = 0
+    while drop < len(steps) and steps[drop][1]:
+        drop += 1
+    if drop == len(steps):
+        return ("below", steps)  # v in V(u)
+    if any(fwd for _, fwd in steps[drop:]):
+        return ("apart", steps)  # cones disjoint
+    if drop == 0:
+        return ("above", steps)  # u in V(v)
+    return ("meet", steps, drop)  # cones overlap in the cone of the meet
+
+
+def _oracle_meet_vertex(tree, u, steps, drop):
+    at = u
+    for e, _ in steps[:drop]:
+        at = tree.child(at, e)
+    return at
+
+
+def oracle_basic_intersect(tree, b, c):
+    from graphck.ringsets import BasicSet
+
+    if b.apex == c.apex:
+        return BasicSet(b.apex, b.excluded | c.excluded)
+    tag = oracle_classify(tree, b.apex, c.apex)
+    if tag[0] == "apart":
+        return None
+    if tag[0] == "below":
+        return None if tag[1][0][0] in b.excluded else c
+    if tag[0] == "above":
+        return None if tag[1][-1][0] in c.excluded else b
+    _, steps, drop = tag
+    if steps[0][0] in b.excluded or steps[-1][0] in c.excluded:
+        return None
+    return BasicSet(_oracle_meet_vertex(tree, b.apex, steps, drop))
+
+
+def _oracle_descend_chain(tree, apex, first_excluded, edges):
+    from graphck.ringsets import BasicSet
+
+    out = [BasicSet(apex, frozenset(first_excluded) | {edges[0]})]
+    at = tree.child(apex, edges[0])
+    for e in edges[1:]:
+        out.append(BasicSet(at, frozenset([e])))
+        at = tree.child(at, e)
+    return out
+
+
+def oracle_basic_diff(tree, b, c):
+    from graphck.ringsets import BasicSet
+
+    if b.apex == c.apex:
+        return [
+            BasicSet(tree.child(b.apex, e))
+            for e in sorted(c.excluded - b.excluded, key=tree.ekey)
+        ]
+    tag = oracle_classify(tree, b.apex, c.apex)
+    if tag[0] == "apart":
+        return [b]
+    if tag[0] == "below":
+        steps = tag[1]
+        if steps[0][0] in b.excluded:
+            return [b]
+        out = _oracle_descend_chain(tree, b.apex, b.excluded, [e for e, _ in steps])
+        out.extend(
+            BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=tree.ekey)
+        )
+        return out
+    if tag[0] == "above":
+        return [b] if tag[1][-1][0] in c.excluded else []
+    _, steps, drop = tag
+    if steps[0][0] in b.excluded or steps[-1][0] in c.excluded:
+        return [b]
+    return _oracle_descend_chain(tree, b.apex, b.excluded, [e for e, _ in steps[:drop]])
+
+
+def oracle_basic_contains(tree, b, c):
+    if b.apex == c.apex:
+        return c.excluded >= b.excluded
+    tag = oracle_classify(tree, b.apex, c.apex)
+    return tag[0] == "below" and tag[1][0][0] not in b.excluded
+
+
+def oracle_has_vertex(rs, v):
+    rs.tree.check_vertex(v)
+    for b in rs.blocks:
+        if b.apex == v:
+            return True
+        tag = oracle_classify(rs.tree, b.apex, v)
+        if tag[0] == "below" and tag[1][0][0] not in b.excluded:
+            return True
+    return False
+
+
+def oracle_canonical(tree, blocks):
+    """Validate, absorb full child cones, sort, check blocks pairwise."""
+    from graphck.ringsets import BasicSet, RingError, _validate_basic
+
+    blocks = list(blocks)
+    for b in blocks:
+        _validate_basic(tree, b)
+    changed = True
+    while changed:
+        changed = False
+        full = {b.apex: i for i, b in enumerate(blocks) if not b.excluded}
+        for i, b in enumerate(blocks):
+            for e in sorted(b.excluded, key=tree.ekey):
+                j = full.get(tree.child(b.apex, e))
+                if j is not None and j != i:
+                    merged = BasicSet(b.apex, b.excluded - {e})
+                    del blocks[max(i, j)]
+                    del blocks[min(i, j)]
+                    blocks.append(merged)
+                    changed = True
+                    break
+            if changed:
+                break
+    blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
+    for i, b in enumerate(blocks):
+        for c in blocks[i + 1 :]:
+            if oracle_basic_intersect(tree, b, c) is not None:
+                raise RingError("blocks %s and %s overlap" % (b, c))
+    return tuple(blocks)
+
+
+def oracle_intersect(x, y):
+    out = []
+    for b in x.blocks:
+        for c in y.blocks:
+            d = oracle_basic_intersect(x.tree, b, c)
+            if d is not None:
+                out.append(d)
+    return oracle_canonical(x.tree, out)
+
+
+def oracle_minus(x, y):
+    parts = list(x.blocks)
+    for c in y.blocks:
+        parts = [d for b in parts for d in oracle_basic_diff(x.tree, b, c)]
+    return oracle_canonical(x.tree, parts)
+
+
+def oracle_union(x, y):
+    return oracle_canonical(x.tree, list(x.blocks) + list(oracle_minus(y, x)))
+
+
+def oracle_symmdiff(x, y):
+    from graphck.ringsets import RingSet
+
+    left = RingSet(x.tree, oracle_minus(x, y))
+    return oracle_union(left, RingSet(x.tree, oracle_minus(y, x)))
+
+
+def oracle_contains(x, y):
+    return not oracle_minus(y, x)
+
+
+def oracle_equals(x, y):
+    return x.blocks == y.blocks or (not oracle_minus(x, y) and not oracle_minus(y, x))
+
+
+def oracle_boundary_contains(x, y):
+    return not any(
+        x.tree.touches_boundary(b.apex, b.excluded) for b in oracle_minus(y, x)
+    )

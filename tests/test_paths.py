@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphck.paths import Path, PathError, parse_path
+from graphck.paths import Path, PathError, directed_upto, parse_path
 from helpers import random_graph, random_walk_path
 
 
@@ -105,3 +105,38 @@ def test_str_parse_roundtrip():
         if len(p) == 0:
             continue
         assert parse_path(g, str(p)) == p
+
+
+def _validated(p):
+    assert isinstance(p, Path)
+    assert p == Path(p.origin, p.word)  # raises PathError on a bad word
+    return p
+
+
+def test_trusted_paths_pass_validation():
+    # every path built without the checks is one the checks accept
+    rng = random.Random(409)
+    built = 0
+    for _ in range(400):
+        g = random_graph(rng)
+        p = random_walk_path(rng, g)
+        q = random_walk_path(rng, g, start=p.terminus)
+        made = [p.concat(q), p.inverse(), q.inverse().concat(p.inverse())]
+        made += [p.prefix(n) for n in range(len(p) + 1)]
+        made += [p.drop(n) for n in range(len(p) + 1)]
+        made += [p.append(e) for e in g.delta1(p.terminus).iter_instances(3)]
+        for m in made:
+            _validated(m)
+        built += len(made)
+    assert built > 4000
+    # and the trusted constructor itself is an ordinary path
+    p = Path.trusted("u", ())
+    assert p == Path.unit("u") and hash(p) == hash(Path("u", ())) and str(p) == "u"
+
+
+def test_directed_upto_stops_at_an_empty_level(graphs):
+    # an acyclic graph runs out of extensions long before a huge depth
+    g = graphs["chain"]
+    units = [Path.unit(v) for v in g.vertices]
+    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(), 10**9)
+    assert sorted(map(str, out)) == ["a", "a.b", "b", "u", "v", "w"]

@@ -1,0 +1,252 @@
+"""Differential tests: the cone-set calculus of graphck.ringsets, which reads
+apex relations off root words and decides predicates by an F-set sweep,
+against the walk-based calculus kept in helpers (oracle_classify,
+oracle_basic_*, oracle_canonical and the predicates built on minus)."""
+
+import random
+
+import pytest
+
+from graphck import corpus
+from graphck.invariants import enumerate_invariants, family_open_set, open_set_of, tree_invariant_of
+from graphck.paths import parse_path
+from graphck.ringsets import (
+    BasicSet,
+    RingError,
+    RingSet,
+    basic_contains,
+    basic_diff,
+    basic_intersect,
+)
+from graphck.setexpr import parse_setexpr
+from graphck.trees import FiberTree, FiniteTree
+from helpers import (
+    oracle_basic_contains,
+    oracle_basic_diff,
+    oracle_basic_intersect,
+    oracle_boundary_contains,
+    oracle_canonical,
+    oracle_classify,
+    oracle_contains,
+    oracle_equals,
+    oracle_has_vertex,
+    oracle_intersect,
+    oracle_minus,
+    oracle_symmdiff,
+    oracle_union,
+    random_graph,
+    random_tree_graph,
+    random_walk_path,
+)
+
+FIBER_SIZE = 40
+
+
+def _relation_agrees(tree, u, v):
+    tag = oracle_classify(tree, u, v)
+    kind, first, last, k, low = tree.relation(u, v)
+    assert kind == tag[0], (tree, u, v)
+    steps = tag[1]
+    assert (first, last) == ((steps[0][0], steps[-1][0]) if steps else (None, None))
+    a, b = tree.word(u), tree.word(v)
+    assert a[:k] == b[:k] and (k == len(a) or k == len(b) or a[k] != b[k])
+    want = {"equal": u, "below": v, "above": u, "apart": None}.get(kind)
+    if kind == "meet":
+        at = u
+        for e, _ in steps[: tag[2]]:
+            at = tree.child(at, e)
+        want = at
+    assert low == want, (tree, u, v)
+
+
+def _basics(rng, tree, vertices, n):
+    out = []
+    for _ in range(n):
+        apex = rng.choice(vertices)
+        steps = list(tree.out_edges(apex).iter_instances(2))
+        out.append(BasicSet(apex, frozenset(e for e in steps if rng.random() < 0.3)))
+    return out
+
+
+def _basic_ops_agree(tree, b, c):
+    assert basic_intersect(tree, b, c) == oracle_basic_intersect(tree, b, c), (b, c)
+    assert basic_diff(tree, b, c) == oracle_basic_diff(tree, b, c), (b, c)
+    assert basic_contains(tree, b, c) == oracle_basic_contains(tree, b, c), (b, c)
+
+
+def _sets_agree(x, y):
+    """Block lists of the four operations and every predicate."""
+    assert x.minus(y).blocks == oracle_minus(x, y), (x, y)
+    assert x.intersect(y).blocks == oracle_intersect(x, y), (x, y)
+    assert x.union(y).blocks == oracle_union(x, y), (x, y)
+    assert x.symmdiff(y).blocks == oracle_symmdiff(x, y), (x, y)
+    assert x.contains(y) == oracle_contains(x, y), (x, y)
+    assert y.contains(x) == oracle_contains(y, x), (x, y)
+    assert x.equals(y) == oracle_equals(x, y), (x, y)
+    assert x.boundary_contains(y) == oracle_boundary_contains(x, y), (x, y)
+    assert y.boundary_contains(x) == oracle_boundary_contains(y, x), (x, y)
+    assert x.boundary_equal(y) == (
+        oracle_boundary_contains(x, y) and oracle_boundary_contains(y, x)
+    )
+    return x.equals(y), x.contains(y)
+
+
+def _fiber_agrees(rng, tree, vertices, seen):
+    for u in vertices:
+        for v in vertices:
+            _relation_agrees(tree, u, v)
+    basics = _basics(rng, tree, vertices, 16)
+    for b in basics:
+        for c in basics:
+            _basic_ops_agree(tree, b, c)
+    sets = [RingSet.basic(tree, b) for b in basics]
+    for _ in range(8):
+        x, y, z = rng.sample(sets, 3)
+        x = x.union(y).minus(z) if rng.random() < 0.5 else x.symmdiff(y).union(z)
+        for v in vertices[:15]:
+            assert x.has_vertex(v) == oracle_has_vertex(x, v)
+        y = rng.choice(sets)
+        for left, right in ((x, y), (x, x.union(y)), (x, x.minus(y).union(x.intersect(y)))):
+            equal, contains = _sets_agree(left, right)
+            seen[equal] += 1
+            seen["contains", contains] += 1
+
+
+def _assert_both_ways(seen):
+    assert seen[True] > 20 and seen[False] > 20
+    assert seen["contains", True] > 20 and seen["contains", False] > 20
+
+
+def test_corpus_fibers(graphs):
+    rng = random.Random(8100)
+    seen = {True: 0, False: 0, ("contains", True): 0, ("contains", False): 0}
+    for g in graphs.values():
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            _fiber_agrees(rng, tree, tree.vertices_to_depth(3, omega_cap=2), seen)
+    _assert_both_ways(seen)
+
+
+def test_random_fibers_and_trees():
+    rng = random.Random(8200)
+    seen = {True: 0, False: 0, ("contains", True): 0, ("contains", False): 0}
+    compared = 0
+    for _ in range(90):
+        g = random_graph(rng, max_vertices=6, max_bundles=6)
+        tree = FiberTree(g, rng.choice(g.vertices))
+        vertices = tree.vertices_to_depth(3, omega_cap=2)
+        if len(vertices) > FIBER_SIZE:
+            continue
+        compared += 1
+        _fiber_agrees(rng, tree, vertices, seen)
+    for _ in range(40):
+        tree = FiniteTree(random_tree_graph(rng, rng.randint(1, 12)))
+        _fiber_agrees(rng, tree, list(tree.vertices), seen)
+    assert compared >= 40
+    _assert_both_ways(seen)
+
+
+def _cone_text(rng, g, base):
+    p = random_walk_path(rng, g, max_len=4, start=base)
+    steps = list(g.delta1(p.terminus).iter_instances(2))
+    cut = [e for e in steps if rng.random() < 0.3]
+    return "V(%s; %s)" % (p, ",".join(map(str, cut))) if cut else "V(%s)" % p
+
+
+def _expression(rng, g, base, atoms):
+    if atoms == 1:
+        return _cone_text(rng, g, base)
+    left = rng.randint(1, atoms - 1)
+    op = rng.choice("&|^-")
+    return "(%s %s %s)" % (
+        _expression(rng, g, base, left),
+        op,
+        _expression(rng, g, base, atoms - left),
+    )
+
+
+def test_random_set_expressions():
+    rng = random.Random(8300)
+    seen = {True: 0, False: 0}
+    for i in range(250):
+        g = corpus.load(corpus.GRAPH_NAMES[i % len(corpus.GRAPH_NAMES)])
+        base = rng.choice(g.vertices)
+        tree = FiberTree(g, base)
+        x = parse_setexpr(tree, _expression(rng, g, base, rng.randint(1, 10)))
+        y = parse_setexpr(tree, _expression(rng, g, base, rng.randint(1, 10)))
+        equal, _ = _sets_agree(x, y)
+        seen[equal] += 1
+        # law pairs that are equal as sets but built along different routes
+        for left, right in (
+            (x.minus(y).union(x.intersect(y)), x),
+            (x.union(y).minus(y), x.minus(y)),
+        ):
+            assert _sets_agree(left, right)[0]
+    assert seen[False] > 60
+
+
+def test_criterion_2_sets(graphs):
+    # the open sets of the acceptance roundtrips, the regenerated sets and
+    # every single block that tree_invariant_of asks about
+    checked = 0
+    for g in graphs.values():
+        for inv in enumerate_invariants(g):
+            for base in sorted(g.vertices):
+                fib = FiberTree(g, base)
+                w = open_set_of(fib, inv, depth=4)
+                back = family_open_set(fib, tree_invariant_of(w, depth=1))
+                _sets_agree(w, back)
+                for p in fib.directed_to_depth(2, omega_cap=2):
+                    for e in [None, *fib.out_edges(p).iter_instances(2)]:
+                        block = RingSet(fib, (BasicSet(p, frozenset([e] if e else ())),))
+                        assert w.boundary_contains(block) == oracle_boundary_contains(w, block)
+                        assert w.contains(block) == oracle_contains(w, block)
+                        checked += 1
+    assert checked > 1000
+
+
+def test_canonical_and_overlap_verdicts():
+    # random block lists, many of them overlapping: the same blocks, or the
+    # same error naming the same pair
+    rng = random.Random(8400)
+    raised = 0
+    for i in range(1500):
+        g = corpus.load(corpus.GRAPH_NAMES[i % len(corpus.GRAPH_NAMES)])
+        tree = FiberTree(g, rng.choice(g.vertices))
+        vertices = tree.directed_to_depth(3, omega_cap=2)
+        blocks = _basics(rng, tree, vertices, rng.randint(0, 5))
+        try:
+            want = oracle_canonical(tree, blocks)
+        except RingError as exc:
+            raised += 1
+            with pytest.raises(RingError) as got:
+                RingSet.of(tree, blocks)
+            assert str(got.value) == str(exc)
+            continue
+        assert RingSet.of(tree, blocks).blocks == want
+    assert raised > 300
+
+
+def test_hand_made_overlaps_rejected(graphs):
+    g = graphs["t2"]
+    tree = FiniteTree(g)
+
+    def V(apex, *names):
+        return BasicSet(apex, frozenset(g.instance(n) for n in names))
+
+    cases = [
+        [V("r"), V("c0")],
+        [V("c0", "e00"), V("g01"), V("c1")],
+        [V("r", "d0"), V("g10")],
+        [V("c0"), V("c0", "e01")],
+        [V("g00"), V("g00")],
+    ]
+    for blocks in cases:
+        with pytest.raises(RingError, match="overlap"):
+            RingSet.of(tree, blocks)
+    fiber = FiberTree(graphs["chain"], "v")
+    abar = BasicSet(parse_path(graphs["chain"], "~a"), frozenset())
+    unit = BasicSet(fiber.unit, frozenset())
+    for blocks in ([abar, unit], [unit, abar], [abar, abar]):
+        with pytest.raises(RingError, match="overlap"):
+            RingSet.of(fiber, blocks)
