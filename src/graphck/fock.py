@@ -128,8 +128,7 @@ def generator_matrices(basis: PathBasis):
             starts[p.origin].append(i)
     S: dict = {}
     for b in g.bundles:
-        cap = basis.omega_cap if is_omega(b.multiplicity) else None
-        for e in b.instances(cap):
+        for e in b.instances(basis.omega_cap):
             S[e] = {}
     for (_, word), j in at.items():
         if not word or not word[0].forward:

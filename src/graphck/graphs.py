@@ -187,7 +187,7 @@ class Delta1:
 
     def iter_instances(self, omega_cap: int | None = None) -> Iterator[EdgeInstance]:
         for b in self.bundles:
-            yield from b.instances(omega_cap if is_omega(b.multiplicity) else None)
+            yield from b.instances(omega_cap)
 
     def __contains__(self, e: EdgeInstance) -> bool:
         return e.bundle in self.bundles

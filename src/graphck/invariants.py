@@ -409,10 +409,7 @@ def tree_invariant_of(w: RingSet, depth: int = 4, omega_cap: int = 3) -> dict:
 
 def family_open_set(tree, fam: dict) -> RingSet:
     """The union of the cones of a scanned family, smallest walks first."""
-    def size(p):
-        return len(p.word) if isinstance(p, Path) else 0
-
-    order = sorted(fam, key=lambda p: (size(p), tree.vkey(p)))
+    order = sorted(fam, key=tree.vkey)
     return _absorb_union(tree, (BasicSet(p, fam[p]) for p in order))
 
 

@@ -32,9 +32,11 @@ _TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of text; whitespace around them, trailing included, is
+    skipped."""
     out = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TOKEN.match(text, pos)
         if not m:
             raise SetExprError("cannot read %r" % text[pos:])

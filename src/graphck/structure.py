@@ -2,10 +2,11 @@
 
 Cycles are found at the bundle level (one representative instance each)
 and classified by what their exits do: none (terminal), some but none
-leading back (transitory), or at least one returning.  The flags are
-boolean combinations of the census with reachability facts, each carrying
-a human-readable witness.  Everything but the census reads the strongly
-connected components cached on the graph and runs in O(V+E).
+leading back (transitory), or at least one returning.  The flags are read
+off one table of human-readable witnesses: each holds exactly when its
+witness is empty, and all reachability comes from one sweep of component
+reach masks.  Everything but the census reads the strongly connected
+components cached on the graph and runs in O(V+E).
 """
 
 from __future__ import annotations
@@ -188,37 +189,42 @@ class StructureReport:
         }
 
 
-def _cofinality(g: Graph) -> tuple[bool, str]:
-    """Does every vertex reach every cyclic component and every sink and
-    infinite emitter?  If not, a witness naming the first vertex, in
-    g.vertices order, that misses a target, and the first target it
-    misses: cyclic components in Tarjan order, then singular vertices in
-    g.vertices order.
+def _reach_sweep(g: Graph) -> tuple[str, str | None]:
+    """One pass of component reach masks, read two ways.
 
-    Targets are bits of one int per component, filled in one pass over
-    the components in reverse topological order.
+    Each component gets one int whose bits are the targets it reaches:
+    cyclic components in Tarjan order, then sinks and infinite emitters
+    in g.vertices order, filled over the components in reverse
+    topological order.  Returns the cofinality witness, naming the first
+    vertex, in g.vertices order, that misses a target and the first target
+    it misses ("" when none does), and the first vertex whose mask has no
+    cyclic bit, so that no walk from it meets a cycle (None when none).
     """
     cyclic = list(g.cyclic_sccs)
     singular = [v for v in g.vertices if v in g.sinks or v in g.infinite_emitters]
     reach = [0] * len(g.sccs)
-    for j, i in enumerate(cyclic):
+    for j, i in enumerate(cyclic + [g.scc_index[s] for s in singular]):
         reach[i] |= 1 << j
-    for j, s in enumerate(singular, start=len(cyclic)):
-        reach[g.scc_index[s]] |= 1 << j
     for i, comp in enumerate(g.sccs):
         for v in comp:
             for b in g.delta1(v).bundles:
                 reach[i] |= reach[g.scc_index[b.terminus]]
+    cyclic_bits = (1 << len(cyclic)) - 1
     full = (1 << (len(cyclic) + len(singular))) - 1
+    cofinal, no_cycle = "", None
     for v in g.vertices:
-        missed = full & ~reach[g.scc_index[v]]
-        if missed:
+        mask = reach[g.scc_index[v]]
+        if no_cycle is None and not mask & cyclic_bits:
+            no_cycle = v
+        missed = full & ~mask
+        if missed and not cofinal:
             j = (missed & -missed).bit_length() - 1
             if j < len(cyclic):
-                at = min(g.sccs[cyclic[j]])
-                return False, "vertex %s does not reach the cycle component at %s" % (v, at)
-            return False, "vertex %s does not reach %s" % (v, singular[j - len(cyclic)])
-    return True, ""
+                target = "the cycle component at %s" % min(g.sccs[cyclic[j]])
+            else:
+                target = singular[j - len(cyclic)]
+            cofinal = "vertex %s does not reach %s" % (v, target)
+    return cofinal, no_cycle
 
 
 def is_essentially_principal(g: Graph) -> bool:
@@ -229,73 +235,35 @@ def is_essentially_principal(g: Graph) -> bool:
 
 
 def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
+    """The cycle census and the seven flags.  Each witness is computed
+    once; a flag failing for an earlier flag's reason reuses its text."""
     cycles = find_cycles(g, cycle_cap)
-    wit: dict[str, str] = {}
-    terminal = [c for c in cycles if c.kind == "terminal"]
-    transitory = [c for c in cycles if c.kind == "transitory"]
-
-    af = not cycles
-    if cycles:
-        wit["af"] = "cycle %s" % cycles[0]
-
-    essentially_free = not terminal
-    if terminal:
-        wit["essentially_free"] = "cycle %s has no exit" % terminal[0]
-    essentially_principal = is_essentially_principal(g)
-    if terminal:
-        wit["essentially_principal"] = wit["essentially_free"]
-    elif transitory:
-        wit["essentially_principal"] = "no walk returns to the cycle %s" % transitory[0]
-
-    # vertices with a walk into a cycle: one reverse BFS from the cycle vertices
-    meets = set(g.cycle_vertices)
-    queue = deque(meets)
-    while queue:
-        for b in g.in_bundles(queue.popleft()):
-            if b.origin not in meets:
-                meets.add(b.origin)
-                queue.append(b.origin)
-    meets_all = True
-    for v in g.vertices:
-        if v not in meets:
-            meets_all = False
-            if cycles:
-                wit["locally_contractive"] = "no walk from %s meets a cycle" % v
-            break
+    terminal = next((c for c in cycles if c.kind == "terminal"), None)
+    transitory = next((c for c in cycles if c.kind == "transitory"), None)
+    cofinal, no_cycle = _reach_sweep(g)
+    free = "cycle %s has no exit" % terminal if terminal else ""
     if not cycles:
-        wit["locally_contractive"] = "no cycles at all"
-    locally_contractive = bool(cycles) and not terminal and meets_all
-    if terminal and "locally_contractive" not in wit:
-        wit["locally_contractive"] = wit["essentially_free"]
-
-    cofinal, wit_cofinal = _cofinality(g)
-    if not cofinal:
-        wit["cofinal"] = wit_cofinal
-
-    simple = cofinal and not terminal
-    if not cofinal:
-        wit["simple"] = wit["cofinal"]
-    elif terminal:
-        wit["simple"] = wit["essentially_free"]
-
-    purely_infinite_simple = simple and bool(cycles) and meets_all
-    if not purely_infinite_simple and "purely_infinite_simple" not in wit:
-        if not simple:
-            wit["purely_infinite_simple"] = wit["simple"]
-        else:
-            wit["purely_infinite_simple"] = wit["locally_contractive"]
-
+        contractive = "no cycles at all"
+    elif no_cycle is not None:
+        contractive = "no walk from %s meets a cycle" % no_cycle
+    else:
+        contractive = free
+    simple = cofinal or free
+    wit = {
+        "af": "cycle %s" % cycles[0] if cycles else "",
+        "essentially_free": free,
+        "essentially_principal": free
+        or ("no walk returns to the cycle %s" % transitory if transitory else ""),
+        "locally_contractive": contractive,
+        "cofinal": cofinal,
+        "simple": simple,
+        "purely_infinite_simple": simple or contractive,
+    }
     return StructureReport(
         graph=g,
         cycles=cycles,
-        af=af,
-        locally_contractive=locally_contractive,
-        cofinal=cofinal,
-        essentially_free=essentially_free,
-        essentially_principal=essentially_principal,
-        simple=simple,
-        purely_infinite_simple=purely_infinite_simple,
-        witnesses=wit,
+        witnesses={name: w for name, w in wit.items() if w},
+        **{name: not w for name, w in wit.items()},
     )
 
 

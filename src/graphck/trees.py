@@ -265,10 +265,8 @@ class FiberTree(Tree):
     def _signed_extensions(self, p: Path, omega_cap: int):
         at = p.terminus
         for b in self.graph.delta1(at).bundles:
-            cap = omega_cap if is_omega(b.multiplicity) else None
-            for e in b.instances(cap):
+            for e in b.instances(omega_cap):
                 yield SignedEdge(e)
         for b in self.graph.in_bundles(at):
-            cap = omega_cap if is_omega(b.multiplicity) else None
-            for e in b.instances(cap):
+            for e in b.instances(omega_cap):
                 yield SignedEdge(e, forward=False)

@@ -130,6 +130,42 @@ def _setcalc_json_cases(rng: random.Random) -> list[list[str]]:
     return cases
 
 
+def _analyze_cases() -> list[list[str]]:
+    """analyze in text and --json on every corpus graph, and one run past
+    its cycle cap."""
+    from graphck import corpus
+
+    cases = []
+    for name in corpus.GRAPH_NAMES:
+        cases.append(["analyze", name])
+        cases.append(["analyze", name, "--json"])
+    cases.append(["analyze", "o2", "--cap", "1"])
+    return cases
+
+
+def _rep_verify_cases() -> list[list[str]]:
+    """rep-verify in both modes on every corpus graph, untruncated (which
+    a cyclic graph refuses) and at depth 2 with omega truncated to 2, then
+    a few other depths and truncations and a bad marks list."""
+    from graphck import corpus
+
+    cases = []
+    for name in corpus.GRAPH_NAMES:
+        for mode in ("ck", "toeplitz"):
+            cases.append(["rep-verify", name, "--mode", mode])
+            cases.append(
+                ["rep-verify", name, "--mode", mode, "--depth", "2", "--omega-truncate", "2"]
+            )
+    cases.append(["rep-verify", "t2", "--depth", "0"])
+    cases.append(["rep-verify", "t2", "--mode", "toeplitz", "--depth", "1", "--json"])
+    cases.append(["rep-verify", "t2", "--marks", "r,c0", "--json"])
+    cases.append(["rep-verify", "o2", "--depth", "3", "--omega-truncate", "1", "--json"])
+    cases.append(["rep-verify", "dd", "--mode", "toeplitz", "--omega-truncate", "1"])
+    cases.append(["rep-verify", "oinf", "--depth", "1", "--omega-truncate", "4"])
+    cases.append(["rep-verify", "t2", "--marks", "g00"])
+    return cases
+
+
 def invocations() -> list[list[str]]:
     from graphck import corpus
 
@@ -148,7 +184,9 @@ def invocations() -> list[list[str]]:
     # added later, after every earlier record, so those stay as they were
     cases += _arrow_cases(random.Random(7007))
     cases += _af_block_cases()
-    return cases + _setcalc_json_cases(random.Random(7008))
+    cases += _setcalc_json_cases(random.Random(7008))
+    cases += _analyze_cases() + _rep_verify_cases()
+    return cases + [["corpus-run"], ["corpus-run", "--json"]]
 
 
 def main() -> int:

@@ -69,6 +69,17 @@ def test_first_apex():
     assert first_apex("0") is None
 
 
+def test_surrounding_whitespace_is_skipped(fiber):
+    for pad in (" ", "  ", "\t", " \t "):
+        for text in ("V(u)" + pad, pad + "V(u)" + pad, "V(u) - V(a)" + pad):
+            assert parse_setexpr(fiber, text).equals(parse_setexpr(fiber, text.strip()))
+        assert first_apex("V(a.b; c)" + pad) == "a.b"
+        assert first_apex("0" + pad) is None
+    # an unreadable tail is still quoted as typed
+    with pytest.raises(SetExprError, match=r"cannot read ' \$ '$"):
+        parse_setexpr(fiber, "V(u) $ ")
+
+
 def test_finite_tree_atoms():
     g = parse_graph(
         "vertex r; vertex a; vertex b; edge x : r -> a; edge y : r -> b"

@@ -32,6 +32,9 @@ def _assert_matches_oracle(g, label):
     assert _census(got.cycles) == _census(want.cycles), label
     assert got.flags() == want.flags(), label
     assert got.witnesses == want.witnesses, label
+    # a flag holds exactly when it has no witness
+    for name, holds in got.flags().items():
+        assert holds == (name not in got.witnesses), (label, name)
     for v in g.vertices:
         assert count_paths_into(g, v) == oracle_count_paths_into(g, v), (label, v)
 
