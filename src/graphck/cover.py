@@ -114,10 +114,8 @@ def _check_transversal_marks(g: Graph, s) -> frozenset[str]:
 def point_in_boundary(g: Graph, x, s=()) -> bool:
     """Is x a boundary point once the marked regular vertices are interior?"""
     s = _check_transversal_marks(g, s)
-    if x.kind == "finite":
-        t = x.terminus
-        return t in g.sinks or t in g.infinite_emitters or (t in g.regular_vertices and t not in s)
-    return True
+    # the marks are regular, so only a finite point ending at a mark is interior
+    return x.kind != "finite" or x.terminus not in s
 
 
 def in_transversal(g: Graph, x, s=()) -> bool:

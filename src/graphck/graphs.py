@@ -285,23 +285,11 @@ class Graph:
         """Vertices with finitely many, at least one, outgoing edges."""
         return self._vertex_set - self.sinks - self.infinite_emitters
 
-    def reachable(self, v: str, skip_first: Iterable[EdgeInstance] = ()) -> frozenset[str]:
-        """Vertices reachable from v by directed paths, v included.
-
-        skip_first removes specific first-step instances; a first step along
-        a bundle survives as long as at least one instance is not skipped.
-        """
+    def reachable(self, v: str) -> frozenset[str]:
+        """Vertices reachable from v by directed paths, v included."""
         self.check_vertex(v)
-        skipped: dict[EdgeBundle, int] = {}
-        for e in skip_first:
-            if e.origin != v:
-                raise GraphError("skip_first instance %s does not leave %s" % (e, v))
-            skipped[e.bundle] = skipped.get(e.bundle, 0) + 1
-        frontier = []
-        for b in self._out[v]:
-            if is_omega(b.multiplicity) or skipped.get(b, 0) < b.multiplicity:
-                frontier.append(b.terminus)
-        seen = {v}
+        frontier = [v]
+        seen: set[str] = set()
         while frontier:
             w = frontier.pop()
             if w in seen:
@@ -502,8 +490,6 @@ def parse_graph(text: str, name: str = "") -> Graph:
             raise GraphSyntaxError("cannot parse statement %r" % stmt, lineno)
     try:
         return Graph(vertices, bundles, name=name)
-    except GraphSyntaxError:
-        raise
     except GraphError as exc:
         raise GraphSyntaxError(str(exc)) from exc
 

@@ -302,11 +302,11 @@ def hasse_edges(invariants) -> list[tuple[int, int]]:
     return edges
 
 
-def _universe(tree, depth: int, omega_cap: int):
+def _universe(tree, depth: int):
     # the family calculus lives on the directed part of the fiber: cones
     # at vertices reached against the direction are not translation stable
     if isinstance(tree, FiberTree):
-        return tree.directed_to_depth(depth, omega_cap)
+        return tree.directed_to_depth(depth)
     return list(tree.vertices)
 
 
@@ -320,25 +320,25 @@ def _absorb_union(tree, blocks: Iterable[BasicSet]) -> RingSet:
     return rs
 
 
-def open_set_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> RingSet:
+def open_set_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     """The union of the cones V(p; F at endpoint) over member vertices.
 
     Over a fiber the union runs over all walks up to the given depth;
     unions absorb, so deeper walks only matter until their cones are
     covered.
     """
-    walks = _universe(tree, depth, omega_cap)
+    walks = _universe(tree, depth)
     blocks = (BasicSet(p, inv.f(u)) for p in walks if (u := tree.endpoint(p)) in inv.vertices)
     return _absorb_union(tree, blocks)
 
 
-def residue_part_of(tree, inv: Invariant, depth: int = 4, omega_cap: int = 3) -> RingSet:
+def residue_part_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     """The full cones at members with empty exclusions only.
 
     The open set of the family splits as this part together with the
     single points at the excluding members.
     """
-    return open_set_of(tree, Invariant.make(inv.vertices - inv.r_vertices), depth, omega_cap)
+    return open_set_of(tree, Invariant.make(inv.vertices - inv.r_vertices), depth)
 
 
 def _named_omega_indices(w: RingSet, p) -> dict[EdgeBundle, int]:
@@ -363,7 +363,7 @@ def _named_omega_indices(w: RingSet, p) -> dict[EdgeBundle, int]:
     return mx
 
 
-def tree_invariant_of(w: RingSet, depth: int = 4, omega_cap: int = 3) -> dict:
+def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
     """Scan the tree for apexes whose cone boundary the set swallows.
 
     Returns {vertex: minimal exclusion set}.  Finite-valence vertices may
@@ -373,7 +373,7 @@ def tree_invariant_of(w: RingSet, depth: int = 4, omega_cap: int = 3) -> dict:
     siblings are interchangeable.
     """
     tree = w.tree
-    universe = list(_universe(tree, depth, omega_cap))
+    universe = list(_universe(tree, depth))
     seen = set(universe)
     for b in w.blocks:
         if b.apex not in seen:
@@ -423,7 +423,6 @@ class QuotientData:
     the original graph.
     """
 
-    r_vertices: frozenset[str]
     graph: Graph
     s_marks: frozenset[str]
 
@@ -449,7 +448,7 @@ def build_quotient(g: Graph, inv: Invariant) -> QuotientData:
     bad = marks - q.regular_vertices
     if bad:
         raise InvariantError("marks %s fell out of the regular vertices" % sorted(bad))
-    return QuotientData(rset, q, marks)
+    return QuotientData(q, marks)
 
 
 def induced_marks(sub: Graph, sup: Graph, marks: Iterable[str]) -> frozenset[str]:

@@ -58,9 +58,6 @@ class Cycle:
     def vertices(self) -> tuple[str, ...]:
         return tuple(e.origin for e in self.instances)
 
-    def path(self) -> Path:
-        return Path(self.origin, tuple(SignedEdge(e) for e in self.instances))
-
     def __str__(self) -> str:
         body = ".".join(str(e) for e in self.instances)
         return "[%s]" % body
@@ -335,10 +332,9 @@ def free_point_from(g: Graph, u: str):
         w, inside = branching
         first = inside[0]
         exit_step = next(e for e in inside if e != first)
+        # w lies in a component reached from u, and both steps' termini
+        # share its component, so these words exist
         alpha = _bfs_word(g, u, {w})
-        if alpha is None:
-            continue
-        # w and both steps' termini share a component, so these words exist
         gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
         ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
         return AperiodicDescriptor(Path(u, alpha), gamma, ret)

@@ -98,15 +98,6 @@ class Tree:
         """Sort keys of the letters of v's root word."""
         return tuple(s.sort_key() for s in self.word(v))
 
-    def is_sink(self, v) -> bool:
-        return self.out_edges(v).is_empty
-
-    def is_infinite_vertex(self, v) -> bool:
-        return self.out_edges(v).infinite
-
-    def in_sigma(self, v) -> bool:
-        return not self.is_boundary_vertex(v)
-
     def is_boundary_vertex(self, v) -> bool:
         d = self.out_edges(v)
         return d.is_empty or d.infinite

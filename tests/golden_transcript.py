@@ -186,7 +186,9 @@ def invocations() -> list[list[str]]:
     cases += _af_block_cases()
     cases += _setcalc_json_cases(random.Random(7008))
     cases += _analyze_cases() + _rep_verify_cases()
-    return cases + [["corpus-run"], ["corpus-run", "--json"]]
+    cases += [["corpus-run"], ["corpus-run", "--json"]]
+    # marks are checked in toeplitz mode too
+    return cases + [["rep-verify", "t2", "--mode", "toeplitz", "--marks", "nope"]]
 
 
 def main() -> int:

@@ -74,6 +74,18 @@ def test_basis_modes_and_errors(graphs):
     assert not build_basis(graphs["chain"], depth=1).exact
 
 
+def test_toeplitz_mode_checks_marks(graphs):
+    t2 = graphs["t2"]
+    with pytest.raises(FockError, match=r"marks \['nope'\] are not regular vertices"):
+        build_basis(t2, "toeplitz", marks=["nope"])
+    with pytest.raises(FockError):
+        build_basis(graphs["edge"], "toeplitz", marks={"v"})  # v is a sink
+    # valid marks leave the toeplitz basis whole and unmarked
+    marked = build_basis(t2, "toeplitz", marks={"r", "c0"})
+    assert marked.paths == build_basis(t2, "toeplitz").paths
+    assert marked.marks == frozenset()
+
+
 def test_basis_of_graph_with_many_cycles():
     # K9 has far more than 10^4 simple cycles; asking whether it is
     # acyclic must not list them

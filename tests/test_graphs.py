@@ -120,33 +120,6 @@ def test_reachable_against_oracle():
             assert g.reachable(v) == _reachable_oracle(g, v)
 
 
-def test_reachable_skip_first():
-    g = parse_graph("vertex u\nvertex v\nvertex w\nedge e : u -> v * 2\nedge f : u -> w")
-    e0 = g.instance("e#0")
-    e1 = g.instance("e#1")
-    f = g.instance("f")
-    assert g.reachable("u") == {"u", "v", "w"}
-    # one of two parallel instances skipped: terminus still reachable
-    assert g.reachable("u", skip_first=[e0]) == {"u", "v", "w"}
-    assert g.reachable("u", skip_first=[e0, e1]) == {"u", "w"}
-    assert g.reachable("u", skip_first=[e0, e1, f]) == {"u"}
-    with pytest.raises(GraphError):
-        g.reachable("v", skip_first=[e0])
-
-
-def test_reachable_skip_first_omega(graphs):
-    g = graphs["oinf"]
-    skips = [g.instance("a#%d" % i) for i in range(5)]
-    assert g.reachable("u", skip_first=skips) == {"u"}  # still reaches itself
-    # an omega bundle is never exhausted by finitely many skips
-    assert "u" in g.reachable("u", skip_first=skips)
-    g2 = parse_graph("vertex u\nvertex v\nedge a : u -> v * omega")
-    assert g2.reachable("u", skip_first=[g2.instance("a#%d" % i) for i in range(9)]) == {
-        "u",
-        "v",
-    }
-
-
 def test_subgraph_le(graphs):
     edge, two = graphs["edge"], graphs["two"]
     assert subgraph_le(edge, two)

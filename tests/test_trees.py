@@ -15,9 +15,9 @@ def t2(graphs):
 def test_finite_tree_accepts_t2(graphs):
     tree = t2(graphs)
     assert set(tree.vertices) == {"r", "c0", "c1", "g00", "g01", "g10", "g11"}
-    assert tree.is_sink("g00")
-    assert not tree.is_sink("c0")
-    assert tree.in_sigma("r")
+    assert tree.out_edges("g00").is_empty
+    assert not tree.out_edges("c0").is_empty
+    assert not tree.is_boundary_vertex("r")
     assert tree.is_boundary_vertex("g11")
 
 
@@ -90,9 +90,8 @@ def test_fiber_vertices_to_depth_counts(graphs):
 def test_fiber_omega_truncation(graphs):
     fiber = FiberTree(graphs["oinf"], "u")
     assert len(fiber.vertices_to_depth(1, omega_cap=2)) == 5
-    assert fiber.is_infinite_vertex(fiber.unit)
+    assert fiber.out_edges(fiber.unit).infinite
     assert fiber.is_boundary_vertex(fiber.unit)
-    assert not fiber.in_sigma(fiber.unit)
 
 
 def test_vertices_on_cycles(graphs):
