@@ -6,12 +6,16 @@ every path gives the Toeplitz-style representation; dropping the paths
 that end at a marked regular vertex kills that vertex's vacuum defect and
 enforces the summation relation there exactly.
 
-Every generator is a 0/1 partial isometry on the basis, so no linear
-algebra is needed.  A vertex projection is the set of basis indices it
-keeps and an edge translation a partial injection, column to row.  Each
-relation is a domain, range, disjointness or cover identity on those
-index sets, read off one table of how many edge ranges hold each index;
-the whole check costs O(basis letters + edges).  With cycles or infinite
+The basis is a first-letter forest: each path is stored as its origin,
+its length, its first edge and the index of the rest of it (its tail),
+never as a word.  Every generator is a 0/1 partial isometry on the
+basis, so no linear algebra is needed.  A vertex projection is the set
+of basis indices starting at the vertex, and the translation by e the
+partial injection tail -> path over the paths whose first edge is e.
+Each relation is a domain, range, disjointness or cover identity on
+those index sets.  Building the basis and checking the relations cost
+O(basis + edges), up to sorting the edges that enter each level, where
+whole words would cost O(basis letters).  With cycles or infinite
 bundles the basis is truncated by depth and cap, and relations are
 checked on interior columns only.  A relation that examined no column at
 all is reported as vacuous rather than ok.
@@ -27,30 +31,76 @@ the sum of the n(v)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .graphs import Graph, GraphError, is_omega
-from .paths import Path, directed_upto
+from .graphs import Graph, GraphError, SignedEdge, is_omega
+from .paths import Path
 
 
 class FockError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
 class PathBasis:
-    """The chosen family of directed paths with its indexing."""
+    """The chosen family of directed paths with its indexing, stored as a
+    first-letter forest of integer arrays.
 
-    graph: Graph
-    mode: str
-    marks: frozenset[str]
-    depth: int | None
-    omega_cap: int
-    paths: tuple[Path, ...]
-    exact: bool
+    Path i starts at origin[i] and has length[i] letters.  Unless first[i]
+    is None it is the edge edges[first[i]] followed by path tail[i]; a
+    unit has first[i] and tail[i] None.  edges lists the instances the
+    generators act by, omega bundles cut at omega_cap, in bundle order.
+
+    PathBasis(graph, mode, marks, depth, omega_cap, paths, exact) derives
+    the forest from any tuple of paths, which may repeat or drop paths or
+    come from another graph: a path whose first letter is not a forward
+    letter of edges, whose tail is missing, or which a later copy of the
+    same path shadows, gets first and tail None, so it is no edge's image.
+    build_basis builds the forest directly, every tail before its path,
+    and spells the paths out only when asked.
+    """
+
+    def __init__(
+        self, graph: Graph, mode: str, marks, depth, omega_cap: int, paths, exact: bool
+    ):
+        paths = tuple(paths)
+        self._settings(graph, mode, marks, depth, omega_cap, exact)
+        at = {(p.origin, p.word): i for i, p in enumerate(paths)}
+        slot = {e: k for k, e in enumerate(self.edges)}
+        self.origin = [p.origin for p in paths]
+        self.length = [len(p) for p in paths]
+        self.first, self.tail = [], []
+        for i, p in enumerate(paths):
+            w = p.word
+            k = j = None
+            if w and w[0].forward and at[(p.origin, w)] == i:
+                k, j = slot.get(w[0].edge), at.get((w[0].terminus, w[1:]))
+            if k is None or j is None:
+                k = j = None
+            self.first.append(k)
+            self.tail.append(j)
+        self.__dict__["paths"] = paths
+
+    def _settings(self, graph, mode, marks, depth, omega_cap, exact):
+        """Everything but the forest."""
+        self.graph = graph
+        self.mode = mode
+        self.marks = frozenset(marks)
+        self.depth = depth
+        self.omega_cap = omega_cap
+        self.exact = exact
+        self.edges = tuple(e for b in graph.bundles for e in b.instances(omega_cap))
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        """The basis paths as words, spelled out on first use."""
+        words: list[tuple] = []
+        for k, j in zip(self.first, self.tail):
+            words.append(() if k is None else (SignedEdge(self.edges[k]),) + words[j])
+        return tuple(Path.trusted(o, w) for o, w in zip(self.origin, words))
 
     @property
     def size(self) -> int:
-        return len(self.paths)
+        return len(self.origin)
 
     def index(self) -> dict[Path, int]:
         return {p: i for i, p in enumerate(self.paths)}
@@ -62,7 +112,7 @@ class PathBasis:
         paths shorter than the depth."""
         if self.exact or self.depth is None:
             return frozenset(range(self.size))
-        return frozenset(i for i, p in enumerate(self.paths) if len(p) < self.depth)
+        return frozenset(i for i, k in enumerate(self.length) if k < self.depth)
 
 
 def build_basis(
@@ -79,6 +129,13 @@ def build_basis(
     enforces the summation relation at the marks.  Marks must be regular
     vertices in either mode.  depth, when given, must be at least 0 and
     omega_cap at least 1.
+
+    The basis is ordered by length, then by the letters' sort keys, then
+    by origin.  It is built level by level by prepending: e.q ends where q
+    does, so the marks filter runs once, on the units, and every kept
+    path's tail is kept.  Within a level that order is "first letter in
+    sort-key order, then tail in rank order", so each level comes out
+    sorted with no sort, in O(level + the edges entering the level below).
     """
     if mode not in ("toeplitz", "ck"):
         raise FockError("unknown mode %r" % mode)
@@ -102,12 +159,37 @@ def build_basis(
         depth_eff = depth
     exact = not cyclic and not has_omega and (depth is None or depth >= len(g.vertices) - 1)
 
-    units = [Path.unit(v) for v in g.vertices]
-    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(omega_cap), depth_eff)
-    if mset:
-        out = [p for p in out if p.terminus not in mset]
-    out.sort(key=lambda p: p.sort_key())
-    return PathBasis(g, mode, mset, depth, omega_cap, tuple(out), exact)
+    basis = PathBasis.__new__(PathBasis)
+    basis._settings(g, mode, mset, depth, omega_cap, exact)
+    edges = basis.edges
+    # (key, origin, terminus, slot) of each edge in sort-key order, and
+    # the ranks in that order of the edges entering each vertex
+    ranked = sorted((e.sort_key(), e.origin, e.terminus, k) for k, e in enumerate(edges))
+    into: dict[str, list[int]] = {}
+    for r, (_, _, v, _) in enumerate(ranked):
+        into.setdefault(v, []).append(r)
+
+    origin = sorted(v for v in g.vertices if v not in mset)
+    length = [0] * len(origin)
+    first: list[int | None] = [None] * len(origin)
+    tail: list[int | None] = [None] * len(origin)
+    # the indices of the last level, by origin, in rank order
+    starts = {v: [i] for i, v in enumerate(origin)}
+    for n in range(1, depth_eff + 1):
+        low = len(origin)
+        below, starts = starts, {}
+        for r in sorted(r for v in below for r in into.get(v, ())):
+            _, u, v, k = ranked[r]
+            tails = below[v]
+            starts.setdefault(u, []).extend(range(len(origin), len(origin) + len(tails)))
+            origin += [u] * len(tails)
+            first += [k] * len(tails)
+            tail += tails
+        if len(origin) == low:
+            break
+        length += [n] * (len(origin) - low)
+    basis.origin, basis.length, basis.first, basis.tail = origin, length, first, tail
+    return basis
 
 
 def generator_matrices(basis: PathBasis):
@@ -117,27 +199,19 @@ def generator_matrices(basis: PathBasis):
     basis paths starting there.  S maps each edge instance (omega bundles
     cut at the basis cap) to a dict column -> row: the column of a path p
     goes to the row of e.p, and is absent where e.p falls outside the
-    basis.  Each row is read off a basis path's first letter, so S[e] is
-    injective and its rows start at the origin of e.
+    basis.  S[e] is {tail[j]: j for every j whose first edge is e}, read
+    off the forest without reading a word, so S[e] is injective and its
+    rows start at the origin of e.
     """
-    g = basis.graph
-    at = {(p.origin, p.word): i for i, p in enumerate(basis.paths)}
-    starts: dict[str, list[int]] = {u: [] for u in g.vertices}
-    for i, p in enumerate(basis.paths):
-        if p.origin in starts:
-            starts[p.origin].append(i)
-    S: dict = {}
-    for b in g.bundles:
-        for e in b.instances(basis.omega_cap):
-            S[e] = {}
-    for (_, word), j in at.items():
-        if not word or not word[0].forward:
-            continue
-        col = at.get((word[0].terminus, word[1:]))
-        row = S.get(word[0].edge)
-        if col is not None and row is not None:
-            row[col] = j
-    return {u: frozenset(ix) for u, ix in starts.items()}, S
+    starts: dict[str, list[int]] = {u: [] for u in basis.graph.vertices}
+    for i, u in enumerate(basis.origin):
+        if u in starts:
+            starts[u].append(i)
+    rows: list[dict[int, int]] = [{} for _ in basis.edges]
+    for j, (k, i) in enumerate(zip(basis.first, basis.tail)):
+        if k is not None:
+            rows[k][i] = j
+    return {u: frozenset(ix) for u, ix in starts.items()}, dict(zip(basis.edges, rows))
 
 
 @dataclass(frozen=True)
@@ -188,20 +262,16 @@ def verify_relations(basis: PathBasis) -> list[RelationReport]:
     inner = len(interior)
     reports = []
 
-    owners = [0] * n
-    for ix in P.values():
-        for i in ix:
-            owners[i] += 1
-    ortho = all(k <= 1 for k in owners)
-    reports.append(RelationReport("vertex projections orthogonal", ortho, "", n))
-    reports.append(
-        RelationReport("vertex projections sum to one", all(k == 1 for k in owners), "", n)
-    )
+    # an index in two projections counts twice in the sizes, once in the union
+    held = sum(len(ix) for ix in P.values())
+    owned = len(frozenset().union(*P.values()))
+    reports.append(RelationReport("vertex projections orthogonal", held == owned, "", n))
+    reports.append(RelationReport("vertex projections sum to one", held == owned == n, "", n))
 
-    inner_at = {u: sum(1 for i in ix if i in interior) for u, ix in P.items()}
+    inside = {u: interior & ix for u, ix in P.items()}
     ok, witness = True, ""
     for e, s in S.items():
-        if sum(1 for i in s if i in interior) != inner_at[e.terminus]:
+        if len(interior.intersection(s)) != len(inside[e.terminus]):
             ok, witness = False, str(e)
             break
     reports.append(
@@ -221,7 +291,7 @@ def verify_relations(basis: PathBasis) -> list[RelationReport]:
 
     def first_breach(vertices, bad, text):
         for u in vertices:
-            if any(i in interior and bad(hits[i]) for i in P[u]):
+            if any(bad(hits[i]) for i in inside[u]):
                 return False, text % u
         return True, ""
 

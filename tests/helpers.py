@@ -9,9 +9,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from graphck.fock import FockError, RelationReport
+from graphck.fock import FockError, PathBasis, RelationReport
 from graphck.graphs import OMEGA, EdgeBundle, Graph, SignedEdge, is_omega
-from graphck.paths import Path
+from graphck.paths import Path, directed_upto
 
 
 def random_graph(
@@ -623,6 +623,36 @@ class OracleSparseOperator:
 
     def is_diagonal_01(self) -> bool:
         return all(i == j and v in (0, 1) for (i, j), v in self.entries)
+
+
+def oracle_build_basis(g, mode="toeplitz", marks=None, depth=None, omega_cap=3):
+    """The path basis as whole words: every directed path up to the depth
+    as a Path, the marks filter on the termini, then a sort on per-letter
+    keys; the same arguments, checks and order as graphck.fock.build_basis,
+    which builds a first-letter forest instead."""
+    if mode not in ("toeplitz", "ck"):
+        raise FockError("unknown mode %r" % mode)
+    if depth is not None and depth < 0:
+        raise FockError("depth must be at least 0, got %d" % depth)
+    if omega_cap < 1:
+        raise FockError("omega cap must be at least 1, got %d" % omega_cap)
+    mset = frozenset(g.regular_vertices if marks is None else marks)
+    bad = mset - g.regular_vertices
+    if bad:
+        raise FockError("marks %s are not regular vertices" % sorted(bad))
+    if mode == "toeplitz":
+        mset = frozenset()
+    has_omega = any(is_omega(b.multiplicity) for b in g.bundles)
+    cyclic = bool(g.cycle_vertices)
+    if depth is None and cyclic:
+        raise FockError("a cyclic graph needs an explicit depth")
+    depth_eff = len(g.vertices) if depth is None else depth
+    exact = not cyclic and not has_omega and (depth is None or depth >= len(g.vertices) - 1)
+    units = [Path.unit(v) for v in g.vertices]
+    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(omega_cap), depth_eff)
+    out = [p for p in out if p.terminus not in mset]
+    out.sort(key=lambda p: p.sort_key())
+    return PathBasis(g, mode, mset, depth, omega_cap, tuple(out), exact)
 
 
 def oracle_generator_matrices(basis):
