@@ -72,6 +72,8 @@ def _emit(args, data: dict, lines):
 
 
 def cmd_analyze(args) -> int:
+    if args.cap < 0:
+        raise UsageError("--cap must be at least 0, got %d" % args.cap)
     g = _load(args.graph)
     rep = structure_report(g, cycle_cap=args.cap)
     into = {v: _show(count_paths_into(g, v)) for v in g.vertices}

@@ -351,6 +351,30 @@ class Graph:
         return frozenset(v for i in self.cyclic_sccs for v in self.sccs[i])
 
     @cached_property
+    def generator_reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(generators, reach): the generator components and, per component,
+        the bitmask of the generators it reaches, its own bit included.
+
+        A generator is a cyclic component, or that of a sink or of an
+        infinite emitter on no cycle (one on a cycle is reached exactly
+        when its component is).  Bits run over the cyclic components in
+        sccs order, then the others in vertices order.
+        """
+        index, cyclic = self.scc_index, self.cyclic_sccs
+        gens = list(cyclic)
+        for v in self.vertices:
+            if (v in self.sinks or v in self.infinite_emitters) and index[v] not in cyclic:
+                gens.append(index[v])
+        reach = [0] * len(self.sccs)
+        for j, i in enumerate(gens):
+            reach[i] = 1 << j
+        for i, comp in enumerate(self.sccs):
+            for v in comp:
+                for b in self._out[v]:
+                    reach[i] |= reach[index[b.terminus]]
+        return tuple(gens), tuple(reach)
+
+    @cached_property
     def paths_into(self) -> dict[str, object]:
         """Vertex -> number of directed paths ending there, OMEGA if infinite.
 

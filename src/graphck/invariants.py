@@ -13,8 +13,9 @@ whose omega bundles all land in H, with a forced, nonempty exclusion
 set: the instances of its finite bundles that land outside H.  Calling
 those vertices B(H), the families are in bijection with the pairs
 (H, R) for R within B(H), so there are sum over H of 2^|B(H)| of them.
-enumerate_invariants lists the closed sets H by NextClosure, at
-O(|V| (V+E)) delay each, and then spends O(V+E) on every family.
+enumerate_invariants lists the closed sets H from the generator reach
+masks cached on the graph, at O(V) each, and then spends O(V+E) on
+every family.
 
 Over a tree, each family spreads to the open set union of the cones
 V(u; F_u), and conversely an open set is scanned back to the family of
@@ -186,48 +187,33 @@ class Enumeration:
 
 
 def _closed_sets(g: Graph):
-    """Every hereditary saturated vertex set, each once, by Ganter's
-    NextClosure in lectic order over the sorted vertices.
+    """Every hereditary saturated vertex set, each once, O(V) per set.
 
-    The closure of a set adds everything reachable from it, then each
-    regular vertex whose every bundle lands inside.  One saturation pass
-    with successors first suffices: a vertex on a cycle outside a
-    hereditary set always has a successor outside it.
+    Call a generator a sink, an infinite emitter or a cyclic component.
+    A closed set H is the vertices reaching no generator outside it: from
+    a vertex outside H a walk can stay outside (H is saturated) until it
+    ends at a sink or emitter or closes a cycle, whose component lies
+    outside H (H is hereditary).  So H's generators S are closed under
+    "reaches" and fix H; conversely each such S gives the closed set of
+    the vertices whose reach mask lies in S, as masks shrink along edges
+    and a regular vertex's mask is the union of its successors'.
+    Generators are decided in sccs order, so all that one reaches is
+    decided before it, and every branch of the walk ends in a closed set.
     """
-    verts = sorted(g.vertices)
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    succ = [[index[b.terminus] for b in g.delta1(v).bundles] for v in verts]
-    saturating = [index[v] for comp in g.sccs for v in comp if v in g.regular_vertices]
-
-    def close(seed: bytearray) -> bytearray:
-        inside = bytearray(seed)
-        stack = [i for i in range(n) if inside[i]]
-        while stack:
-            for j in succ[stack.pop()]:
-                if not inside[j]:
-                    inside[j] = 1
-                    stack.append(j)
-        for i in saturating:
-            if not inside[i] and all(inside[j] for j in succ[i]):
-                inside[i] = 1
-        return inside
-
-    a = close(bytearray(n))
-    while True:
-        yield frozenset(v for v, x in zip(verts, a) if x)
-        for i in range(n - 1, -1, -1):
-            if a[i]:
-                a[i] = 0
-                continue
-            a[i] = 1
-            b = close(a)
-            if b[:i] == a[:i]:
-                a = b
-                break
-            a[i] = 0
-        else:
-            return
+    gens, reach = g.generator_reach
+    order = sorted(range(len(gens)), key=gens.__getitem__)
+    stack = [(0, 0)]
+    while stack:
+        k, chosen = stack.pop()
+        if k == len(order):
+            yield frozenset(
+                v for i, comp in enumerate(g.sccs) if not reach[i] & ~chosen for v in comp
+            )
+            continue
+        stack.append((k + 1, chosen))
+        j = order[k]
+        if reach[gens[j]] & ~chosen == 1 << j:
+            stack.append((k + 1, chosen | 1 << j))
 
 
 def enumerate_invariants(g: Graph) -> Enumeration:

@@ -4,9 +4,9 @@ Cycles are found at the bundle level (one representative instance each)
 and classified by what their exits do: none (terminal), some but none
 leading back (transitory), or at least one returning.  The flags are read
 off one table of human-readable witnesses: each holds exactly when its
-witness is empty, and all reachability comes from one sweep of component
-reach masks.  Everything but the census reads the strongly connected
-components cached on the graph and runs in O(V+E).
+witness is empty, and all reachability comes from the generator reach
+masks cached on the graph.  Everything but the census reads the strongly
+connected components cached on the graph and runs in O(V+E).
 """
 
 from __future__ import annotations
@@ -187,27 +187,17 @@ class StructureReport:
 
 
 def _reach_sweep(g: Graph) -> tuple[str, str | None]:
-    """One pass of component reach masks, read two ways.
+    """The generator reach masks cached on g, read two ways.
 
-    Each component gets one int whose bits are the targets it reaches:
-    cyclic components in Tarjan order, then sinks and infinite emitters
-    in g.vertices order, filled over the components in reverse
-    topological order.  Returns the cofinality witness, naming the first
-    vertex, in g.vertices order, that misses a target and the first target
-    it misses ("" when none does), and the first vertex whose mask has no
-    cyclic bit, so that no walk from it meets a cycle (None when none).
+    Returns the cofinality witness, naming the first vertex, in
+    g.vertices order, that misses a generator and the first generator it
+    misses in bit order ("" when none does), and the first vertex whose
+    mask has no cyclic bit, so that no walk from it meets a cycle (None
+    when none).
     """
-    cyclic = list(g.cyclic_sccs)
-    singular = [v for v in g.vertices if v in g.sinks or v in g.infinite_emitters]
-    reach = [0] * len(g.sccs)
-    for j, i in enumerate(cyclic + [g.scc_index[s] for s in singular]):
-        reach[i] |= 1 << j
-    for i, comp in enumerate(g.sccs):
-        for v in comp:
-            for b in g.delta1(v).bundles:
-                reach[i] |= reach[g.scc_index[b.terminus]]
-    cyclic_bits = (1 << len(cyclic)) - 1
-    full = (1 << (len(cyclic) + len(singular))) - 1
+    gens, reach = g.generator_reach
+    cyclic_bits = (1 << len(g.cyclic_sccs)) - 1
+    full = (1 << len(gens)) - 1
     cofinal, no_cycle = "", None
     for v in g.vertices:
         mask = reach[g.scc_index[v]]
@@ -215,11 +205,9 @@ def _reach_sweep(g: Graph) -> tuple[str, str | None]:
             no_cycle = v
         missed = full & ~mask
         if missed and not cofinal:
-            j = (missed & -missed).bit_length() - 1
-            if j < len(cyclic):
-                target = "the cycle component at %s" % min(g.sccs[cyclic[j]])
-            else:
-                target = singular[j - len(cyclic)]
+            i = gens[(missed & -missed).bit_length() - 1]
+            comp = g.sccs[i]
+            target = "the cycle component at %s" % min(comp) if i in g.cyclic_sccs else min(comp)
             cofinal = "vertex %s does not reach %s" % (v, target)
     return cofinal, no_cycle
 
@@ -302,43 +290,42 @@ def free_point_from(g: Graph, u: str):
     """A boundary point from u that no nonunit walk fixes.
 
     A walk to a sink or an infinite emitter works; otherwise a component
-    with a genuine choice of steps feeds an aperiodic ray with strictly
-    growing cycle runs.  Raises when every walk from u is eventually
-    periodic.
+    with a genuine choice of steps, which is a returning one, feeds an
+    aperiodic ray with strictly growing cycle runs.  The first returning
+    component u reaches is read off its generator mask.  Raises when
+    every walk from u is eventually periodic.
     """
     g.check_vertex(u)
-    singular = set(g.sinks) | set(g.infinite_emitters)
-    hit = _bfs_word(g, u, singular)
+    hit = _bfs_word(g, u, g.sinks | g.infinite_emitters)
     if hit is not None:
         return FinitePath(Path(u, hit))
-    reach = g.reachable(u)
-    order = {v: i for i, v in enumerate(g.vertices)}
-    for comp in g.sccs:
-        if not (comp & reach):
-            continue
-        branching = None
-        for v in sorted(comp, key=order.__getitem__):
-            inside = []
-            for b in g.delta1(v).bundles:
-                if b.terminus not in comp:
-                    continue
-                n = 2 if is_omega(b.multiplicity) else b.multiplicity
-                inside.extend(b.instance(i) for i in range(min(n, 2)))
+    gens, reach = g.generator_reach
+    mask = reach[g.scc_index[u]]
+    # the cyclic components hold the low bits, in sccs order
+    for j, i in enumerate(gens):
+        if mask >> j & 1 and g.cyclic_sccs.get(i) == "returning":
+            break
+    else:
+        raise StructureError("every walk from %s is eventually periodic" % u)
+    comp = g.sccs[i]
+    # not bare, so some vertex has two steps inside; the first in g.vertices
+    for w in g.vertices:
+        if g.scc_index[w] == i:
+            inside = [
+                b.instance(k)
+                for b in g.delta1(w).bundles
+                if b.terminus in comp
+                for k in range(1 if b.multiplicity == 1 else 2)
+            ]
             if len(inside) >= 2:
-                branching = (v, inside)
                 break
-        if branching is None:
-            continue
-        w, inside = branching
-        first = inside[0]
-        exit_step = next(e for e in inside if e != first)
-        # w lies in a component reached from u, and both steps' termini
-        # share its component, so these words exist
-        alpha = _bfs_word(g, u, {w})
-        gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
-        ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
-        return AperiodicDescriptor(Path(u, alpha), gamma, ret)
-    raise StructureError("every walk from %s is eventually periodic" % u)
+    first, exit_step = inside[:2]
+    # w lies in a component reached from u, and both steps' termini share
+    # its component, so these words exist
+    alpha = _bfs_word(g, u, {w})
+    gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
+    ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
+    return AperiodicDescriptor(Path(u, alpha), gamma, ret)
 
 
 def count_paths_into(g: Graph, u: str):

@@ -462,9 +462,96 @@ def oracle_count_paths_into(g: Graph, u: str):
     return f(u)
 
 
+def oracle_free_point_from(g: Graph, u: str):
+    """free_point_from by a reachable-set scan over every component,
+    taking the first component in Tarjan order that u reaches and that
+    has a vertex with two steps inside it, that vertex first in
+    g.vertices order."""
+    from graphck.points import AperiodicDescriptor, FinitePath
+    from graphck.structure import StructureError, _bfs_word
+
+    g.check_vertex(u)
+    singular = set(g.sinks) | set(g.infinite_emitters)
+    hit = _bfs_word(g, u, singular)
+    if hit is not None:
+        return FinitePath(Path(u, hit))
+    reach = g.reachable(u)
+    order = {v: i for i, v in enumerate(g.vertices)}
+    for comp in g.sccs:
+        if not (comp & reach):
+            continue
+        branching = None
+        for v in sorted(comp, key=order.__getitem__):
+            inside = []
+            for b in g.delta1(v).bundles:
+                if b.terminus not in comp:
+                    continue
+                n = 2 if is_omega(b.multiplicity) else b.multiplicity
+                inside.extend(b.instance(i) for i in range(min(n, 2)))
+            if len(inside) >= 2:
+                branching = (v, inside)
+                break
+        if branching is None:
+            continue
+        w, inside = branching
+        first = inside[0]
+        exit_step = next(e for e in inside if e != first)
+        alpha = _bfs_word(g, u, {w})
+        gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
+        ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
+        return AperiodicDescriptor(Path(u, alpha), gamma, ret)
+    raise StructureError("every walk from %s is eventually periodic" % u)
+
+
 # Reference implementations of graphck.invariants, kept as differential
-# oracles: the candidate scan over all 2^|V| vertex sets times every
-# product of whole-bundle exclusion options, and the cubic cover search.
+# oracles: NextClosure over the closed sets, the candidate scan over all 2^|V|
+# vertex sets times every product of whole-bundle exclusion options, and
+# the cubic cover search.
+
+
+def oracle_closed_sets(g: Graph):
+    """Every hereditary saturated vertex set, each once, by Ganter's
+    NextClosure in lectic order over the sorted vertices.
+
+    The closure of a set adds everything reachable from it, then each
+    regular vertex whose every bundle lands inside.  One saturation pass
+    with successors first suffices: a vertex on a cycle outside a
+    hereditary set always has a successor outside it.
+    """
+    verts = sorted(g.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    succ = [[index[b.terminus] for b in g.delta1(v).bundles] for v in verts]
+    saturating = [index[v] for comp in g.sccs for v in comp if v in g.regular_vertices]
+
+    def close(seed: bytearray) -> bytearray:
+        inside = bytearray(seed)
+        stack = [i for i in range(n) if inside[i]]
+        while stack:
+            for j in succ[stack.pop()]:
+                if not inside[j]:
+                    inside[j] = 1
+                    stack.append(j)
+        for i in saturating:
+            if not inside[i] and all(inside[j] for j in succ[i]):
+                inside[i] = 1
+        return inside
+
+    a = close(bytearray(n))
+    while True:
+        yield frozenset(v for v, x in zip(verts, a) if x)
+        for i in range(n - 1, -1, -1):
+            if a[i]:
+                a[i] = 0
+                continue
+            a[i] = 1
+            b = close(a)
+            if b[:i] == a[:i]:
+                a = b
+                break
+            a[i] = 0
+        else:
+            return
 
 
 def _oracle_f_options(g: Graph, u: str, omega_f_bound: int):

@@ -293,6 +293,17 @@ def test_limit_check_needs_a_chain(capsys):
         assert err == "error: --chains must be at least 1, got %s\n" % chains
 
 
+def test_analyze_needs_a_cap_of_at_least_zero(capsys):
+    code, out, err = run(capsys, "analyze", "loop", "--cap", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --cap must be at least 0, got -1\n"
+    code, out, err = run(capsys, "analyze", "loop", "--cap", "0")
+    assert code == 2 and out == ""
+    assert err == "cap exceeded: more than 0 cycles\n"
+    code, out, _ = run(capsys, "analyze", "chain", "--cap", "0")
+    assert code == 0 and "af: yes" in out
+
+
 def test_af_blocks_bad_truncation(capsys):
     code, out, err = run(capsys, "af-blocks", "chain", "--length", "-1")
     assert code == 1 and out == ""

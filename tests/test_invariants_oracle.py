@@ -1,18 +1,21 @@
 """The family enumerator against its reference implementations.
 
-The oracles in helpers.py are the candidate scan over every vertex set
-that the closure-based enumerator replaced, the brute force over
-arbitrary exclusion subsets, and the cubic cover search; every family
-sequence, note and cover must agree with them.
+The oracles in helpers.py are NextClosure over the closed sets, the
+candidate scan over every vertex set that the enumerator replaced, the
+brute force over arbitrary exclusion subsets, and the cubic cover
+search; every closed set, family sequence, note and cover must agree
+with them.
 """
 
 import random
 
 from graphck.graphs import EdgeBundle, Graph
-from graphck.invariants import Invariant, enumerate_invariants, hasse_edges
+from graphck.invariants import Invariant, _closed_sets, enumerate_invariants, hasse_edges
+from graphck.structure import structure_report
 
 from helpers import (
     naive_invariants,
+    oracle_closed_sets,
     oracle_enumerate_invariants,
     oracle_hasse_edges,
     random_graph,
@@ -21,6 +24,7 @@ from helpers import (
 
 def _assert_matches_oracles(g, omega_f_bound, label):
     # the oracle probes omega exclusions up to the bound; none may add a family
+    assert set(_closed_sets(g)) == set(oracle_closed_sets(g)), label
     got = enumerate_invariants(g)
     want = oracle_enumerate_invariants(g, omega_f_bound=omega_f_bound)
     assert got.invariants == want.invariants, label
@@ -61,6 +65,11 @@ def test_enumeration_scales_with_its_output(graphs):
     # 2^200 candidate vertex sets, 2 families each
     assert len(enumerate_invariants(_chain(200))) == 2
     assert len(enumerate_invariants(_chain(200, close=True))) == 2
+    # far past any recursion limit, and quadratic for a per-candidate closure
+    for close in (False, True):
+        g = _chain(10**4, close=close)
+        assert len(enumerate_invariants(g)) == 2
+        assert structure_report(g).cofinal
     two = graphs["two"]
     vs = ["%s%d" % (v, k) for k in range(6) for v in two.vertices]
     bs = [

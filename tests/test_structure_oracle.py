@@ -1,8 +1,9 @@
 """The structure module against its reference implementations.
 
 The oracles in helpers.py are the walk-based census, the per-vertex
-reachability flags and the recursive path count that the SCC-based code
-replaced; every answer, witnesses included, must agree with them.
+reachability flags, the recursive path count and the component scan for
+a free point that the SCC-based code replaced; every answer, witnesses
+and points included, must agree with them.
 """
 
 import os
@@ -12,11 +13,18 @@ import sys
 
 import graphck
 from graphck.graphs import EdgeBundle, Graph
-from graphck.structure import count_paths_into, find_cycles, structure_report
+from graphck.structure import (
+    StructureError,
+    count_paths_into,
+    find_cycles,
+    free_point_from,
+    structure_report,
+)
 
 from helpers import (
     oracle_count_paths_into,
     oracle_find_cycles,
+    oracle_free_point_from,
     oracle_structure_report,
     random_graph,
 )
@@ -37,6 +45,16 @@ def _assert_matches_oracle(g, label):
         assert holds == (name not in got.witnesses), (label, name)
     for v in g.vertices:
         assert count_paths_into(g, v) == oracle_count_paths_into(g, v), (label, v)
+        want = _free_point(oracle_free_point_from, g, v)
+        assert _free_point(free_point_from, g, v) == want, (label, v)
+
+
+def _free_point(find, g, v):
+    # the point's repr on success, the message when every walk is periodic
+    try:
+        return repr(find(g, v))
+    except StructureError as exc:
+        return "raised: %s" % exc
 
 
 def test_corpus_matches_oracle(graphs):
