@@ -207,6 +207,8 @@ def cmd_setcalc(args) -> int:
         if apex is None:
             raise UsageError("no cone in the expression; pass --base")
         base = parse_path(g, apex).origin
+    elif not g.has_vertex(base):
+        raise UsageError("--base %s is not a vertex of %s" % (base, g.name))
     tree = FiberTree(g, base)
     result = parse_setexpr(tree, args.expr)
     if isinstance(result, bool):

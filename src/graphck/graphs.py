@@ -197,32 +197,44 @@ class Graph:
     """Immutable directed graph over named vertices and edge bundles."""
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[EdgeBundle], name: str = ""):
-        self.name = name
-        self.vertices = tuple(vertices)
-        self.bundles = tuple(bundles)
+        vertices, bundles = tuple(vertices), tuple(bundles)
         seen: set[str] = set()
-        for v in self.vertices:
+        for v in vertices:
             if not _NAME.match(v):
                 raise GraphError("bad vertex name %r" % v)
             if v in seen:
                 raise GraphError("duplicate name %r" % v)
             seen.add(v)
-        self._vertex_set = frozenset(self.vertices)
-        self._by_name: dict[str, EdgeBundle] = {}
-        for b in self.bundles:
+        declared = frozenset(vertices)
+        for b in bundles:
             if not _NAME.match(b.name):
                 raise GraphError("bad edge name %r" % b.name)
             if b.name in seen:
                 raise GraphError("duplicate name %r" % b.name)
             seen.add(b.name)
-            if b.origin not in self._vertex_set:
+            if b.origin not in declared:
                 raise GraphError("edge %s leaves undeclared vertex %r" % (b.name, b.origin))
-            if b.terminus not in self._vertex_set:
+            if b.terminus not in declared:
                 raise GraphError("edge %s enters undeclared vertex %r" % (b.name, b.terminus))
-            self._by_name[b.name] = b
-        out: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
-        inc: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
-        for b in self.bundles:
+        self._index(vertices, bundles, name)
+
+    @classmethod
+    def restricted(cls, vertices: Iterable[str], bundles: Iterable[EdgeBundle], name: str) -> "Graph":
+        """A graph on some vertices of a valid graph and bundles of it between
+        them, valid by construction, skipping the checks in __init__."""
+        g = object.__new__(cls)
+        g._index(tuple(vertices), tuple(bundles), name)
+        return g
+
+    def _index(self, vertices: tuple[str, ...], bundles: tuple[EdgeBundle, ...], name: str):
+        self.name = name
+        self.vertices = vertices
+        self.bundles = bundles
+        self._vertex_set = frozenset(vertices)
+        self._by_name = {b.name: b for b in bundles}
+        out: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
+        inc: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
+        for b in bundles:
             out[b.origin].append(b)
             inc[b.terminus].append(b)
         self._out = {v: tuple(bs) for v, bs in out.items()}
@@ -285,18 +297,11 @@ class Graph:
         """Vertices with finitely many, at least one, outgoing edges."""
         return self._vertex_set - self.sinks - self.infinite_emitters
 
-    def reachable(self, v: str) -> frozenset[str]:
-        """Vertices reachable from v by directed paths, v included."""
-        self.check_vertex(v)
-        frontier = [v]
-        seen: set[str] = set()
-        while frontier:
-            w = frontier.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            frontier.extend(b.terminus for b in self._out[w])
-        return frozenset(seen)
+    @cached_property
+    def family_verdicts(self) -> dict:
+        """Family -> admissibility verdict, filled in by invariants.is_invariant:
+        the graph and a family are immutable, so each is checked once."""
+        return {}
 
     # Derived facts, computed once per graph.  Everything below rests on one
     # iterative Tarjan pass, so it runs in O(V+E) with no recursion.

@@ -15,7 +15,11 @@ those vertices B(H), the families are in bijection with the pairs
 (H, R) for R within B(H), so there are sum over H of 2^|B(H)| of them.
 enumerate_invariants lists the closed sets H from the generator reach
 masks cached on the graph, at O(V) each, and then spends O(V+E) on
-every family.
+every family.  Admissibility verdicts are cached on the graph, so the
+check that quotient_data repeats on an enumerated family is a lookup.
+hasse_edges reads the order off bit columns over the list, at
+O(n (V + X)) big-int operations for n families and X excluded edges,
+plus one per comparable pair to pick out the covers.
 
 Over a tree, each family spreads to the open set union of the cones
 V(u; F_u), and conversely an open set is scanned back to the family of
@@ -108,16 +112,26 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
     Edges are handled bundle-wise: an omega bundle always has instances
     outside the finite exclusion set, so its terminus is forced into the
     family with empty exclusions; excluded instances of the same bundle
-    then contradict that.  This avoids quantifying over instances.
+    then contradict that.  This avoids quantifying over instances.  The
+    verdict is kept in g.family_verdicts, so a family is checked once per
+    graph however often it is asked about.
     """
+    res = g.family_verdicts.get(inv)
+    if res is None:
+        res = g.family_verdicts[inv] = _check_family(g, inv)
+    return res
+
+
+def _check_family(g: Graph, inv: Invariant) -> CheckResult:
     failures = []
     notes = []
     nset = inv.vertices
     for u in nset:
         g.check_vertex(u)
-    fmap = {u: inv.f(u) for u in nset}
+    fmap = dict(inv.exclusions)
     for u, excl in inv.exclusions:
-        for e in excl:
+        # sorted, as equal frozensets may iterate in different orders
+        for e in sorted(excl, key=EdgeInstance.sort_key):
             try:
                 known = g.bundle(e.bundle.name) == e.bundle
             except GraphError:
@@ -129,7 +143,7 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
 
     for u in sorted(nset):
         d = g.delta1(u)
-        excl = fmap[u]
+        excl = fmap.get(u, frozenset())
         if not d.infinite and excl:
             failures.append("vertex %s has finite valence but excludes %d edges" % (u, len(excl)))
         chosen: dict[EdgeBundle, int] = {}
@@ -142,12 +156,12 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
                 # some instance is not excluded
                 if t not in nset:
                     failures.append("edge %s leaves the family at %s" % (b.name, u))
-                elif fmap[t]:
+                elif fmap.get(t):
                     failures.append(
                         "edge %s from %s lands on %s, which must exclude nothing" % (b.name, u, t)
                     )
             if picked and t in nset:
-                if not fmap[t]:
+                if not fmap.get(t):
                     failures.append(
                         "excluded edge %s from %s lands on %s, which needs a nonempty exclusion set"
                         % (b.name, u, t)
@@ -160,7 +174,7 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
     for u in g.vertices:
         if u in nset or u not in g.regular_vertices:
             continue
-        if all(b.terminus in nset and not fmap[b.terminus] for b in g.delta1(u).bundles):
+        if all(b.terminus in nset and not fmap.get(b.terminus) for b in g.delta1(u).bundles):
             failures.append(
                 "vertex %s sees only members with empty exclusions and must join the family" % u
             )
@@ -263,15 +277,46 @@ def enumerate_invariants(g: Graph) -> Enumeration:
 def hasse_edges(invariants) -> list[tuple[int, int]]:
     """Covering pairs (i, j) with element i directly below element j.
 
-    up[i] is the bitmask of the elements strictly above element i; the
-    covers of i are what up[i] holds beyond the union of up[m] over its
-    members m.
+    Any list will do, duplicates included, and no graph is needed.  For
+    the element a at i, up[i] is the bitmask of the elements b with
+    invariant_leq(a, b) and a != b, read off bit columns over the list:
+    has[v] holds the elements with vertex v, drops[u][e] those excluding
+    edge e at u, and same[a] the elements equal to a.  invariant_leq(a, b)
+    asks two things.  N(a) <= N(b) holds iff b is in has[v] for every v in
+    N(a).  F_b(u) <= F_a(u) at every u in N(a) fails iff b excludes some e
+    at such a u with e not in F_a(u), that is iff b is in one of those
+    drops[u][e]; every edge that b excludes has a column, so none is
+    missed.  So up[i] is the meet of has[v] over N(a), less same[a] and
+    those drops: O(V + X) big-int operations per element for X excluded
+    edges, where comparing every pair would take n^2 calls.  The covers of
+    i are what up[i] holds beyond the union of up[m] over its members m.
     """
     invs = list(invariants)
-    up = [
-        sum(1 << j for j, b in enumerate(invs) if invariant_leq(a, b) and a != b)
-        for a in invs
-    ]
+    has: dict[str, int] = {}
+    drops: dict[str, dict[EdgeInstance, int]] = {}
+    same: dict[Invariant, int] = {}
+    for j, b in enumerate(invs):
+        bit = 1 << j
+        same[b] = same.get(b, 0) | bit
+        for v in b.vertices:
+            has[v] = has.get(v, 0) | bit
+        for u, es in b.exclusions:
+            at = drops.setdefault(u, {})
+            for e in es:
+                at[e] = at.get(e, 0) | bit
+    everything = (1 << len(invs)) - 1
+    up = []
+    for a in invs:
+        above = everything
+        blocked = same[a]
+        excluded = dict(a.exclusions)
+        for u in a.vertices:
+            above &= has[u]
+            fa = excluded.get(u, ())
+            for e, column in drops.get(u, {}).items():
+                if e not in fa:
+                    blocked |= column
+        up.append(above & ~blocked)
     edges = []
     for i, above in enumerate(up):
         higher = 0
@@ -429,7 +474,7 @@ def build_quotient(g: Graph, inv: Invariant) -> QuotientData:
     keptset = set(kept)
     bundles = [b for b in g.bundles if b.origin in keptset and b.terminus in keptset]
     name = (g.name or "graph") + ".quotient"
-    q = Graph(kept, bundles, name=name)
+    q = Graph.restricted(kept, bundles, name)
     marks = rset | (g.regular_vertices - inv.vertices)
     bad = marks - q.regular_vertices
     if bad:

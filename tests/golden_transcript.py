@@ -188,7 +188,10 @@ def invocations() -> list[list[str]]:
     cases += _analyze_cases() + _rep_verify_cases()
     cases += [["corpus-run"], ["corpus-run", "--json"]]
     # marks are checked in toeplitz mode too
-    return cases + [["rep-verify", "t2", "--mode", "toeplitz", "--marks", "nope"]]
+    cases.append(["rep-verify", "t2", "--mode", "toeplitz", "--marks", "nope"])
+    # a base that is not a vertex is bad usage, like a bad marks list
+    cases.append(["setcalc", "chain", "V(u)", "--base", "zz"])
+    return cases + [["setcalc", "two", "V(e) | V(v)", "--base", "nope", "--json"]]
 
 
 def main() -> int:

@@ -51,6 +51,19 @@ def random_tree_graph(rng: random.Random, n: int) -> Graph:
     return Graph(vertices, bundles)
 
 
+def reachable(g: Graph, v: str) -> frozenset[str]:
+    """Vertices reachable from v by directed paths, v included."""
+    frontier = [g.check_vertex(v)]
+    seen: set[str] = set()
+    while frontier:
+        w = frontier.pop()
+        if w in seen:
+            continue
+        seen.add(w)
+        frontier.extend(b.terminus for b in g.delta1(w).bundles)
+    return frozenset(seen)
+
+
 def _signed_extensions(g: Graph, at: str, omega_cap: int = 3) -> list[SignedEdge]:
     out = []
     for b in g.delta1(at).bundles:
@@ -275,7 +288,7 @@ def _oracle_classify(g: Graph, steps) -> str:
     vset = set(e.origin for e in steps)
     kinds = set()
     for e in _oracle_exits(g, steps):
-        if vset & g.reachable(e.terminus):
+        if vset & reachable(g, e.terminus):
             return "returning"
         kinds.add("leaves")
     return "transitory" if kinds else "terminal"
@@ -381,7 +394,7 @@ def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
     cycle_verts = set()
     for c in cycles:
         cycle_verts.update(c.vertices)
-    reach = {v: g.reachable(v) for v in g.vertices}
+    reach = {v: reachable(g, v) for v in g.vertices}
     meets_all = True
     for v in g.vertices:
         if not (reach[v] & cycle_verts):
@@ -445,12 +458,12 @@ def oracle_count_paths_into(g: Graph, u: str):
     sources = set()
     for v in g.vertices:
         for b in g.delta1(v).bundles:
-            if v in g.reachable(b.terminus):
+            if v in reachable(g, b.terminus):
                 sources.add(v)
             if is_omega(b.multiplicity):
                 sources.add(b.terminus)
     for s in sources:
-        if u in g.reachable(s):
+        if u in reachable(g, s):
             return OMEGA
     memo: dict = {}
 
@@ -475,7 +488,7 @@ def oracle_free_point_from(g: Graph, u: str):
     hit = _bfs_word(g, u, singular)
     if hit is not None:
         return FinitePath(Path(u, hit))
-    reach = g.reachable(u)
+    reach = reachable(g, u)
     order = {v: i for i, v in enumerate(g.vertices)}
     for comp in g.sccs:
         if not (comp & reach):
@@ -506,7 +519,7 @@ def oracle_free_point_from(g: Graph, u: str):
 # Reference implementations of graphck.invariants, kept as differential
 # oracles: NextClosure over the closed sets, the candidate scan over all 2^|V|
 # vertex sets times every product of whole-bundle exclusion options, and
-# the cubic cover search.
+# the quadratic and cubic cover searches.
 
 
 def oracle_closed_sets(g: Graph):
@@ -621,6 +634,33 @@ def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
                         )
     found.sort(key=lambda i: i.sort_key())
     return OracleEnumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
+
+
+def quadratic_hasse_edges(invariants):
+    """Covering pairs (i, j): up[i], the elements strictly above element i,
+    by n^2 invariant_leq calls; the covers of i are what up[i] holds beyond
+    the union of up[m] over its members m."""
+    from graphck.invariants import invariant_leq
+
+    invs = list(invariants)
+    up = [
+        sum(1 << j for j, b in enumerate(invs) if invariant_leq(a, b) and a != b)
+        for a in invs
+    ]
+    edges = []
+    for i, above in enumerate(up):
+        higher = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            higher |= up[low.bit_length() - 1]
+            rest ^= low
+        covers = above & ~higher
+        while covers:
+            low = covers & -covers
+            edges.append((i, low.bit_length() - 1))
+            covers ^= low
+    return edges
 
 
 def oracle_hasse_edges(invariants):
@@ -1000,7 +1040,7 @@ def oracle_touches_boundary(tree, apex, excluded=frozenset()):
     beyond: set[str] = set()
     for b in g.delta1(end).bundles:
         if is_omega(b.multiplicity) or skipped.get(b, 0) < b.multiplicity:
-            beyond |= g.reachable(b.terminus)
+            beyond |= reachable(g, b.terminus)
     bad = g.sinks | g.infinite_emitters | g.cycle_vertices
     return bool(beyond & bad)
 

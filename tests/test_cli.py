@@ -313,3 +313,12 @@ def test_af_blocks_bad_truncation(capsys):
     assert err == "error: omega cap must be at least 1, got 0\n"
     code, out, _ = run(capsys, "af-blocks", "chain", "--length", "0")
     assert code == 0 and out.startswith("3 blocks at length <= 0\n")
+
+
+def test_setcalc_unknown_base_is_a_usage_error(capsys):
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, "setcalc", "chain", "V(u)", "--base", "zz", *extra)
+        assert code == 1 and out == ""
+        assert err == "error: --base zz is not a vertex of chain\n"
+    code, out, _ = run(capsys, "setcalc", "chain", "V(u)", "--base", "u")
+    assert code == 0 and out == "{V(u)}\n"

@@ -12,7 +12,7 @@ from graphck.graphs import (
     parse_graph,
     subgraph_le,
 )
-from helpers import random_graph
+from helpers import random_graph, reachable
 
 
 def test_parse_basic(graphs):
@@ -98,7 +98,7 @@ def test_instance_parsing(graphs):
 
 
 def _reachable_oracle(g: Graph, v: str) -> frozenset:
-    # fixpoint over the one-step relation, written independently of Graph.reachable
+    # fixpoint over the one-step relation, written independently of helpers.reachable
     step = {u: set() for u in g.vertices}
     for b in g.bundles:
         step[b.origin].add(b.terminus)
@@ -117,7 +117,33 @@ def test_reachable_against_oracle():
     for _ in range(200):
         g = random_graph(rng)
         for v in g.vertices:
-            assert g.reachable(v) == _reachable_oracle(g, v)
+            assert reachable(g, v) == _reachable_oracle(g, v)
+
+
+def test_restricted_matches_the_checked_constructor():
+    rng = random.Random(902)
+    for _ in range(200):
+        g = random_graph(rng)
+        keep = [v for v in g.vertices if rng.random() < 0.7]
+        kept = set(keep)
+        bundles = [b for b in g.bundles if b.origin in kept and b.terminus in kept]
+        fast = Graph.restricted(keep, bundles, "part")
+        slow = Graph(keep, bundles, name="part")
+        assert (fast.name, fast.vertices, fast.bundles) == (slow.name, slow.vertices, slow.bundles)
+        for v in g.vertices:
+            assert fast.has_vertex(v) == (v in kept)
+        for v in keep:
+            assert fast.delta1(v) == slow.delta1(v)
+            assert fast.in_bundles(v) == slow.in_bundles(v)
+        for b in bundles:
+            assert fast.bundle(b.name) is b
+        assert (fast.sinks, fast.infinite_emitters, fast.regular_vertices) == (
+            slow.sinks,
+            slow.infinite_emitters,
+            slow.regular_vertices,
+        )
+        assert fast.sccs == slow.sccs
+        assert fast.generator_reach == slow.generator_reach
 
 
 def test_subgraph_le(graphs):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphck import invariants
 from graphck.cover import lift_invariant
 from graphck.graphs import EdgeBundle, Graph
 from graphck.invariants import (
@@ -319,3 +320,73 @@ def test_induced_marks_composition_law(graphs):
             direct = induced_marks(g1, g, marks)
             staged = induced_marks(g1, g2, induced_marks(g2, g, marks))
             assert direct == staged, name
+
+
+def _candidates(rng, g, count):
+    """Random families, most of them inadmissible: any vertex set, with a
+    few out-edges, omega ones included, or a stray edge excluded at members."""
+    stray = EdgeBundle("zz", "zz", "zz").instance()
+    for _ in range(count):
+        nset = {v for v in g.vertices if rng.random() < 0.6}
+        excl = {}
+        for u in sorted(nset):
+            if rng.random() < 0.5:
+                pool = list(g.delta1(u).iter_instances(2)) + [stray]
+                excl[u] = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        yield Invariant.make(nset, excl)
+
+
+def _fresh(g):
+    return Graph(g.vertices, g.bundles, name=g.name)
+
+
+def test_cached_verdicts_equal_fresh_ones(graphs):
+    rng = random.Random(4107)
+    pool = list(graphs.values()) + [random_graph(rng) for _ in range(100)]
+    rejected = 0
+    for g in pool:
+        for inv in list(enumerate_invariants(g)) + list(_candidates(rng, g, 30)):
+            first = is_invariant(g, inv)
+            assert g.family_verdicts[inv] is first
+            # an equal family built anew hits the same entry
+            assert is_invariant(g, Invariant.make(inv.vertices, dict(inv.exclusions))) is first
+            assert is_invariant(_fresh(g), inv) == first, (g, inv)
+            rejected += not first.ok
+    assert rejected > 1000
+
+
+def test_quotient_still_rejects_after_enumeration(graphs):
+    rng = random.Random(4108)
+    for name, g in graphs.items():
+        g = _fresh(g)
+        bad = {}
+        for inv in _candidates(rng, g, 40):
+            res = is_invariant(_fresh(g), inv)
+            if not res.ok:
+                bad[inv] = "not an admissible family: %s" % res.failures[0]
+        assert bad, name
+        enumerate_invariants(g)
+        for inv, message in bad.items():
+            for _ in range(2):
+                with pytest.raises(InvariantError) as info:
+                    quotient_data(g, inv)
+                assert str(info.value) == message, (name, inv)
+
+
+def test_each_family_is_checked_once_per_graph(graphs, monkeypatch):
+    calls = []
+    real = invariants._check_family
+
+    def counting(g, inv):
+        calls.append(inv)
+        return real(g, inv)
+
+    monkeypatch.setattr(invariants, "_check_family", counting)
+    for name, g in graphs.items():
+        g = _fresh(g)
+        calls.clear()
+        en = enumerate_invariants(g)
+        for inv in en:
+            quotient_data(g, inv)
+            quotient_data(g, inv)
+        assert sorted(calls, key=Invariant.sort_key) == list(en.invariants), name

@@ -18,6 +18,7 @@ from helpers import (
     oracle_closed_sets,
     oracle_enumerate_invariants,
     oracle_hasse_edges,
+    quadratic_hasse_edges,
     random_graph,
 )
 
@@ -78,3 +79,59 @@ def test_enumeration_scales_with_its_output(graphs):
         for b in two.bundles
     ]
     assert len(enumerate_invariants(Graph(vs, bs))) == 4**6
+
+
+# The covers of any list, also against the quadratic search that the bit
+# columns replaced.
+
+
+def _shuffled_sublists(rng, invs, count):
+    """Lists drawn with replacement, so with repeats, in any order."""
+    for _ in range(count):
+        picks = [rng.choice(invs) for _ in range(rng.randint(0, len(invs) + 4))]
+        rng.shuffle(picks)
+        yield picks
+
+
+def _assert_covers_match(invs, label):
+    got = hasse_edges(invs)
+    assert got == quadratic_hasse_edges(invs), label
+    assert got == oracle_hasse_edges(invs), label
+
+
+def test_covers_of_any_list_match_oracles(graphs):
+    rng = random.Random(4105)
+    pooled = []
+    for name, g in graphs.items():
+        invs = list(enumerate_invariants(g))
+        pooled += invs
+        for k, picks in enumerate(_shuffled_sublists(rng, invs, 20)):
+            _assert_covers_match(picks, (name, k))
+    # families of different graphs side by side: the columns need no graph
+    for k, picks in enumerate(_shuffled_sublists(rng, pooled, 20)):
+        _assert_covers_match(picks, ("pooled", k))
+    for k in range(200):
+        invs = list(enumerate_invariants(random_graph(rng, max_vertices=8, max_bundles=12)))
+        for j, picks in enumerate(_shuffled_sublists(rng, invs, 3)):
+            _assert_covers_match(picks, (k, j))
+
+
+def _copies(g, k):
+    vs = ["%s%d" % (v, i) for i in range(k) for v in g.vertices]
+    bs = [
+        EdgeBundle("%s%d" % (b.name, i), "%s%d" % (b.origin, i), "%s%d" % (b.terminus, i))
+        for i in range(k)
+        for b in g.bundles
+    ]
+    return Graph(vs, bs)
+
+
+def test_covers_of_a_1024_family_lattice_match_the_quadratic_oracle(graphs):
+    invs = list(enumerate_invariants(_copies(graphs["two"], 5)))
+    assert len(invs) == 1024
+    edges = hasse_edges(invs)
+    # a product of five 4-element lattices, each with 4 covers
+    assert len(edges) == 5 * 4 * 4**4
+    assert edges == quadratic_hasse_edges(invs)
+    random.Random(4106).shuffle(invs)
+    assert hasse_edges(invs) == quadratic_hasse_edges(invs)
