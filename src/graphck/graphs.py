@@ -81,6 +81,17 @@ class EdgeBundle:
         if not is_omega(m) and not (isinstance(m, int) and m >= 1):
             raise GraphError("multiplicity of %r must be a positive int or omega" % self.name)
 
+    @classmethod
+    def trusted(cls, name: str, origin: str, terminus: str, multiplicity) -> "EdgeBundle":
+        """A bundle of multiplicity 1 or OMEGA, skipping the check in
+        __post_init__."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "name", name)
+        object.__setattr__(b, "origin", origin)
+        object.__setattr__(b, "terminus", terminus)
+        object.__setattr__(b, "multiplicity", multiplicity)
+        return b
+
     def instance(self, index: int = 0) -> "EdgeInstance":
         return EdgeInstance(self, index)
 
@@ -288,9 +299,7 @@ class Graph:
 
     @cached_property
     def infinite_emitters(self) -> frozenset[str]:
-        return frozenset(
-            v for v in self.vertices if any(is_omega(b.multiplicity) for b in self._out[v])
-        )
+        return frozenset(b.origin for b in self.bundles if is_omega(b.multiplicity))
 
     @cached_property
     def regular_vertices(self) -> frozenset[str]:
@@ -491,31 +500,32 @@ def parse_graph(text: str, name: str = "") -> Graph:
             stmt = stmt.strip()
             if not stmt:
                 continue
-            m = _VERTEX_STMT.match(stmt)
-            if m:
-                vertices.append(m.group("name"))
-                continue
-            m = _EDGE_STMT.match(stmt)
-            if m:
-                mult_text = m.group("mult")
-                if mult_text is None:
-                    mult: object = 1
-                elif mult_text == "omega":
-                    mult = OMEGA
-                else:
-                    try:
-                        mult = int(mult_text)
-                    except ValueError:
-                        raise GraphSyntaxError(
-                            "bad multiplicity %r" % mult_text, lineno
-                        ) from None
-                try:
-                    bundles.append(
-                        EdgeBundle(m.group("name"), m.group("orig"), m.group("term"), mult)
-                    )
-                except GraphError as exc:
-                    raise GraphSyntaxError(str(exc), lineno) from None
-                continue
+            # the keywords differ in their first letter: one pattern can match
+            if stmt[0] == "v":
+                m = _VERTEX_STMT.match(stmt)
+                if m:
+                    vertices.append(m[1])
+                    continue
+            else:
+                m = _EDGE_STMT.match(stmt)
+                if m:
+                    bname, orig, term, mult_text = m.groups()
+                    if mult_text is None:
+                        bundles.append(EdgeBundle.trusted(bname, orig, term, 1))
+                    elif mult_text == "omega":
+                        bundles.append(EdgeBundle.trusted(bname, orig, term, OMEGA))
+                    else:
+                        try:
+                            mult = int(mult_text)
+                        except ValueError:
+                            raise GraphSyntaxError(
+                                "bad multiplicity %r" % mult_text, lineno
+                            ) from None
+                        try:
+                            bundles.append(EdgeBundle(bname, orig, term, mult))
+                        except GraphError as exc:
+                            raise GraphSyntaxError(str(exc), lineno) from None
+                    continue
             raise GraphSyntaxError("cannot parse statement %r" % stmt, lineno)
     try:
         return Graph(vertices, bundles, name=name)

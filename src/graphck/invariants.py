@@ -19,7 +19,7 @@ every family.  Admissibility verdicts are cached on the graph, so the
 check that quotient_data repeats on an enumerated family is a lookup.
 hasse_edges reads the order off bit columns over the list, at
 O(n (V + X)) big-int operations for n families and X excluded edges,
-plus one per comparable pair to pick out the covers.
+plus about one per cover to pick the covers out.
 
 Over a tree, each family spreads to the open set union of the cones
 V(u; F_u), and conversely an open set is scanned back to the family of
@@ -290,6 +290,8 @@ def hasse_edges(invariants) -> list[tuple[int, int]]:
     those drops: O(V + X) big-int operations per element for X excluded
     edges, where comparing every pair would take n^2 calls.  The covers of
     i are what up[i] holds beyond the union of up[m] over its members m.
+    A member already in the union is skipped: the order is transitive, so
+    its up[m] is in the union too.
     """
     invs = list(invariants)
     has: dict[str, int] = {}
@@ -325,6 +327,7 @@ def hasse_edges(invariants) -> list[tuple[int, int]]:
             low = rest & -rest
             higher |= up[low.bit_length() - 1]
             rest ^= low
+            rest &= ~higher  # up[m] of an m in higher is already in it
         covers = above & ~higher
         while covers:
             low = covers & -covers

@@ -65,14 +65,15 @@ class Cycle:
     __repr__ = __str__
 
 
-def _canonical_rotation(steps: tuple[EdgeInstance, ...]) -> tuple[EdgeInstance, ...]:
-    """Rotate a cycle so its smallest step comes first.
+def _canonical_rotation(bundles: tuple[EdgeBundle, ...]) -> tuple[EdgeBundle, ...]:
+    """Rotate a cycle so its smallest bundle name comes first.
 
-    The steps of a vertex-simple cycle leave distinct vertices, so they are
-    distinct and the smallest one alone fixes the minimal rotation.
+    The steps of a vertex-simple cycle leave distinct vertices, so their
+    bundles are distinct and the smallest name alone fixes the minimal
+    rotation.
     """
-    j = min(range(len(steps)), key=lambda i: steps[i].sort_key())
-    return steps[j:] + steps[:j]
+    j = min(range(len(bundles)), key=lambda i: bundles[i].name)
+    return bundles[j:] + bundles[:j]
 
 
 def _cycle_count(bundles) -> object:
@@ -134,15 +135,19 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
     kind from its component.  Raises CycleCapError past cap cycles.
     """
     found: list[tuple[EdgeBundle, ...]] = []
-    todo = [g.sccs[i] for i in g.cyclic_sccs]
+    cyclic = g.cyclic_sccs
+    # a terminal or transitory component is bare: it is one cycle, through start
+    todo = [(g.sccs[i], kind != "returning") for i, kind in cyclic.items()]
     while todo:
-        comp = todo.pop()
+        comp, bare = todo.pop()
         succ = {v: [b for b in g.delta1(v).bundles if b.terminus in comp] for v in comp}
         start = min(comp)
         for bundles in _circuits(start, succ):
-            found.append(bundles)
+            found.append(_canonical_rotation(bundles))
             if len(found) > cap:
                 raise CycleCapError("more than %d cycles" % cap)
+        if bare:
+            continue
         # the cycles avoiding start lie in the components of what is left
         rest = comp - {start}
 
@@ -151,14 +156,20 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
 
         for sub in tarjan(rest, inner):
             if len(sub) > 1 or any(t in sub for v in sub for t in inner(v)):
-                todo.append(sub)
-    out = []
-    for bundles in found:
-        steps = _canonical_rotation(tuple(b.instance(0) for b in bundles))
-        kind = g.cyclic_sccs[g.scc_index[steps[0].origin]]
-        out.append(Cycle(steps, kind, _cycle_count(bundles)))
-    out.sort(key=lambda c: tuple(e.sort_key() for e in c.instances))
-    return tuple(out)
+                todo.append((sub, False))
+    # every step is instance 0, so names order the cycles as sort keys do
+    found.sort(key=lambda bundles: [b.name for b in bundles])
+    # one instance 0 per bundle on a cycle, however many cycles share it
+    on_cycle = {b.name: b for bundles in found for b in bundles}
+    step = {name: b.instance(0) for name, b in on_cycle.items()}
+    return tuple(
+        Cycle(
+            tuple(step[b.name] for b in bundles),
+            cyclic[g.scc_index[bundles[0].origin]],
+            _cycle_count(bundles),
+        )
+        for bundles in found
+    )
 
 
 @dataclass(frozen=True)

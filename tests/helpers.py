@@ -6,11 +6,20 @@ Everything takes an explicit random.Random so each test pins its own seed.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from graphck.fock import FockError, PathBasis, RelationReport
-from graphck.graphs import OMEGA, EdgeBundle, Graph, SignedEdge, is_omega
+from graphck.graphs import (
+    OMEGA,
+    EdgeBundle,
+    Graph,
+    GraphError,
+    GraphSyntaxError,
+    SignedEdge,
+    is_omega,
+)
 from graphck.paths import Path, directed_upto
 
 
@@ -244,6 +253,58 @@ def naive_invariants(g: Graph, skip_above: int = 50000):
                     key = tuple(sorted((u, f) for u, f in fmap.items() if f))
                     out.add((nset, key))
     return out
+
+
+# A reference implementation of graphck.graphs.parse_graph, kept as a
+# differential oracle: the statement-by-statement reader that tries both
+# statement patterns on every statement.
+
+_ORACLE_EDGE_STMT = re.compile(
+    r"edge\s+(?P<name>\S+)\s*:\s*(?P<orig>\S+)\s*->\s*(?P<term>\S+)"
+    r"(?:\s*\*\s*(?P<mult>\S+))?\Z"
+)
+_ORACLE_VERTEX_STMT = re.compile(r"vertex\s+(?P<name>\S+)\Z")
+
+
+def oracle_parse_graph(text: str, name: str = "") -> Graph:
+    """The graph format read line by line, trying the vertex pattern and
+    then the edge pattern on every statement."""
+    vertices = []
+    bundles = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        for stmt in line.split(";"):
+            stmt = stmt.strip()
+            if not stmt:
+                continue
+            m = _ORACLE_VERTEX_STMT.match(stmt)
+            if m:
+                vertices.append(m.group("name"))
+                continue
+            m = _ORACLE_EDGE_STMT.match(stmt)
+            if m:
+                mult_text = m.group("mult")
+                if mult_text is None:
+                    mult = 1
+                elif mult_text == "omega":
+                    mult = OMEGA
+                else:
+                    try:
+                        mult = int(mult_text)
+                    except ValueError:
+                        raise GraphSyntaxError("bad multiplicity %r" % mult_text, lineno) from None
+                try:
+                    bundles.append(
+                        EdgeBundle(m.group("name"), m.group("orig"), m.group("term"), mult)
+                    )
+                except GraphError as exc:
+                    raise GraphSyntaxError(str(exc), lineno) from None
+                continue
+            raise GraphSyntaxError("cannot parse statement %r" % stmt, lineno)
+    try:
+        return Graph(vertices, bundles, name=name)
+    except GraphError as exc:
+        raise GraphSyntaxError(str(exc)) from exc
 
 
 # Reference implementations of graphck.structure, kept as differential

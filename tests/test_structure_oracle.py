@@ -138,3 +138,48 @@ def test_free_point_ignores_hash_seed():
     first = _run_under_hash_seed("1", _FREE_POINT)
     assert first == _run_under_hash_seed("2", _FREE_POINT)
     assert first == "u (a, b) (c,)\n"
+
+
+def _complete(n: int) -> str:
+    lines = ["vertex v%d" % i for i in range(n)]
+    lines += ["edge e%d_%d : v%d -> v%d" % (i, j, i, j) for i in range(n) for j in range(n) if i != j]
+    return "\n".join(lines)
+
+
+# (text, the kinds of its cycles) for the census shortcut: a terminal or
+# transitory component is one cycle, found without a second Tarjan pass
+CENSUS_CASES = {
+    "terminal ring": (
+        "vertex a; vertex b; vertex c\nedge x : a -> b; edge y : b -> c; edge z : c -> a",
+        ["terminal"],
+    ),
+    "transitory ring": (
+        "vertex a; vertex b; vertex c; vertex s\n"
+        "edge x : a -> b; edge y : b -> c; edge z : c -> a; edge out : b -> s",
+        ["transitory"],
+    ),
+    "ring with a doubled bundle": (
+        "vertex a; vertex b; vertex c\nedge x : a -> b * 2; edge y : b -> c; edge z : c -> a",
+        ["returning"],
+    ),
+    "omega self-loop": ("vertex u\nedge e : u -> u * omega", ["returning"]),
+    "two bare rings at a hub": (
+        "vertex h; vertex b1; vertex b2; vertex c1; vertex c2\n"
+        "edge in_b : h -> b1; edge b12 : b1 -> b2; edge b21 : b2 -> b1; edge back_b : b2 -> h\n"
+        "edge in_c : h -> c1; edge c12 : c1 -> c2; edge c21 : c2 -> c1; edge back_c : c2 -> h",
+        ["returning"] * 4,
+    ),
+    **{"K%d" % n: (_complete(n), None) for n in range(3, 7)},
+}
+
+
+def test_census_shortcut_matches_oracle():
+    for label, (text, kinds) in CENSUS_CASES.items():
+        g = graphck.parse_graph(text)
+        got = find_cycles(g)
+        assert got == oracle_find_cycles(g), label
+        if kinds is not None:
+            assert [c.kind for c in got] == kinds, label
+        _assert_matches_oracle(g, label)
+    # K_n has sum over k >= 2 of C(n, k) (k - 1)! simple cycles
+    assert len(find_cycles(graphck.parse_graph(_complete(6)))) == 409
