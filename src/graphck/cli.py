@@ -28,10 +28,10 @@ from .graphs import (
 )
 from .invariants import (
     InvariantError,
-    build_quotient,
     enumerate_invariants,
     hasse_edges,
     induced_marks,
+    quotient_data,
 )
 from .paths import PathError, parse_path
 from .points import PointError, parse_point
@@ -114,8 +114,7 @@ def cmd_ideals(args) -> int:
     order = hasse_edges(en.invariants)
     families = []
     for i, inv in enumerate(en.invariants):
-        # enumerate_invariants has checked every family
-        qd = build_quotient(g, inv)
+        qd = quotient_data(g, inv)
         families.append(
             {
                 "index": i,
@@ -298,7 +297,7 @@ def _singleton_checks(rng, g, sub, sub_marks, lines) -> bool:
         if u not in sub.regular_vertices or checked >= 6:
             continue
         checked += 1
-        w = RingSet.of(tree, [BasicSet(p, frozenset(sub.delta1(u).finite_instances()))])
+        w = RingSet.of(tree, [BasicSet(p, frozenset(sub.out_instances(u)))])
         pushed = w.pushforward(
             FiberTree(g, tree.base),
             lambda q: _lift_path(g, q),

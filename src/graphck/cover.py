@@ -35,7 +35,7 @@ def cover_delta1(fiber: FiberTree, p: Path, omega_cap: int | None = None) -> lis
     """The positive tree edges leaving the cover vertex p, as explicit pairs."""
     fiber.check_vertex(p)
     out = []
-    for e in fiber.out_edges(p).iter_instances(omega_cap):
+    for e in fiber.graph.out_instances(fiber.endpoint(p), omega_cap):
         out.append(CoverEdge(p, fiber.child(p, e), e))
     return out
 

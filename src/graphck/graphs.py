@@ -66,9 +66,6 @@ class CapError(GraphError):
     """An enumeration needed a cap it was not given, or passed one."""
 
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
 @dataclass(frozen=True)
 class EdgeBundle:
     name: str
@@ -171,39 +168,6 @@ class SignedEdge:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class Delta1:
-    """The outgoing positive edges of one vertex."""
-
-    bundles: tuple[EdgeBundle, ...]
-
-    @cached_property
-    def infinite(self) -> bool:
-        return any(is_omega(b.multiplicity) for b in self.bundles)
-
-    @property
-    def count(self):
-        if self.infinite:
-            return OMEGA
-        return sum(b.multiplicity for b in self.bundles)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.bundles
-
-    def finite_instances(self) -> tuple[EdgeInstance, ...]:
-        if self.infinite:
-            raise GraphError("vertex emits infinitely many edges")
-        return tuple(e for b in self.bundles for e in b.instances())
-
-    def iter_instances(self, omega_cap: int | None = None) -> Iterator[EdgeInstance]:
-        for b in self.bundles:
-            yield from b.instances(omega_cap)
-
-    def __contains__(self, e: EdgeInstance) -> bool:
-        return e.bundle in self.bundles
-
-
 class Graph:
     """Immutable directed graph over named vertices and edge bundles."""
 
@@ -211,14 +175,14 @@ class Graph:
         vertices, bundles = tuple(vertices), tuple(bundles)
         seen: set[str] = set()
         for v in vertices:
-            if not _NAME.match(v):
+            if not (v.isascii() and v.isidentifier()):
                 raise GraphError("bad vertex name %r" % v)
             if v in seen:
                 raise GraphError("duplicate name %r" % v)
             seen.add(v)
         declared = frozenset(vertices)
         for b in bundles:
-            if not _NAME.match(b.name):
+            if not (b.name.isascii() and b.name.isidentifier()):
                 raise GraphError("bad edge name %r" % b.name)
             if b.name in seen:
                 raise GraphError("duplicate name %r" % b.name)
@@ -279,15 +243,14 @@ class Graph:
             raise GraphError("bad edge index %r" % idx) from None
         return b.instance(index)
 
-    def delta1(self, v: str) -> Delta1:
+    def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)
-        return self._delta1s[v]
+        return self._out[v]
 
-    @cached_property
-    def _delta1s(self) -> dict[str, Delta1]:
-        # built on first use: quotient_data makes a graph per family and
-        # never asks it for out-edges
-        return {v: Delta1(bs) for v, bs in self._out.items()}
+    def out_instances(self, v: str, omega_cap: int | None = None) -> tuple[EdgeInstance, ...]:
+        """The edge instances leaving v, bundle by bundle; an omega bundle is
+        cut off at omega_cap and raises CapError without one."""
+        return tuple(e for b in self.out_bundles(v) for e in b.instances(omega_cap))
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)

@@ -142,14 +142,13 @@ def _check_family(g: Graph, inv: Invariant) -> CheckResult:
         return CheckResult(False, tuple(failures))
 
     for u in sorted(nset):
-        d = g.delta1(u)
         excl = fmap.get(u, frozenset())
-        if not d.infinite and excl:
+        if excl and u not in g.infinite_emitters:
             failures.append("vertex %s has finite valence but excludes %d edges" % (u, len(excl)))
         chosen: dict[EdgeBundle, int] = {}
         for e in excl:
             chosen[e.bundle] = chosen.get(e.bundle, 0) + 1
-        for b in d.bundles:
+        for b in g.out_bundles(u):
             picked = chosen.get(b, 0)
             t = b.terminus
             if is_omega(b.multiplicity) or picked < b.multiplicity:
@@ -166,7 +165,7 @@ def _check_family(g: Graph, inv: Invariant) -> CheckResult:
                         "excluded edge %s from %s lands on %s, which needs a nonempty exclusion set"
                         % (b.name, u, t)
                     )
-                elif g.delta1(t).infinite:
+                elif t in g.infinite_emitters:
                     notes.append(
                         "excluded edge %s lands on the infinite-valence member %s with exclusions"
                         % (b.name, t)
@@ -174,7 +173,7 @@ def _check_family(g: Graph, inv: Invariant) -> CheckResult:
     for u in g.vertices:
         if u in nset or u not in g.regular_vertices:
             continue
-        if all(b.terminus in nset and not fmap.get(b.terminus) for b in g.delta1(u).bundles):
+        if all(b.terminus in nset and not fmap.get(b.terminus) for b in g.out_bundles(u)):
             failures.append(
                 "vertex %s sees only members with empty exclusions and must join the family" % u
             )
@@ -249,7 +248,7 @@ def enumerate_invariants(g: Graph) -> Enumeration:
     for h in _closed_sets(g):
         breaking = []
         for u in emitters:
-            bundles = g.delta1(u).bundles
+            bundles = g.out_bundles(u)
             if u in h or any(is_omega(b.multiplicity) and b.terminus not in h for b in bundles):
                 continue
             excl = [
@@ -420,17 +419,18 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
 
     fam = {}
     for p in universe:
-        d = tree.out_edges(p)
-        if not d.infinite:
+        v = tree.endpoint(p)
+        if v not in tree.graph.infinite_emitters:
             if swallows(p):
                 fam[p] = frozenset()
             continue
         named = _named_omega_indices(w, p)
-        omegas = [b for b in d.bundles if is_omega(b.multiplicity)]
+        bundles = tree.graph.out_bundles(v)
+        omegas = [b for b in bundles if is_omega(b.multiplicity)]
         if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
             continue
         candidates = []
-        for b in d.bundles:
+        for b in bundles:
             if is_omega(b.multiplicity):
                 candidates.extend(b.instance(i) for i in range(named.get(b, -1) + 1))
             else:
@@ -462,16 +462,11 @@ class QuotientData:
 
 
 def quotient_data(g: Graph, inv: Invariant) -> QuotientData:
-    """The quotient data of a family, which must be admissible."""
+    """The quotient data of a family, which must be admissible.  The check
+    reads g.family_verdicts, so after enumerate_invariants it is a lookup."""
     res = is_invariant(g, inv)
     if not res.ok:
         raise InvariantError("not an admissible family: %s" % (res.failures[0],))
-    return build_quotient(g, inv)
-
-
-def build_quotient(g: Graph, inv: Invariant) -> QuotientData:
-    """quotient_data without the admissibility check, for a family already
-    known to be admissible, such as one from enumerate_invariants."""
     rset = inv.r_vertices
     kept = [v for v in g.vertices if v not in inv.vertices or v in rset]
     keptset = set(kept)
@@ -501,5 +496,5 @@ def induced_marks(sub: Graph, sup: Graph, marks: Iterable[str]) -> frozenset[str
     return frozenset(
         v
         for v in marks
-        if sub.has_vertex(v) and set(sub.delta1(v).bundles) == set(sup.delta1(v).bundles)
+        if sub.has_vertex(v) and set(sub.out_bundles(v)) == set(sup.out_bundles(v))
     )

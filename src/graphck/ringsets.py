@@ -303,10 +303,10 @@ class RingSet:
         for b in self.blocks:
             if not in_s(b.apex):
                 return False
-            d = tree.out_edges(b.apex)
-            if d.infinite:
+            v = tree.endpoint(b.apex)
+            if v in tree.graph.infinite_emitters:
                 return False
-            if set(d.finite_instances()) != set(b.excluded):
+            if set(tree.graph.out_instances(v)) != b.excluded:
                 return False
         return True
 

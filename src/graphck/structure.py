@@ -140,7 +140,7 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
     todo = [(g.sccs[i], kind != "returning") for i, kind in cyclic.items()]
     while todo:
         comp, bare = todo.pop()
-        succ = {v: [b for b in g.delta1(v).bundles if b.terminus in comp] for v in comp}
+        succ = {v: [b for b in g.out_bundles(v) if b.terminus in comp] for v in comp}
         start = min(comp)
         for bundles in _circuits(start, succ):
             found.append(_canonical_rotation(bundles))
@@ -288,7 +288,7 @@ def _bfs_word(g: Graph, src: str, targets, within=None) -> tuple[SignedEdge, ...
                 at, e = prev[at]
                 word.append(SignedEdge(e))
             return tuple(reversed(word))
-        for b in g.delta1(at).bundles:
+        for b in g.out_bundles(at):
             t = b.terminus
             if t not in seen and (within is None or t in within):
                 seen.add(t)
@@ -324,7 +324,7 @@ def free_point_from(g: Graph, u: str):
         if g.scc_index[w] == i:
             inside = [
                 b.instance(k)
-                for b in g.delta1(w).bundles
+                for b in g.out_bundles(w)
                 if b.terminus in comp
                 for k in range(1 if b.multiplicity == 1 else 2)
             ]

@@ -10,7 +10,8 @@ out-edge inspection, child steps, and the unique walk between two vertices.
 Each tree supplies only ``check_vertex``, ``child``, ``vkey`` and
 
 * ``word(v)``: the reduced word of signed edges from the root to v,
-* ``endpoint(v)``: the graph vertex under v, whose out-edges are v's,
+* ``endpoint(v)``: the graph vertex under v; v's out-edges are its
+  ``graph.out_bundles``, enumerated by ``graph.out_instances``,
 * ``along(v, n)``: the vertex n letters along v's root word.
 
 The rest is written once in ``Tree``.  Two root words part at their longest
@@ -27,7 +28,7 @@ instances at a fixed anchor, which keeps that identification sound.
 
 from __future__ import annotations
 
-from .graphs import Delta1, EdgeInstance, Graph, GraphError, SignedEdge, is_omega
+from .graphs import EdgeInstance, Graph, GraphError, SignedEdge, is_omega
 from .paths import Path, directed_upto
 
 Step = tuple[EdgeInstance, bool]  # instance plus direction of traversal
@@ -42,11 +43,8 @@ class Tree:
 
     graph: Graph
 
-    def out_edges(self, v) -> Delta1:
-        return self.graph.delta1(self.endpoint(v))
-
     def validate_out_edge(self, v, e: EdgeInstance):
-        if e not in self.out_edges(v):
+        if e.bundle not in self.graph.out_bundles(self.endpoint(v)):
             raise TreeError("edge %s does not leave the end of %s" % (e, v))
 
     def relation(self, u, v):
@@ -99,8 +97,7 @@ class Tree:
         return tuple(s.sort_key() for s in self.word(v))
 
     def is_boundary_vertex(self, v) -> bool:
-        d = self.out_edges(v)
-        return d.is_empty or d.infinite
+        return self.endpoint(v) not in self.graph.regular_vertices
 
     def touches_boundary(self, apex, excluded=frozenset()) -> bool:
         """Does the cone at apex (minus excluded first steps) meet the boundary?
@@ -112,7 +109,9 @@ class Tree:
         """
         for e in excluded:
             self.validate_out_edge(apex, e)
-        return self.is_boundary_vertex(apex) or len(excluded) < self.out_edges(apex).count
+        return self.is_boundary_vertex(apex) or len(excluded) < sum(
+            b.multiplicity for b in self.graph.out_bundles(self.endpoint(apex))
+        )
 
 
 class FiniteTree(Tree):
@@ -132,7 +131,7 @@ class FiniteTree(Tree):
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            steps = [SignedEdge(b.instance(0)) for b in graph.delta1(v).bundles]
+            steps = [SignedEdge(b.instance(0)) for b in graph.out_bundles(v)]
             steps += [SignedEdge(b.instance(0), False) for b in graph.in_bundles(v)]
             for s in steps:
                 if s.terminus not in words:
@@ -162,7 +161,7 @@ class FiniteTree(Tree):
         return self._words[v]
 
     def endpoint(self, v: str) -> str:
-        return v
+        return self.graph.check_vertex(v)
 
     def child(self, v: str, e: EdgeInstance) -> str:
         self.validate_out_edge(v, e)
@@ -248,16 +247,15 @@ class FiberTree(Tree):
     def directed_to_depth(self, depth: int, omega_cap: int = 3) -> list[Path]:
         """The fiber vertices under the unit: directed paths up to depth."""
         out = directed_upto(
-            [self.unit], lambda v: self.graph.delta1(v).iter_instances(omega_cap), depth
+            [self.unit], lambda v: self.graph.out_instances(v, omega_cap), depth
         )
         out.sort(key=self.vkey)
         return out
 
     def _signed_extensions(self, p: Path, omega_cap: int):
         at = p.terminus
-        for b in self.graph.delta1(at).bundles:
-            for e in b.instances(omega_cap):
-                yield SignedEdge(e)
+        for e in self.graph.out_instances(at, omega_cap):
+            yield SignedEdge(e)
         for b in self.graph.in_bundles(at):
             for e in b.instances(omega_cap):
                 yield SignedEdge(e, forward=False)

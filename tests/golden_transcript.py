@@ -42,7 +42,7 @@ def _cone(rng: random.Random, g, base: str) -> str:
         # often names edges that do not leave the apex: a bad exclusion
         pool = [e for b in g.bundles for e in b.instances(2)]
     else:
-        pool = list(g.delta1(p.terminus).iter_instances(2))
+        pool = list(g.out_instances(p.terminus, 2))
     cut = rng.sample(pool, rng.randint(0, min(3, len(pool)))) if pool else []
     if not cut:
         return "V(%s)" % p

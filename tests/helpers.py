@@ -69,19 +69,23 @@ def reachable(g: Graph, v: str) -> frozenset[str]:
         if w in seen:
             continue
         seen.add(w)
-        frontier.extend(b.terminus for b in g.delta1(w).bundles)
+        frontier.extend(b.terminus for b in g.out_bundles(w))
     return frozenset(seen)
 
 
 def _signed_extensions(g: Graph, at: str, omega_cap: int = 3) -> list[SignedEdge]:
     out = []
-    for b in g.delta1(at).bundles:
+    for b in g.out_bundles(at):
         cap = omega_cap if is_omega(b.multiplicity) else None
         out.extend(SignedEdge(e) for e in b.instances(cap))
     for b in g.in_bundles(at):
         cap = omega_cap if is_omega(b.multiplicity) else None
         out.extend(SignedEdge(e, forward=False) for e in b.instances(cap))
     return out
+
+
+def _emits_omega(bundles) -> bool:
+    return any(is_omega(b.multiplicity) for b in bundles)
 
 
 def random_walk_path(
@@ -108,9 +112,8 @@ def random_directed_path(
     at = start if start is not None else rng.choice(g.vertices)
     p = Path.unit(at)
     for _ in range(rng.randint(0, max_len)):
-        d1 = g.delta1(p.terminus)
         options = []
-        for b in d1.bundles:
+        for b in g.out_bundles(p.terminus):
             cap = 3 if is_omega(b.multiplicity) else None
             options.extend(b.instances(cap))
         if not options:
@@ -145,7 +148,7 @@ def random_basic(rng, tree):
     from graphck.ringsets import BasicSet
 
     apex = rng.choice(tree.vertices)
-    d1 = tree.out_edges(apex).finite_instances()
+    d1 = tree.graph.out_instances(tree.endpoint(apex))
     excluded = frozenset(e for e in d1 if rng.random() < 0.4)
     return BasicSet(apex, excluded)
 
@@ -191,11 +194,11 @@ def _naive_family_ok(g: Graph, nset, fmap) -> bool:
     at a time.  Omega bundles always keep instances outside the finite
     exclusion sets, so those act like a single non-excluded instance."""
     for u in nset:
-        d = g.delta1(u)
+        bundles = g.out_bundles(u)
         fset = fmap.get(u, frozenset())
-        if not d.infinite and fset:
+        if fset and not _emits_omega(bundles):
             return False
-        for b in d.bundles:
+        for b in bundles:
             t = b.terminus
             if is_omega(b.multiplicity):
                 instances = [b.instance(i) for i in range(3)]
@@ -211,10 +214,10 @@ def _naive_family_ok(g: Graph, nset, fmap) -> bool:
     for u in g.vertices:
         if u in nset:
             continue
-        d = g.delta1(u)
-        if d.is_empty or d.infinite:
+        bundles = g.out_bundles(u)
+        if not bundles or _emits_omega(bundles):
             continue
-        if all(b.terminus in nset and not fmap.get(b.terminus, frozenset()) for b in d.bundles):
+        if all(b.terminus in nset and not fmap.get(b.terminus, frozenset()) for b in bundles):
             return False
     return True
 
@@ -229,9 +232,9 @@ def naive_invariants(g: Graph, skip_above: int = 50000):
     verts = sorted(g.vertices)
     options = {}
     for u in verts:
-        d = g.delta1(u)
-        if d.infinite:
-            fin = [e for b in d.bundles if not is_omega(b.multiplicity) for e in b.instances()]
+        bundles = g.out_bundles(u)
+        if _emits_omega(bundles):
+            fin = [e for b in bundles if not is_omega(b.multiplicity) for e in b.instances()]
             opts = []
             for k in range(len(fin) + 1):
                 opts.extend(frozenset(c) for c in itertools.combinations(fin, k))
@@ -335,7 +338,7 @@ def _oracle_cycle_count(bundles):
 def _oracle_exits(g: Graph, steps):
     """Instances leaving a cycle vertex other than the cycle's own step."""
     for e in steps:
-        for b in g.delta1(e.origin).bundles:
+        for b in g.out_bundles(e.origin):
             if b is e.bundle and not is_omega(b.multiplicity) and b.multiplicity == 1:
                 continue
             if b is e.bundle:
@@ -363,7 +366,7 @@ def oracle_find_cycles(g: Graph, cap: int = 10000):
     order = {v: i for i, v in enumerate(g.vertices)}
 
     def walk(start, at, trail, onpath):
-        for b in g.delta1(at).bundles:
+        for b in g.out_bundles(at):
             t = b.terminus
             if t == start:
                 steps = _oracle_rotation(tuple(x.instance(0) for x in trail + (b,)))
@@ -397,7 +400,7 @@ def _oracle_sccs(g: Graph):
         counter[0] += 1
         stack.append(v)
         onstack.add(v)
-        for b in g.delta1(v).bundles:
+        for b in g.out_bundles(v):
             w = b.terminus
             if w not in index:
                 strong(w)
@@ -424,7 +427,7 @@ def _oracle_has_internal_cycle(g: Graph, comp) -> bool:
     if len(comp) > 1:
         return True
     (v,) = comp
-    return any(b.terminus == v for b in g.delta1(v).bundles)
+    return any(b.terminus == v for b in g.out_bundles(v))
 
 
 def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
@@ -518,7 +521,7 @@ def oracle_count_paths_into(g: Graph, u: str):
     cycle vertex or omega terminus reaches u."""
     sources = set()
     for v in g.vertices:
-        for b in g.delta1(v).bundles:
+        for b in g.out_bundles(v):
             if v in reachable(g, b.terminus):
                 sources.add(v)
             if is_omega(b.multiplicity):
@@ -557,7 +560,7 @@ def oracle_free_point_from(g: Graph, u: str):
         branching = None
         for v in sorted(comp, key=order.__getitem__):
             inside = []
-            for b in g.delta1(v).bundles:
+            for b in g.out_bundles(v):
                 if b.terminus not in comp:
                     continue
                 n = 2 if is_omega(b.multiplicity) else b.multiplicity
@@ -595,7 +598,7 @@ def oracle_closed_sets(g: Graph):
     verts = sorted(g.vertices)
     n = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    succ = [[index[b.terminus] for b in g.delta1(v).bundles] for v in verts]
+    succ = [[index[b.terminus] for b in g.out_bundles(v)] for v in verts]
     saturating = [index[v] for comp in g.sccs for v in comp if v in g.regular_vertices]
 
     def close(seed: bytearray) -> bytearray:
@@ -637,9 +640,9 @@ def _oracle_f_options(g: Graph, u: str, omega_f_bound: int):
     """
     import itertools
 
-    d = g.delta1(u)
-    finite_bundles = [b for b in d.bundles if not is_omega(b.multiplicity)]
-    omega_bundles = [b for b in d.bundles if is_omega(b.multiplicity)]
+    bundles = g.out_bundles(u)
+    finite_bundles = [b for b in bundles if not is_omega(b.multiplicity)]
+    omega_bundles = [b for b in bundles if is_omega(b.multiplicity)]
     base = []
     for k in range(len(finite_bundles) + 1):
         for combo in itertools.combinations(finite_bundles, k):
@@ -837,7 +840,7 @@ def oracle_build_basis(g, mode="toeplitz", marks=None, depth=None, omega_cap=3):
     depth_eff = len(g.vertices) if depth is None else depth
     exact = not cyclic and not has_omega and (depth is None or depth >= len(g.vertices) - 1)
     units = [Path.unit(v) for v in g.vertices]
-    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(omega_cap), depth_eff)
+    out = directed_upto(units, lambda v: g.out_instances(v, omega_cap), depth_eff)
     out = [p for p in out if p.terminus not in mset]
     out.sort(key=lambda p: p.sort_key())
     return PathBasis(g, mode, mset, depth, omega_cap, tuple(out), exact)
@@ -932,7 +935,7 @@ def oracle_verify_relations(basis):
     witness = ""
     for u in g.vertices:
         acc = OracleSparseOperator.zero(n)
-        for b in g.delta1(u).bundles:
+        for b in g.out_bundles(u):
             cap = basis.omega_cap if is_omega(b.multiplicity) else None
             for e in b.instances(cap):
                 acc = acc + smat[e] @ smat[e].adjoint()
@@ -947,7 +950,7 @@ def oracle_verify_relations(basis):
     witness = ""
     for u in sorted(basis.marks):
         acc = OracleSparseOperator.zero(n)
-        for b in g.delta1(u).bundles:
+        for b in g.out_bundles(u):
             for e in b.instances():
                 acc = acc + smat[e] @ smat[e].adjoint()
         if not _oracle_agree(pmat[u], acc, interior):
@@ -979,7 +982,7 @@ def _oracle_all_directed_paths(g: Graph) -> list[Path]:
     while frontier:
         nxt = []
         for p in frontier:
-            for b in g.delta1(p.terminus).bundles:
+            for b in g.out_bundles(p.terminus):
                 if is_omega(b.multiplicity):
                     raise FockError("infinite bundle in an exact enumeration")
                 for e in b.instances():
@@ -1084,25 +1087,28 @@ def oracle_touches_boundary(tree, apex, excluded=frozenset()):
     g = tree.graph
     if not isinstance(tree, FiberTree):
         cone = [apex]
-        frontier = [
-            e.terminus for e in tree.out_edges(apex).finite_instances() if e not in excluded
-        ]
+        frontier = [e.terminus for e in g.out_instances(apex) if e not in excluded]
         while frontier:
             v = frontier.pop()
             cone.append(v)
-            frontier.extend(e.terminus for e in tree.out_edges(v).finite_instances())
-        return any(tree.out_edges(v).is_empty for v in cone)
+            frontier.extend(e.terminus for e in g.out_instances(v))
+        return any(not g.out_bundles(v) for v in cone)
     end = apex.terminus
     skipped: dict = {}
     for e in excluded:
         skipped[e.bundle] = skipped.get(e.bundle, 0) + 1
-    if end in g.sinks or end in g.infinite_emitters:
+
+    def singular(v):
+        bundles = g.out_bundles(v)
+        return not bundles or _emits_omega(bundles)
+
+    if singular(end):
         return True
     beyond: set[str] = set()
-    for b in g.delta1(end).bundles:
+    for b in g.out_bundles(end):
         if is_omega(b.multiplicity) or skipped.get(b, 0) < b.multiplicity:
             beyond |= reachable(g, b.terminus)
-    bad = g.sinks | g.infinite_emitters | g.cycle_vertices
+    bad = {v for v in g.vertices if singular(v)} | g.cycle_vertices
     return bool(beyond & bad)
 
 

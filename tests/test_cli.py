@@ -95,14 +95,15 @@ def test_ideals_lists_no_cycles(tmp_path, capsys):
 
 
 def test_ideals_checks_each_family_once(capsys, monkeypatch):
+    # quotient_data asks is_invariant again, which reads the kept verdict
     calls = []
-    real = invariants.is_invariant
+    real = invariants._check_family
 
     def counting(g, inv):
         calls.append(inv)
         return real(g, inv)
 
-    monkeypatch.setattr(invariants, "is_invariant", counting)
+    monkeypatch.setattr(invariants, "_check_family", counting)
     for name in corpus.GRAPH_NAMES:
         calls.clear()
         code, data = run_json(capsys, "ideals", name)

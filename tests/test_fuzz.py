@@ -20,7 +20,7 @@ EXPRS = ("%s - %s | %s", "%s | %s == %s", "(%s ^ %s) & %s", "%s & (%s - %s) == 0
 
 def cone(rng, g, base):
     p = random_walk_path(rng, g, max_len=3, start=base)
-    cut = list(g.delta1(p.terminus).iter_instances(2))
+    cut = list(g.out_instances(p.terminus, 2))
     cut = rng.sample(cut, rng.randint(0, len(cut))) if cut else []
     return "V(%s)" % p if not cut else "V(%s; %s)" % (p, ", ".join(map(str, cut)))
 

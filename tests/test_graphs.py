@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from graphck.graphs import (
     OMEGA,
+    CapError,
     EdgeBundle,
     Graph,
     GraphError,
@@ -68,20 +70,40 @@ def test_vertex_classes(graphs):
     assert graphs["two"].sinks == {"v", "w"}
 
 
-def test_delta1(graphs):
-    d = graphs["o2"].delta1("u")
-    assert d.count == 2
-    assert not d.infinite
-    assert [str(e) for e in d.finite_instances()] == ["a", "b"]
-    d = graphs["oinf"].delta1("u")
-    assert d.infinite
-    assert is_omega(d.count)
-    with pytest.raises(GraphError):
-        d.finite_instances()
-    assert [str(e) for e in d.iter_instances(omega_cap=2)] == ["a#0", "a#1"]
-    assert graphs["oinf"].delta1("u") is d
-    with pytest.raises(GraphError):
-        graphs["oinf"].delta1("nowhere")
+def test_out_bundles(graphs):
+    g = graphs["o2"]
+    assert sum(b.multiplicity for b in g.out_bundles("u")) == 2
+    assert "u" not in g.infinite_emitters
+    assert [str(e) for e in g.out_instances("u")] == ["a", "b"]
+    g = graphs["oinf"]
+    bundles = g.out_bundles("u")
+    assert "u" in g.infinite_emitters
+    assert [is_omega(b.multiplicity) for b in bundles] == [True]
+    with pytest.raises(CapError):
+        g.out_instances("u")
+    assert [str(e) for e in g.out_instances("u", omega_cap=2)] == ["a#0", "a#1"]
+    assert g.out_bundles("u") is bundles
+    for ask in (g.out_bundles, g.out_instances):
+        with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
+            ask("nowhere")
+
+
+def test_names_are_ascii_identifiers():
+    # a name is what [A-Za-z_][A-Za-z0-9_]*\Z matches; Graph agrees on keywords,
+    # non-ASCII letters and digits, and a trailing newline
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+    cases = ["a", "_", "A_9", "1a", "", "if", "\u00e9", "\uff58", "\u0660", "a-b", "a b", "a\n"]
+    for name in cases:
+        ok = pattern.match(name) is not None
+        assert ok == (name in ("a", "_", "A_9", "if")), name
+        if ok:
+            assert Graph([name], []).vertices == (name,)
+            assert Graph(["u"], [EdgeBundle(name, "u", "u")]).bundle(name).name == name
+        else:
+            with pytest.raises(GraphError, match="bad vertex name"):
+                Graph([name], [])
+            with pytest.raises(GraphError, match="bad edge name"):
+                Graph(["u"], [EdgeBundle(name, "u", "u")])
 
 
 def test_instance_parsing(graphs):
@@ -133,7 +155,7 @@ def test_restricted_matches_the_checked_constructor():
         for v in g.vertices:
             assert fast.has_vertex(v) == (v in kept)
         for v in keep:
-            assert fast.delta1(v) == slow.delta1(v)
+            assert fast.out_bundles(v) == slow.out_bundles(v)
             assert fast.in_bundles(v) == slow.in_bundles(v)
         for b in bundles:
             assert fast.bundle(b.name) is b

@@ -2,10 +2,12 @@
 __init__, which imports to re-export, is exempt).  A name used only in a
 quoted annotation counts as unused: under ``from __future__ import
 annotations`` it needs no quotes.  Every private module-level function
-or class is used somewhere in the package."""
+or class is used somewhere in the package.  Every absolute import names a
+standard-library module: the runtime needs nothing else."""
 
 import ast
 import os
+import sys
 from collections import Counter
 
 import graphck
@@ -69,3 +71,21 @@ def test_every_private_helper_has_a_caller():
         and used[node.name] == _uses(node)[node.name]
     ]
     assert not orphans, orphans
+
+
+def test_package_imports_only_the_standard_library():
+    foreign = []
+    for fname, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [
+                "%s:%d %s" % (fname, node.lineno, top)
+                for top in tops
+                if top not in sys.stdlib_module_names
+            ]
+    assert not foreign, foreign

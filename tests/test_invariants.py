@@ -263,9 +263,9 @@ def test_quotient_dd_chain(graphs):
     assert sorted(b.name for b in q.graph.bundles) == ["e", "f"]
     assert q.s_marks == frozenset({"u", "v"})
     # the residue is a two-step chain
-    assert q.graph.delta1("u").count == 1
-    assert q.graph.delta1("v").count == 1
-    assert q.graph.delta1("w").is_empty
+    assert len(q.graph.out_instances("u")) == 1
+    assert len(q.graph.out_instances("v")) == 1
+    assert q.graph.out_bundles("w") == ()
 
 
 def test_quotient_rejects_bad_family(graphs):
@@ -331,7 +331,7 @@ def _candidates(rng, g, count):
         excl = {}
         for u in sorted(nset):
             if rng.random() < 0.5:
-                pool = list(g.delta1(u).iter_instances(2)) + [stray]
+                pool = list(g.out_instances(u, 2)) + [stray]
                 excl[u] = rng.sample(pool, rng.randint(1, min(3, len(pool))))
         yield Invariant.make(nset, excl)
 

@@ -124,7 +124,7 @@ def test_trusted_paths_pass_validation():
         made = [p.concat(q), p.inverse(), q.inverse().concat(p.inverse())]
         made += [p.prefix(n) for n in range(len(p) + 1)]
         made += [p.drop(n) for n in range(len(p) + 1)]
-        made += [p.append(e) for e in g.delta1(p.terminus).iter_instances(3)]
+        made += [p.append(e) for e in g.out_instances(p.terminus, 3)]
         for m in made:
             _validated(m)
         built += len(made)
@@ -138,5 +138,5 @@ def test_directed_upto_stops_at_an_empty_level(graphs):
     # an acyclic graph runs out of extensions long before a huge depth
     g = graphs["chain"]
     units = [Path.unit(v) for v in g.vertices]
-    out = directed_upto(units, lambda v: g.delta1(v).iter_instances(), 10**9)
+    out = directed_upto(units, g.out_instances, 10**9)
     assert sorted(map(str, out)) == ["a", "a.b", "b", "u", "v", "w"]

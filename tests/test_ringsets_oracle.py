@@ -63,7 +63,7 @@ def _basics(rng, tree, vertices, n):
     out = []
     for _ in range(n):
         apex = rng.choice(vertices)
-        steps = list(tree.out_edges(apex).iter_instances(2))
+        steps = list(tree.graph.out_instances(tree.endpoint(apex), 2))
         out.append(BasicSet(apex, frozenset(e for e in steps if rng.random() < 0.3)))
     return out
 
@@ -148,7 +148,7 @@ def test_random_fibers_and_trees():
 
 def _cone_text(rng, g, base):
     p = random_walk_path(rng, g, max_len=4, start=base)
-    steps = list(g.delta1(p.terminus).iter_instances(2))
+    steps = list(g.out_instances(p.terminus, 2))
     cut = [e for e in steps if rng.random() < 0.3]
     return "V(%s; %s)" % (p, ",".join(map(str, cut))) if cut else "V(%s)" % p
 
@@ -197,7 +197,7 @@ def test_criterion_2_sets(graphs):
                 back = family_open_set(fib, tree_invariant_of(w, depth=1))
                 _sets_agree(w, back)
                 for p in fib.directed_to_depth(2, omega_cap=2):
-                    for e in [None, *fib.out_edges(p).iter_instances(2)]:
+                    for e in [None, *fib.graph.out_instances(p.terminus, 2)]:
                         block = RingSet(fib, (BasicSet(p, frozenset([e] if e else ())),))
                         assert w.boundary_contains(block) == oracle_boundary_contains(w, block)
                         assert w.contains(block) == oracle_contains(w, block)

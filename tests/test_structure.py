@@ -107,7 +107,7 @@ def test_af_against_topological_sort():
             indeg[b.terminus] += 1
         queue = [v for v, d in indeg.items() if d == 0]
         seen = 0
-        outs = {v: [b.terminus for b in g.delta1(v).bundles] for v in g.vertices}
+        outs = {v: [b.terminus for b in g.out_bundles(v)] for v in g.vertices}
         indeg2 = dict(indeg)
         while queue:
             v = queue.pop()

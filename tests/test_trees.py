@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from graphck.graphs import parse_graph
+from graphck.graphs import GraphError, parse_graph
 from graphck.paths import Path, parse_path
 from graphck.trees import FiberTree, FiniteTree, TreeError
 from helpers import random_tree_graph
@@ -15,10 +15,12 @@ def t2(graphs):
 def test_finite_tree_accepts_t2(graphs):
     tree = t2(graphs)
     assert set(tree.vertices) == {"r", "c0", "c1", "g00", "g01", "g10", "g11"}
-    assert tree.out_edges("g00").is_empty
-    assert not tree.out_edges("c0").is_empty
+    assert tree.graph.out_bundles("g00") == ()
+    assert tree.graph.out_bundles("c0") != ()
     assert not tree.is_boundary_vertex("r")
     assert tree.is_boundary_vertex("g11")
+    with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
+        tree.is_boundary_vertex("nowhere")
 
 
 @pytest.mark.parametrize(
@@ -90,7 +92,7 @@ def test_fiber_vertices_to_depth_counts(graphs):
 def test_fiber_omega_truncation(graphs):
     fiber = FiberTree(graphs["oinf"], "u")
     assert len(fiber.vertices_to_depth(1, omega_cap=2)) == 5
-    assert fiber.out_edges(fiber.unit).infinite
+    assert fiber.endpoint(fiber.unit) in fiber.graph.infinite_emitters
     assert fiber.is_boundary_vertex(fiber.unit)
 
 

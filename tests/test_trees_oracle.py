@@ -14,7 +14,7 @@ FIBER_SIZE = 60
 
 
 def _first_step_sets(tree, apex):
-    steps = list(tree.out_edges(apex).iter_instances(2))
+    steps = list(tree.graph.out_instances(tree.endpoint(apex), 2))
     for k in range(3):
         for excluded in itertools.combinations(steps, k):
             yield frozenset(excluded)
