@@ -133,6 +133,13 @@ class EdgeInstance:
     def sort_key(self):
         return (self.bundle.name, self.index)
 
+    @cached_property
+    def signed(self) -> tuple["SignedEdge", "SignedEdge"]:
+        """The backward and the forward letter of this instance, built once:
+        ``signed[forward]``.  Equal letters of one instance are then one
+        object, which makes comparing words mostly identity checks."""
+        return (SignedEdge(self, False), SignedEdge(self, True))
+
     def __str__(self) -> str:
         if self.bundle.multiplicity == 1:
             return self.bundle.name
@@ -157,7 +164,7 @@ class SignedEdge:
         return self.edge.terminus if self.forward else self.edge.origin
 
     def reverse(self) -> "SignedEdge":
-        return SignedEdge(self.edge, not self.forward)
+        return self.edge.signed[not self.forward]
 
     def sort_key(self):
         return (*self.edge.sort_key(), not self.forward)
@@ -175,14 +182,14 @@ class Graph:
         vertices, bundles = tuple(vertices), tuple(bundles)
         seen: set[str] = set()
         for v in vertices:
-            if not (v.isascii() and v.isidentifier()):
+            if not (isinstance(v, str) and v.isascii() and v.isidentifier()):
                 raise GraphError("bad vertex name %r" % v)
             if v in seen:
                 raise GraphError("duplicate name %r" % v)
             seen.add(v)
         declared = frozenset(vertices)
         for b in bundles:
-            if not (b.name.isascii() and b.name.isidentifier()):
+            if not (isinstance(b.name, str) and b.name.isascii() and b.name.isidentifier()):
                 raise GraphError("bad edge name %r" % b.name)
             if b.name in seen:
                 raise GraphError("duplicate name %r" % b.name)
@@ -234,14 +241,18 @@ class Graph:
             raise GraphError("unknown edge %r" % name) from None
 
     def instance(self, text: str) -> EdgeInstance:
-        """Parse ``e`` (index 0) or ``e#3`` into an edge instance."""
-        name, _, idx = text.partition("#")
-        b = self.bundle(name)
-        try:
-            index = int(idx) if idx else 0
-        except ValueError:
-            raise GraphError("bad edge index %r" % idx) from None
-        return b.instance(index)
+        """Parse ``e`` (index 0) or ``e#3`` into an edge instance; a text
+        parsed before gives the same object."""
+        e = self._instances.get(text)
+        if e is None:
+            name, _, idx = text.partition("#")
+            b = self.bundle(name)
+            try:
+                index = int(idx) if idx else 0
+            except ValueError:
+                raise GraphError("bad edge index %r" % idx) from None
+            e = self._instances[text] = b.instance(index)
+        return e
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)
@@ -268,6 +279,11 @@ class Graph:
     def regular_vertices(self) -> frozenset[str]:
         """Vertices with finitely many, at least one, outgoing edges."""
         return self._vertex_set - self.sinks - self.infinite_emitters
+
+    @cached_property
+    def _instances(self) -> dict[str, EdgeInstance]:
+        """Text -> the instance it names, filled in by instance()."""
+        return {}
 
     @cached_property
     def family_verdicts(self) -> dict:

@@ -340,7 +340,7 @@ def _universe(tree, depth: int):
     # at vertices reached against the direction are not translation stable
     if isinstance(tree, FiberTree):
         return tree.directed_to_depth(depth)
-    return list(tree.vertices)
+    return tree.vertices
 
 
 def _absorb_union(tree, blocks: Iterable[BasicSet]) -> RingSet:

@@ -90,7 +90,7 @@ class Path:
 
     def append(self, e: EdgeInstance) -> "Path":
         """Right-multiply by a single forward edge, cancelling if needed."""
-        s = SignedEdge(e)
+        s = e.signed[True]
         if s.origin != self.terminus:
             raise PathError("edge %s does not continue %s" % (e, self))
         if self.word and self.word[-1] == s.reverse():
@@ -146,5 +146,5 @@ def parse_path(graph: Graph, text: str) -> Path:
             e = graph.instance(part)
         except GraphError as exc:
             raise PathError("in path %r: %s" % (text, exc)) from None
-        letters.append(SignedEdge(e, forward))
+        letters.append(e.signed[forward])
     return Path(letters[0].origin, tuple(letters))

@@ -11,7 +11,7 @@ Tree.relation places two apexes from their root words: the walk between
 them descends all the way, ascends all the way, descends then ascends
 (the cones overlap in the cone of its lowest point) or is apart.  That
 shapes the block lists of intersect and minus (O(k m) relations for k and
-m blocks) and union and symmdiff (two differences).  Predicates use the
+m blocks), union (one difference) and symmdiff (two).  Predicates use the
 F-sets instead: F(r) is the set of words r.f1...fm with every fi forward.
 Writing p = t.~e1...~ek with t ending in a forward letter or empty,
 V(p) = F(t) | F(t.~e1) | ... | F(p), the up-step e_k leads into all but
@@ -228,7 +228,7 @@ class RingSet:
         return cls.of(tree, [BasicSet(apex, frozenset(excluded))])
 
     def _check_same(self, other: "RingSet"):
-        if self.tree != other.tree:
+        if self.tree is not other.tree and self.tree != other.tree:
             raise RingError("operands live over different trees")
 
     def is_empty(self) -> bool:
@@ -251,7 +251,10 @@ class RingSet:
         return RingSet(self.tree, _canonical(self.tree, blocks))
 
     def symmdiff(self, other: "RingSet") -> "RingSet":
-        return self.minus(other).union(other.minus(self))
+        # the two differences are disjoint and canonical, so their blocks
+        # together are the union's
+        blocks = self.minus(other).blocks + other.minus(self).blocks
+        return RingSet(self.tree, _canonical(self.tree, blocks))
 
     def equals(self, other: "RingSet") -> bool:
         self._check_same(other)

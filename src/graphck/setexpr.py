@@ -29,19 +29,19 @@ class SetExprError(GraphError):
 MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
+_SPACE = re.compile(r"\s+")
 
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of text; whitespace around them, trailing included, is
     skipped."""
-    out = []
-    pos, end = 0, len(text.rstrip())
-    while pos < end:
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise SetExprError("cannot read %r" % text[pos:])
-        out.append(m.group(1))
-        pos = m.end()
+    out = _TOKEN.findall(text)
+    if "".join(out) != _SPACE.sub("", text):
+        # findall skipped a character no token starts with: find the first
+        pos = 0
+        while m := _TOKEN.match(text, pos):
+            pos = m.end()
+        raise SetExprError("cannot read %r" % text[pos:])
     return out
 
 
@@ -57,12 +57,12 @@ def first_apex(text: str) -> str | None:
 class _Parser:
     def __init__(self, tree, tokens: list[str]):
         self.tree = tree
-        self.toks = tokens
+        self.toks = tokens + [None]  # take never moves past the end marker
         self.pos = 0
         self.nesting = 0
 
     def peek(self) -> str | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def take(self, expected: str | None = None) -> str:
         t = self.peek()

@@ -21,6 +21,10 @@ tail of the first followed by the tail of the second (Serre, *Trees*).
 are equal, nested, meet or are apart, in O(depth) letter comparisons and
 with no step list; ``walk`` builds the steps where they are needed.
 
+A fiber keeps what its queries share: ``directed_to_depth`` sorts its
+walks once per (depth, omega cap) and hands the same tuple to every later
+call, whose letters come from each instance's cached pair of signed edges.
+
 Tree edges are identified by the underlying edge instance, anchored at the
 vertex they leave; all excluded-edge bookkeeping in the calculus compares
 instances at a fixed anchor, which keeps that identification sound.
@@ -187,6 +191,7 @@ class FiberTree(Tree):
     def __init__(self, graph: Graph, base: str):
         self.graph = graph
         self.base = graph.check_vertex(base)
+        self._directed: dict[tuple[int, int], tuple[Path, ...]] = {}
 
     def __eq__(self, other):
         return (
@@ -244,18 +249,22 @@ class FiberTree(Tree):
         out.sort(key=self.vkey)
         return out
 
-    def directed_to_depth(self, depth: int, omega_cap: int = 3) -> list[Path]:
-        """The fiber vertices under the unit: directed paths up to depth."""
-        out = directed_upto(
-            [self.unit], lambda v: self.graph.out_instances(v, omega_cap), depth
-        )
-        out.sort(key=self.vkey)
+    def directed_to_depth(self, depth: int, omega_cap: int = 3) -> tuple[Path, ...]:
+        """The fiber vertices under the unit: directed paths up to depth,
+        sorted, built once per (depth, omega_cap)."""
+        key = (depth, omega_cap)
+        out = self._directed.get(key)
+        if out is None:
+            walks = directed_upto(
+                [self.unit], lambda v: self.graph.out_instances(v, omega_cap), depth
+            )
+            out = self._directed[key] = tuple(sorted(walks, key=self.vkey))
         return out
 
     def _signed_extensions(self, p: Path, omega_cap: int):
         at = p.terminus
         for e in self.graph.out_instances(at, omega_cap):
-            yield SignedEdge(e)
+            yield e.signed[True]
         for b in self.graph.in_bundles(at):
             for e in b.instances(omega_cap):
-                yield SignedEdge(e, forward=False)
+                yield e.signed[False]

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,15 +74,23 @@ def reachable(g: Graph, v: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _signed_extensions(g: Graph, at: str, omega_cap: int = 3) -> list[SignedEdge]:
-    out = []
-    for b in g.out_bundles(at):
-        cap = omega_cap if is_omega(b.multiplicity) else None
-        out.extend(SignedEdge(e) for e in b.instances(cap))
-    for b in g.in_bundles(at):
-        cap = omega_cap if is_omega(b.multiplicity) else None
-        out.extend(SignedEdge(e, forward=False) for e in b.instances(cap))
-    return out
+# graph -> vertex -> the letters leaving it, so walks draw from lists built once
+_EXTENSIONS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
+
+
+def _signed_extensions(g: Graph, at: str) -> list[SignedEdge]:
+    """The letters leaving at, omega bundles cut at 3 instances."""
+    table = _EXTENSIONS.setdefault(g, {})
+    if at not in table:
+        out = []
+        for b in g.out_bundles(at):
+            cap = 3 if is_omega(b.multiplicity) else None
+            out.extend(SignedEdge(e) for e in b.instances(cap))
+        for b in g.in_bundles(at):
+            cap = 3 if is_omega(b.multiplicity) else None
+            out.extend(SignedEdge(e, forward=False) for e in b.instances(cap))
+        table[at] = out
+    return table[at]
 
 
 def _emits_omega(bundles) -> bool:
@@ -1288,3 +1297,22 @@ def oracle_boundary_contains(x, y):
     return not any(
         x.tree.touches_boundary(b.apex, b.excluded) for b in oracle_minus(y, x)
     )
+
+
+_ORACLE_TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    """setexpr's tokens by a positional scan: one token match at a time,
+    whitespace around tokens, trailing included, skipped."""
+    from graphck.setexpr import SetExprError
+
+    out = []
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
+        m = _ORACLE_TOKEN.match(text, pos)
+        if not m:
+            raise SetExprError("cannot read %r" % text[pos:])
+        out.append(m.group(1))
+        pos = m.end()
+    return out

@@ -10,10 +10,12 @@ from graphck.graphs import (
     Graph,
     GraphError,
     GraphSyntaxError,
+    SignedEdge,
     is_omega,
     parse_graph,
     subgraph_le,
 )
+from graphck.paths import Path, parse_path
 from helpers import random_graph, reachable
 
 
@@ -110,13 +112,47 @@ def test_instance_parsing(graphs):
     g = graphs["oinf"]
     assert str(g.instance("a#4")) == "a#4"
     assert g.instance("a").index == 0
-    with pytest.raises(GraphError):
-        g.instance("zz")
     g2 = parse_graph("vertex u\nedge e : u -> u * 2")
-    with pytest.raises(GraphError):
-        g2.instance("e#2")
-    with pytest.raises(GraphError, match="bad edge index 'x'"):
-        g2.instance("e#x")
+    for _ in range(2):  # a bad name is never remembered
+        with pytest.raises(GraphError):
+            g.instance("zz")
+        with pytest.raises(GraphError):
+            g2.instance("e#2")
+        with pytest.raises(GraphError, match="bad edge index 'x'"):
+            g2.instance("e#x")
+
+
+def test_instances_and_letters_are_built_once(graphs):
+    g = graphs["oinf"]
+    e = g.instance("a#2")
+    assert g.instance("a#2") is e
+    s = parse_path(g, "a#2").word[0]
+    assert s is e.signed[True] and s.reverse() is e.signed[False]
+    assert s.reverse().reverse() is s
+    assert parse_path(g, "~a#2").word[0] is s.reverse()
+    assert Path.unit("u").append(e).word[0] is s
+    assert parse_path(graphs["o2"], "a").word[0] is not parse_path(g, "a").word[0]
+
+
+def test_hashes_are_the_dataclass_formulas(graphs):
+    # hashes, and so set orders, do not see the cached letters
+    for g in graphs.values():
+        for b in g.bundles:
+            e = g.instance(b.name)
+            s = e.signed[True].reverse()
+            p = Path.unit(b.origin).append(e)
+            assert hash(b) == hash((b.name, b.origin, b.terminus, b.multiplicity))
+            assert hash(e) == hash((b, e.index)) and e == b.instance(0)
+            assert hash(s) == hash((e, False)) and s == SignedEdge(e, False)
+            assert hash(p) == hash((p.origin, p.word)) and p == Path(b.origin, p.word)
+
+
+def test_names_must_be_strings():
+    for name in (1, None, b"a"):
+        with pytest.raises(GraphError, match="bad vertex name"):
+            Graph([name], [])
+        with pytest.raises(GraphError, match="bad edge name"):
+            Graph(["u"], [EdgeBundle(name, "u", "u")])
 
 
 def _reachable_oracle(g: Graph, v: str) -> frozenset:

@@ -80,6 +80,8 @@ def _sets_agree(x, y):
     assert x.intersect(y).blocks == oracle_intersect(x, y), (x, y)
     assert x.union(y).blocks == oracle_union(x, y), (x, y)
     assert x.symmdiff(y).blocks == oracle_symmdiff(x, y), (x, y)
+    # the union of the two differences, which symmdiff no longer takes
+    assert x.symmdiff(y).blocks == x.minus(y).union(y.minus(x)).blocks, (x, y)
     assert x.contains(y) == oracle_contains(x, y), (x, y)
     assert y.contains(x) == oracle_contains(y, x), (x, y)
     assert x.equals(y) == oracle_equals(x, y), (x, y)

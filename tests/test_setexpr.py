@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from graphck.graphs import parse_graph
 from graphck.paths import parse_path
 from graphck.ringsets import BasicSet, RingError, RingSet
-from graphck.setexpr import SetExprError, first_apex, parse_setexpr
+from graphck.setexpr import SetExprError, _tokenize, first_apex, parse_setexpr
 from graphck.trees import FiberTree, FiniteTree, TreeError
+from helpers import oracle_tokenize
+from test_fuzz import EXPRS, cone, mangle
 
 
 @pytest.fixture
@@ -89,3 +93,30 @@ def test_finite_tree_atoms():
     assert parse_setexpr(tree, "V(a) & V(b) == 0") is True
     got = parse_setexpr(tree, "V(r) ^ V(a)")
     assert got.equals(RingSet.of(tree, [BasicSet("r", frozenset([g.instance("x")]))]))
+
+
+def _tokens_or_message(tokenize, text):
+    try:
+        return tokenize(text)
+    except SetExprError as exc:
+        return str(exc)
+
+
+def test_tokenizer_matches_the_positional_scan(graphs):
+    # one findall checked against the text without whitespace gives the
+    # scan's tokens, and on a stray character the scan's message
+    rng = random.Random(8500)
+    blanks = (" ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u2028", "\x1c", "  \t")
+    texts = ["", " ", "$", "V(u) $", "V(u) $ ", "V(a;;)", "V(u)\u00a0-\u3000V(a)\u2028"]
+    for name, g in sorted(graphs.items()):
+        for _ in range(60):
+            base = rng.choice(g.vertices)
+            text = rng.choice(EXPRS) % tuple(cone(rng, g, base) for _ in range(3))
+            texts += [text, mangle(rng, text), mangle(rng, text) + rng.choice(blanks)]
+            texts.append(text.replace(" ", rng.choice(blanks)) + rng.choice(blanks))
+    errors = 0
+    for text in texts:
+        want = _tokens_or_message(oracle_tokenize, text)
+        assert _tokens_or_message(_tokenize, text) == want, text
+        errors += isinstance(want, str)
+    assert errors > 100 and len(texts) - errors > 1000

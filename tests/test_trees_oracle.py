@@ -5,6 +5,7 @@ test of graphck.trees against the per-tree versions kept in helpers
 import itertools
 import random
 
+from graphck.paths import Path, directed_upto
 from graphck.trees import FiberTree, FiniteTree
 from helpers import oracle_touches_boundary, oracle_walk, random_graph, random_tree_graph
 
@@ -86,3 +87,23 @@ def test_every_vertex_reaches_the_boundary():
                     reach.add(b.origin)
                     frontier.append(b.origin)
         assert reach == set(g.vertices)
+
+
+def test_directed_walks_are_built_once_per_fiber(graphs):
+    # the kept tuple is a fresh directed_upto plus sort, every fiber has its own
+    kept = {}
+    for g in graphs.values():
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            for depth in range(5):
+                for cap in (1, 2, 3):
+                    got = tree.directed_to_depth(depth, cap)
+                    fresh = directed_upto(
+                        [Path.unit(base)], lambda v: g.out_instances(v, cap), depth
+                    )
+                    assert got == tuple(sorted(fresh, key=tree.vkey)), (tree, depth, cap)
+                    assert tree.directed_to_depth(depth, cap) is got
+                    assert id(got) not in kept, (tree, kept.get(id(got)))
+                    kept[id(got)] = (tree, depth, cap, got)
+            assert FiberTree(g, base).directed_to_depth(2, 2) is not tree.directed_to_depth(2, 2)
+    assert len(kept) == 15 * sum(len(g.vertices) for g in graphs.values())
