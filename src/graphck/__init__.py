@@ -23,13 +23,11 @@ from .graphs import (
 )
 from .paths import Path, PathError, parse_path
 from .trees import FiberTree, FiniteTree, TreeError
-from .ringsets import BasicSet, RingError, RingSet, basic_contains
+from .ringsets import BasicSet, RingError, RingSet
 from .points import FinitePath, Lasso, PointError, act, parse_point
 from .cover import (
     af_block_enumerate,
-    act_on_ringset,
     compose_arrows,
-    cover_delta1,
     degree,
     end_member,
     in_transversal,
@@ -50,7 +48,6 @@ from .invariants import (
     is_invariant,
     open_set_of,
     quotient_data,
-    residue_part_of,
     tree_invariant_of,
 )
 from .structure import (
@@ -60,7 +57,6 @@ from .structure import (
     free_point_from,
     isotropy,
     structure_report,
-    toeplitz_ideal_report,
 )
 from .fock import (
     FockError,
@@ -100,15 +96,12 @@ __all__ = [
     "StructureError",
     "TreeError",
     "act",
-    "act_on_ringset",
     "af_block_enumerate",
     "algebra_dimension",
     "all_hold",
-    "basic_contains",
     "build_basis",
     "compose_arrows",
     "count_paths_into",
-    "cover_delta1",
     "degree",
     "end_member",
     "enumerate_invariants",
@@ -133,10 +126,8 @@ __all__ = [
     "parse_setexpr",
     "point_in_boundary",
     "quotient_data",
-    "residue_part_of",
     "standard_form",
     "structure_report",
-    "toeplitz_ideal_report",
     "transversal_translate",
     "tree_invariant_of",
     "verify_relations",

@@ -14,7 +14,7 @@ import sys
 
 from . import corpus
 from .cover import af_block_enumerate, directed_paths_upto, standard_form
-from .fock import FockError, algebra_dimension, build_basis, verify_relations
+from .fock import FockError, algebra_dimension, all_hold, build_basis, verify_relations
 from .graphs import (
     CapError,
     EdgeBundle,
@@ -55,7 +55,7 @@ def _load(spec: str) -> Graph:
         return corpus.load(spec)
     try:
         return load_graph(spec, name=spec.rsplit("/", 1)[-1].removesuffix(".graph"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError("cannot read %s: %s" % (spec, exc))
 
 
@@ -195,7 +195,7 @@ def cmd_rep_verify(args) -> int:
     if dim is not None:
         lines.append("dimension: %d" % dim)
     _emit(args, data, lines)
-    return 0 if all(r.holds for r in reports) else 3
+    return 0 if all_hold(reports) else 3
 
 
 def cmd_setcalc(args) -> int:

@@ -32,10 +32,6 @@ def load(name: str) -> Graph:
     return parse_graph(_read(name + ".graph"), name=name)
 
 
-def load_all() -> dict[str, Graph]:
-    return {name: load(name) for name in GRAPH_NAMES}
-
-
 def expected() -> dict:
     """Expected per-graph results used by corpus-run and the test suite."""
     return json.loads(_read("expected.json"))

@@ -20,27 +20,6 @@ from .trees import FiberTree
 
 
 @dataclass(frozen=True)
-class CoverEdge:
-    """One positive tree edge of a fiber, from a walk to a one-step child."""
-
-    source: Path
-    target: Path
-    edge: EdgeInstance
-
-    def __str__(self) -> str:
-        return "%s -[%s]-> %s" % (self.source, self.edge, self.target)
-
-
-def cover_delta1(fiber: FiberTree, p: Path, omega_cap: int | None = None) -> list[CoverEdge]:
-    """The positive tree edges leaving the cover vertex p, as explicit pairs."""
-    fiber.check_vertex(p)
-    out = []
-    for e in fiber.graph.out_instances(fiber.endpoint(p), omega_cap):
-        out.append(CoverEdge(p, fiber.child(p, e), e))
-    return out
-
-
-@dataclass(frozen=True)
 class StandardForm:
     """alpha = beta1.beta2^-1 against the point x, with y = beta2.x."""
 
@@ -155,19 +134,6 @@ def end_member(rs: RingSet, x) -> bool:
     return rs.has_vertex(x.prefix_path(settled))
 
 
-def act_on_ringset(alpha: Path, rs: RingSet) -> RingSet:
-    """Translate a ring set over the fiber at t(alpha) to the fiber at o(alpha).
-
-    Blocks map apex-wise; excluded edges are anchored at the apex endpoint,
-    which translation preserves.
-    """
-    fiber = rs.tree
-    if not isinstance(fiber, FiberTree) or alpha.terminus != fiber.base:
-        raise PointError("walk %s does not end at the base of %r" % (alpha, fiber))
-    target = FiberTree(fiber.graph, alpha.origin)
-    return rs.pushforward(target, lambda p: alpha * p, lambda e: e)
-
-
 class LiftedInvariant:
     """A vertex family with exclusions, pulled back to every fiber at once.
 
@@ -187,10 +153,6 @@ class LiftedInvariant:
         if not self.member(p):
             raise PointError("walk %s ends outside the family" % (p,))
         return self.inv.f(p.terminus)
-
-    def marked_cover_edges(self, p: Path) -> tuple[CoverEdge, ...]:
-        edges = sorted(self.f_set(p), key=lambda e: e.sort_key())
-        return tuple(CoverEdge(p, p.append(e), e) for e in edges)
 
 
 def lift_invariant(graph: Graph, inv) -> LiftedInvariant:

@@ -365,15 +365,6 @@ def open_set_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     return _absorb_union(tree, blocks)
 
 
-def residue_part_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
-    """The full cones at members with empty exclusions only.
-
-    The open set of the family splits as this part together with the
-    single points at the excluding members.
-    """
-    return open_set_of(tree, Invariant.make(inv.vertices - inv.r_vertices), depth)
-
-
 def _named_omega_indices(w: RingSet, p) -> dict[EdgeBundle, int]:
     """Highest omega-bundle index appearing in the set's blocks or in p."""
     mx: dict[EdgeBundle, int] = {}

@@ -106,14 +106,6 @@ def basic_diff(tree, b: BasicSet, c: BasicSet) -> list[BasicSet]:
     return out
 
 
-def basic_contains(tree, b: BasicSet, c: BasicSet) -> bool:
-    """Is C a subset of B?"""
-    kind, first, _, _, _ = tree.relation(b.apex, c.apex)
-    if kind == "equal":
-        return c.excluded >= b.excluded
-    return kind == "below" and first not in b.excluded
-
-
 def _pieces(tree, blocks, cuts) -> Iterator[BasicSet]:
     """The blocks minus the cuts as disjoint basic sets, block by block."""
     for b in blocks:

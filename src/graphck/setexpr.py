@@ -117,6 +117,8 @@ class _Parser:
             return RingSet.empty(self.tree)
         if t == "V":
             return self.atom()
+        if t is None:
+            raise SetExprError("expression ends early")
         raise SetExprError("expected a cone or parenthesis, found %r" % t)
 
     def word(self) -> str:

@@ -347,16 +347,3 @@ def count_paths_into(g: Graph, u: str):
     """
     g.check_vertex(u)
     return g.paths_into[u]
-
-
-def toeplitz_ideal_report(g: Graph, marks) -> dict[str, object]:
-    """Per marked vertex, the size of the matrix block its relation kills.
-
-    Marking a regular vertex u collapses a copy of the compacts over the
-    directed paths into u; the report maps u to that path count.
-    """
-    marks = frozenset(marks)
-    bad = marks - g.regular_vertices
-    if bad:
-        raise StructureError("marks %s are not regular vertices" % sorted(bad))
-    return {u: count_paths_into(g, u) for u in sorted(marks)}

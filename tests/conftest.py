@@ -5,4 +5,4 @@ from graphck import corpus
 
 @pytest.fixture(scope="session")
 def graphs():
-    return corpus.load_all()
+    return {name: corpus.load(name) for name in corpus.GRAPH_NAMES}

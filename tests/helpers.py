@@ -198,6 +198,19 @@ def arrow_into(rng, g, x, max_len: int = 5):
     return back.inverse()
 
 
+def act_on_ringset(alpha: Path, rs):
+    """Translate a ring set over the fiber at t(alpha) to the fiber at
+    o(alpha): RingSet.pushforward along p -> alpha.p, edges kept as they
+    are, since translation keeps every apex endpoint."""
+    from graphck.points import PointError
+    from graphck.trees import FiberTree
+
+    fiber = rs.tree
+    if not isinstance(fiber, FiberTree) or alpha.terminus != fiber.base:
+        raise PointError("walk %s does not end at the base of %r" % (alpha, fiber))
+    return rs.pushforward(FiberTree(fiber.graph, alpha.origin), lambda p: alpha * p, lambda e: e)
+
+
 def _naive_family_ok(g: Graph, nset, fmap) -> bool:
     """Clause-by-clause check straight off the definition, one instance
     at a time.  Omega bundles always keep instances outside the finite

@@ -186,9 +186,14 @@ def test_graph_file_argument(tmp_path, capsys):
     assert data["flags"]["simple"] is True
 
 
-def test_exit_code_usage(capsys):
+def test_exit_code_usage(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/g.graph")
     assert code == 1 and "cannot read" in err
+    latin = tmp_path / "latin.graph"
+    latin.write_bytes(b"vertex \xff\n")
+    for argv in (("analyze", str(latin)), ("af-blocks", "two", "--sub", str(latin))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("error: cannot read "), argv
     code, _, err = run(capsys, "setcalc", "chain", "V(u) +")
     assert code == 1
     code, _, err = run(capsys, "rep-verify", "loop")  # cyclic without depth

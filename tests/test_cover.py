@@ -4,10 +4,8 @@ import pytest
 
 from graphck.cover import (
     ArrowBlock,
-    act_on_ringset,
     af_block_enumerate,
     compose_arrows,
-    cover_delta1,
     degree,
     end_member,
     in_transversal,
@@ -17,13 +15,14 @@ from graphck.cover import (
     standard_form,
     transversal_translate,
 )
+from graphck.graphs import CapError
 from graphck.invariants import Invariant
 from graphck.paths import Path, parse_path
 from graphck.points import FinitePath, Lasso, PointError, act
 from graphck.ringsets import RingSet
 from graphck.trees import FiberTree
 
-from helpers import random_lasso, random_point, random_walk_path
+from helpers import act_on_ringset, random_lasso, random_point, random_walk_path
 
 
 def pt(g, text):
@@ -33,22 +32,24 @@ def pt(g, text):
 def test_cover_edges_chain(graphs):
     g = graphs["chain"]
     fib = FiberTree(g, "u")
-    edges = cover_delta1(fib, Path.unit("u"))
+    unit = Path.unit("u")
+    edges = g.out_instances(fib.endpoint(unit))
     assert len(edges) == 1
-    assert edges[0].target == parse_path(g, "a")
-    assert cover_delta1(fib, parse_path(g, "a.b")) == []
+    assert fib.child(unit, edges[0]) == parse_path(g, "a")
+    assert g.out_instances(fib.endpoint(parse_path(g, "a.b"))) == ()
     # a backwards walk is continued by the edge it reverses, back to the unit
     fib_v = FiberTree(g, "v")
-    up = cover_delta1(fib_v, parse_path(g, "~a"))
-    assert [e.target for e in up] == [Path.unit("v")]
+    back = parse_path(g, "~a")
+    up = [fib_v.child(back, e) for e in g.out_instances(fib_v.endpoint(back))]
+    assert up == [Path.unit("v")]
 
 
 def test_cover_edges_need_cap_on_omega(graphs):
     g = graphs["oinf"]
     fib = FiberTree(g, "u")
-    with pytest.raises(Exception):
-        cover_delta1(fib, Path.unit("u"))
-    assert len(cover_delta1(fib, Path.unit("u"), omega_cap=4)) == 4
+    with pytest.raises(CapError):
+        g.out_instances(fib.endpoint(Path.unit("u")))
+    assert len(g.out_instances(fib.endpoint(Path.unit("u")), 4)) == 4
 
 
 def test_standard_form_worked_example(graphs):
@@ -258,8 +259,6 @@ def test_lifted_invariant_delegates_to_endpoints(graphs):
     assert lifted.f_set(parse_path(g, "a#0")) == frozenset()
     with pytest.raises(PointError):
         lifted.f_set(parse_path(g, "e"))
-    marked = lifted.marked_cover_edges(Path.unit("u"))
-    assert len(marked) == 1 and marked[0].target == parse_path(g, "e")
 
 
 def test_lifted_invariant_is_translation_stable(graphs):

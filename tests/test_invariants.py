@@ -16,7 +16,6 @@ from graphck.invariants import (
     is_invariant,
     open_set_of,
     quotient_data,
-    residue_part_of,
     tree_invariant_of,
 )
 from graphck.paths import Path, parse_path
@@ -229,7 +228,8 @@ def test_residue_part_mix(graphs):
     inv = Invariant.make({"u", "v"}, {"u": [g.instance("e")]})
     fib = FiberTree(g, "u")
     u_set = open_set_of(fib, inv, depth=4)
-    p_set = residue_part_of(fib, inv, depth=4)
+    # the full cones at the members that exclude nothing
+    p_set = open_set_of(fib, Invariant.make(inv.vertices - inv.r_vertices), depth=4)
     assert u_set.boundary_contains(p_set)
     left = u_set.minus(p_set)
     # what is left of the open set is the lone end sitting at the emitter:

@@ -4,7 +4,7 @@ import pytest
 
 from graphck.graphs import parse_graph
 from graphck.paths import parse_path
-from graphck.ringsets import BasicSet, RingError, RingSet, basic_contains
+from graphck.ringsets import BasicSet, RingError, RingSet
 from graphck.trees import FiberTree, FiniteTree
 from helpers import cone_oracle, random_basic, random_tree_graph, ringset_extension
 
@@ -62,12 +62,16 @@ def test_overlapping_blocks_rejected(graphs, T2):
 
 def test_basic_contains(graphs, T2):
     g = graphs["t2"]
-    assert basic_contains(T2, V(g, "r"), V(g, "c0"))
-    assert basic_contains(T2, V(g, "r"), V(g, "r", "d0"))
-    assert not basic_contains(T2, V(g, "r", "d0"), V(g, "r"))
-    assert not basic_contains(T2, V(g, "r", "d0"), V(g, "c0"))
-    assert basic_contains(T2, V(g, "r", "d0"), V(g, "c1"))
-    assert not basic_contains(T2, V(g, "c0"), V(g, "c1"))
+
+    def contains(b, c):
+        return RingSet.of(T2, [b]).contains(RingSet.of(T2, [c]))
+
+    assert contains(V(g, "r"), V(g, "c0"))
+    assert contains(V(g, "r"), V(g, "r", "d0"))
+    assert not contains(V(g, "r", "d0"), V(g, "r"))
+    assert not contains(V(g, "r", "d0"), V(g, "c0"))
+    assert contains(V(g, "r", "d0"), V(g, "c1"))
+    assert not contains(V(g, "c0"), V(g, "c1"))
 
 
 def test_ringset_queries(graphs, T2):

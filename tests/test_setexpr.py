@@ -58,6 +58,9 @@ def test_parse_errors(fiber):
     for text in ("V(u", "V(u) V(u)", "V(u) + V(a)", "V()", "& V(u)", "V(u) ==", "V(zz)"):
         with pytest.raises(SetExprError):
             parse_setexpr(fiber, text)
+    for text in ("V(u) ==", "V(u) |"):
+        with pytest.raises(SetExprError, match="^expression ends early$"):
+            parse_setexpr(fiber, text)
 
 
 def test_semantic_errors(fiber, graphs):
