@@ -317,6 +317,8 @@ def cmd_limit_check(args) -> int:
     if args.chains < 1:
         raise UsageError("--chains must be at least 1, got %d" % args.chains)
     g = _load(args.graph)
+    if not g.vertices:
+        raise UsageError("%s has no vertices" % g.name)
     rng = random.Random(args.seed)
     marks = g.regular_vertices
     failures = 0

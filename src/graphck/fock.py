@@ -6,12 +6,13 @@ every path gives the Toeplitz-style representation; dropping the paths
 that end at a marked regular vertex kills that vertex's vacuum defect and
 enforces the summation relation there exactly.
 
-The basis is a first-letter forest: each path is stored as its origin,
-its length, its first edge and the index of the rest of it (its tail),
-never as a word.  Every generator is a 0/1 partial isometry on the
-basis, so no linear algebra is needed.  A vertex projection is the set
-of basis indices starting at the vertex, and the translation by e the
-partial injection tail -> path over the paths whose first edge is e.
+The basis is a first-letter forest, and build_basis is the one way to
+build it: each path is stored as its origin, its length, its first edge
+and the index of the rest of it (its tail), never as a word.  Every
+generator is a 0/1 partial isometry on the basis, so no linear algebra
+is needed.  A vertex projection is the set of basis indices starting at
+the vertex, and the translation by e the partial injection tail -> path
+over the paths whose first edge is e.
 Each relation is a domain, range, disjointness or cover identity on
 those index sets.  Building the basis and checking the relations cost
 O(basis + edges), up to sorting the edges that enter each level, where
@@ -31,79 +32,41 @@ the sum of the n(v)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .graphs import Graph, GraphError, SignedEdge, is_omega
-from .paths import Path
+from .graphs import EdgeInstance, Graph, GraphError, is_omega
 
 
 class FockError(GraphError):
     pass
 
 
+@dataclass(eq=False)
 class PathBasis:
     """The chosen family of directed paths with its indexing, stored as a
-    first-letter forest of integer arrays.
+    first-letter forest of integer arrays; build_basis is its one builder.
 
     Path i starts at origin[i] and has length[i] letters.  Unless first[i]
     is None it is the edge edges[first[i]] followed by path tail[i]; a
     unit has first[i] and tail[i] None.  edges lists the instances the
     generators act by, omega bundles cut at omega_cap, in bundle order.
-
-    PathBasis(graph, mode, marks, depth, omega_cap, paths, exact) derives
-    the forest from any tuple of paths, which may repeat or drop paths or
-    come from another graph: a path whose first letter is not a forward
-    letter of edges, whose tail is missing, or which a later copy of the
-    same path shadows, gets first and tail None, so it is no edge's image.
-    build_basis builds the forest directly, every tail before its path,
-    and spells the paths out only when asked.
+    No path is kept as a word.  Bases compare by identity.
     """
 
-    def __init__(
-        self, graph: Graph, mode: str, marks, depth, omega_cap: int, paths, exact: bool
-    ):
-        paths = tuple(paths)
-        self._settings(graph, mode, marks, depth, omega_cap, exact)
-        at = {(p.origin, p.word): i for i, p in enumerate(paths)}
-        slot = {e: k for k, e in enumerate(self.edges)}
-        self.origin = [p.origin for p in paths]
-        self.length = [len(p) for p in paths]
-        self.first, self.tail = [], []
-        for i, p in enumerate(paths):
-            w = p.word
-            k = j = None
-            if w and w[0].forward and at[(p.origin, w)] == i:
-                k, j = slot.get(w[0].edge), at.get((w[0].terminus, w[1:]))
-            if k is None or j is None:
-                k = j = None
-            self.first.append(k)
-            self.tail.append(j)
-        self.__dict__["paths"] = paths
-
-    def _settings(self, graph, mode, marks, depth, omega_cap, exact):
-        """Everything but the forest."""
-        self.graph = graph
-        self.mode = mode
-        self.marks = frozenset(marks)
-        self.depth = depth
-        self.omega_cap = omega_cap
-        self.exact = exact
-        self.edges = tuple(e for b in graph.bundles for e in b.instances(omega_cap))
-
-    @cached_property
-    def paths(self) -> tuple[Path, ...]:
-        """The basis paths as words, spelled out on first use."""
-        words: list[tuple] = []
-        for k, j in zip(self.first, self.tail):
-            words.append(() if k is None else (SignedEdge(self.edges[k]),) + words[j])
-        return tuple(Path.trusted(o, w) for o, w in zip(self.origin, words))
+    graph: Graph
+    mode: str
+    marks: frozenset[str]
+    depth: int | None
+    omega_cap: int
+    exact: bool
+    edges: tuple[EdgeInstance, ...]
+    origin: list[str]
+    length: list[int]
+    first: list[int | None]
+    tail: list[int | None]
 
     @property
     def size(self) -> int:
         return len(self.origin)
-
-    def index(self) -> dict[Path, int]:
-        return {p: i for i, p in enumerate(self.paths)}
 
     def interior_columns(self) -> frozenset[int]:
         """Columns far enough from the cut to see every product of two
@@ -159,9 +122,7 @@ def build_basis(
         depth_eff = depth
     exact = not cyclic and not has_omega and (depth is None or depth >= len(g.vertices) - 1)
 
-    basis = PathBasis.__new__(PathBasis)
-    basis._settings(g, mode, mset, depth, omega_cap, exact)
-    edges = basis.edges
+    edges = tuple(e for b in g.bundles for e in b.instances(omega_cap))
     # (key, origin, terminus, slot) of each edge in sort-key order, and
     # the ranks in that order of the edges entering each vertex
     ranked = sorted((e.sort_key(), e.origin, e.terminus, k) for k, e in enumerate(edges))
@@ -188,8 +149,7 @@ def build_basis(
         if len(origin) == low:
             break
         length += [n] * (len(origin) - low)
-    basis.origin, basis.length, basis.first, basis.tail = origin, length, first, tail
-    return basis
+    return PathBasis(g, mode, mset, depth, omega_cap, exact, edges, origin, length, first, tail)
 
 
 def generator_matrices(basis: PathBasis):

@@ -268,16 +268,6 @@ class RingSet:
                 return True
         return False
 
-    def boundary_is_empty(self) -> bool:
-        """Does the set avoid the tree boundary entirely?
-
-        True when no block's cone contains a sink, an infinite-valence
-        vertex, or an infinite forward walk.
-        """
-        return not any(
-            self.tree.touches_boundary(b.apex, b.excluded) for b in self.blocks
-        )
-
     def boundary_contains(self, other: "RingSet") -> bool:
         """Does self cover other up to sets that avoid the boundary?  The
         first piece of other minus self on the boundary decides."""

@@ -142,14 +142,14 @@ class _Parser:
         return RingSet.basic(self.tree, apex, excluded)
 
     def _apex(self, text: str):
+        apex = text
         if isinstance(self.tree, FiberTree):
             try:
-                p = parse_path(self.tree.graph, text)
+                apex = parse_path(self.tree.graph, text)
             except GraphError as exc:
                 raise SetExprError("bad walk %r: %s" % (text, exc)) from None
-            return self.tree.check_vertex(p)
         try:
-            return self.tree.check_vertex(text)
+            return self.tree.check_vertex(apex)
         except GraphError as exc:
             raise SetExprError(str(exc)) from None
 

@@ -233,22 +233,6 @@ class FiberTree(Tree):
     def vkey(self, p: Path):
         return p.sort_key()
 
-    def vertices_to_depth(self, depth: int, omega_cap: int = 3) -> list[Path]:
-        """All fiber vertices of word length <= depth, omega bundles truncated."""
-        out = [self.unit]
-        frontier = [self.unit]
-        for _ in range(depth):
-            nxt = []
-            for p in frontier:
-                for s in self._signed_extensions(p, omega_cap):
-                    if p.word and s == p.word[-1].reverse():
-                        continue
-                    nxt.append(Path.trusted(p.origin, p.word + (s,)))
-            out.extend(nxt)
-            frontier = nxt
-        out.sort(key=self.vkey)
-        return out
-
     def directed_to_depth(self, depth: int, omega_cap: int = 3) -> tuple[Path, ...]:
         """The fiber vertices under the unit: directed paths up to depth,
         sorted, built once per (depth, omega_cap)."""
@@ -260,11 +244,3 @@ class FiberTree(Tree):
             )
             out = self._directed[key] = tuple(sorted(walks, key=self.vkey))
         return out
-
-    def _signed_extensions(self, p: Path, omega_cap: int):
-        at = p.terminus
-        for e in self.graph.out_instances(at, omega_cap):
-            yield e.signed[True]
-        for b in self.graph.in_bundles(at):
-            for e in b.instances(omega_cap):
-                yield e.signed[False]

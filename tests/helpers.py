@@ -78,19 +78,41 @@ def reachable(g: Graph, v: str) -> frozenset[str]:
 _EXTENSIONS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
-def _signed_extensions(g: Graph, at: str) -> list[SignedEdge]:
-    """The letters leaving at, omega bundles cut at 3 instances."""
+def _signed_extensions(g: Graph, at: str, omega_cap: int) -> list[SignedEdge]:
+    """The letters leaving at, omega bundles cut at omega_cap instances."""
     table = _EXTENSIONS.setdefault(g, {})
-    if at not in table:
+    key = (at, omega_cap)
+    if key not in table:
         out = []
         for b in g.out_bundles(at):
-            cap = 3 if is_omega(b.multiplicity) else None
-            out.extend(SignedEdge(e) for e in b.instances(cap))
+            out.extend(SignedEdge(e) for e in b.instances(omega_cap))
         for b in g.in_bundles(at):
-            cap = 3 if is_omega(b.multiplicity) else None
-            out.extend(SignedEdge(e, forward=False) for e in b.instances(cap))
-        table[at] = out
-    return table[at]
+            out.extend(SignedEdge(e, forward=False) for e in b.instances(omega_cap))
+        table[key] = out
+    return table[key]
+
+
+def _reduced_extensions(g: Graph, p: Path, omega_cap: int = 3) -> list[SignedEdge]:
+    """The letters that extend the walk p without cancelling its last one."""
+    return [
+        s
+        for s in _signed_extensions(g, p.terminus, omega_cap)
+        if not (p.word and s == p.word[-1].reverse())
+    ]
+
+
+def fiber_vertices(tree, depth: int, omega_cap: int = 3) -> list[Path]:
+    """The vertices of a fiber (graphck.trees.FiberTree) with at most depth
+    letters, omega bundles cut at omega_cap, in the fiber's vertex order."""
+    out, frontier = [tree.unit], [tree.unit]
+    for _ in range(depth):
+        frontier = [
+            Path.trusted(p.origin, p.word + (s,))
+            for p in frontier
+            for s in _reduced_extensions(tree.graph, p, omega_cap)
+        ]
+        out += frontier
+    return sorted(out, key=tree.vkey)
 
 
 def _emits_omega(bundles) -> bool:
@@ -103,11 +125,7 @@ def random_walk_path(
     at = start if start is not None else rng.choice(g.vertices)
     p = Path.unit(at)
     for _ in range(rng.randint(0, max_len)):
-        options = [
-            s
-            for s in _signed_extensions(g, p.terminus)
-            if not (p.word and s == p.word[-1].reverse())
-        ]
+        options = _reduced_extensions(g, p)
         if not options:
             break
         s = rng.choice(options)
@@ -838,6 +856,53 @@ class OracleSparseOperator:
         return all(i == j and v in (0, 1) for (i, j), v in self.entries)
 
 
+# basis -> the paths basis_from_paths derived it from
+_WORDS: "weakref.WeakKeyDictionary[PathBasis, tuple]" = weakref.WeakKeyDictionary()
+
+
+def basis_from_paths(graph, mode, marks, depth, omega_cap, paths, exact) -> PathBasis:
+    """A PathBasis whose forest is derived from any tuple of paths, which
+    may repeat or drop paths or come from another graph: a path whose first
+    letter is not a forward letter of the edges, whose tail is missing, or
+    which a later copy of the same path shadows, gets first and tail None,
+    so it is no edge's image.  basis_paths gives back these paths."""
+    paths = tuple(paths)
+    edges = tuple(e for b in graph.bundles for e in b.instances(omega_cap))
+    at = {(p.origin, p.word): i for i, p in enumerate(paths)}
+    slot = {e: k for k, e in enumerate(edges)}
+    first, tail = [], []
+    for i, p in enumerate(paths):
+        w = p.word
+        k = j = None
+        if w and w[0].forward and at[(p.origin, w)] == i:
+            k, j = slot.get(w[0].edge), at.get((w[0].terminus, w[1:]))
+        if k is None or j is None:
+            k = j = None
+        first.append(k)
+        tail.append(j)
+    origin, length = [p.origin for p in paths], [len(p) for p in paths]
+    basis = PathBasis(
+        graph, mode, frozenset(marks), depth, omega_cap, exact, edges, origin, length, first, tail
+    )
+    _WORDS[basis] = paths
+    return basis
+
+
+def basis_paths(basis: PathBasis) -> tuple[Path, ...]:
+    """The basis paths as words, in basis order: the paths basis_from_paths
+    was given, else the forest spelled out."""
+    if basis in _WORDS:
+        return _WORDS[basis]
+    words: list[tuple] = []
+    for k, j in zip(basis.first, basis.tail):
+        words.append(() if k is None else (SignedEdge(basis.edges[k]),) + words[j])
+    return tuple(Path.trusted(o, w) for o, w in zip(basis.origin, words))
+
+
+def basis_index(basis: PathBasis) -> dict[Path, int]:
+    return {p: i for i, p in enumerate(basis_paths(basis))}
+
+
 def oracle_build_basis(g, mode="toeplitz", marks=None, depth=None, omega_cap=3):
     """The path basis as whole words: every directed path up to the depth
     as a Path, the marks filter on the termini, then a sort on per-letter
@@ -865,20 +930,20 @@ def oracle_build_basis(g, mode="toeplitz", marks=None, depth=None, omega_cap=3):
     out = directed_upto(units, lambda v: g.out_instances(v, omega_cap), depth_eff)
     out = [p for p in out if p.terminus not in mset]
     out.sort(key=lambda p: p.sort_key())
-    return PathBasis(g, mode, mset, depth, omega_cap, tuple(out), exact)
+    return basis_from_paths(g, mode, mset, depth, omega_cap, out, exact)
 
 
 def oracle_generator_matrices(basis):
     """(P, S) as rational matrices: diagonal projections onto the paths
     starting at each vertex, and the prepend operators, truncated where a
     prepended path falls outside the basis."""
-    idx = basis.index()
+    idx = basis_index(basis)
     n = basis.size
     g = basis.graph
     pmat = {}
     for u in g.vertices:
         pmat[u] = OracleSparseOperator.of(
-            n, {(i, i): 1 for i, p in enumerate(basis.paths) if p.origin == u}
+            n, {(i, i): 1 for i, p in enumerate(basis_paths(basis)) if p.origin == u}
         )
     smat = {}
     for b in g.bundles:
@@ -1040,7 +1105,7 @@ def oracle_algebra_dimension(basis) -> int:
     basis."""
     if not basis.exact:
         raise FockError("dimension needs an exact basis")
-    idx = basis.index()
+    idx = basis_index(basis)
     by_terminus: dict[str, list[Path]] = {}
     for p in _oracle_all_directed_paths(basis.graph):
         by_terminus.setdefault(p.terminus, []).append(p)

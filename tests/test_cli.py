@@ -328,3 +328,21 @@ def test_setcalc_unknown_base_is_a_usage_error(capsys):
         assert err == "error: --base zz is not a vertex of chain\n"
     code, out, _ = run(capsys, "setcalc", "chain", "V(u)", "--base", "u")
     assert code == 0 and out == "{V(u)}\n"
+
+
+def test_limit_check_needs_a_vertex(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("# nothing\n")
+    code, out, err = run(capsys, "limit-check", str(empty))
+    assert code == 1 and out == ""
+    assert err == "error: empty has no vertices\n"
+
+
+def test_setcalc_apex_outside_the_fiber_is_an_expression_error(capsys):
+    for argv, walk, base in (
+        (("V(e)", "--base", "w"), "e", "w"),
+        (("V(e) | V(~e)",), "~e", "u"),  # the base is the origin of the first cone
+    ):
+        code, out, err = run(capsys, "setcalc", "two", *argv)
+        assert code == 1 and out == ""
+        assert err == "error: walk %s does not start at %s\n" % (walk, base)

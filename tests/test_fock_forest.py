@@ -10,7 +10,6 @@ import pytest
 
 from graphck.fock import (
     FockError,
-    PathBasis,
     algebra_dimension,
     all_hold,
     build_basis,
@@ -19,7 +18,7 @@ from graphck.fock import (
 )
 from graphck.graphs import Graph, parse_graph
 from graphck.paths import parse_path
-from helpers import oracle_build_basis, random_graph
+from helpers import basis_from_paths, basis_paths, oracle_build_basis, random_graph
 
 EXACT = ("edge", "two", "chain", "par", "t2")
 
@@ -33,15 +32,17 @@ def _same(g, *args, **kw):
     interior and the generators."""
     got = build_basis(g, *args, **kw)
     want = oracle_build_basis(g, *args, **kw)
-    assert got.paths == want.paths
-    assert got.size == want.size == len(want.paths)
-    assert (got.mode, got.marks, got.depth, got.exact) == (
+    assert basis_paths(got) == basis_paths(want)
+    assert got.size == want.size == len(basis_paths(want))
+    assert (got.mode, got.marks, got.depth, got.omega_cap, got.exact, got.edges) == (
         want.mode,
         want.marks,
         want.depth,
+        want.omega_cap,
         want.exact,
+        want.edges,
     )
-    # the positional constructor derives the very forest build_basis built
+    # basis_from_paths derives the very forest build_basis built
     assert _forest(got) == _forest(want)
     assert got.interior_columns() == want.interior_columns()
     assert generator_matrices(got) == generator_matrices(want)
@@ -94,11 +95,11 @@ def test_errors_match_the_oracle(graphs):
         assert str(got.value) == str(want.value)
 
 
-def test_positional_constructor_rules(graphs):
+def test_basis_from_paths_rules(graphs):
     chain = graphs["chain"]
     p = {t: parse_path(chain, t) for t in ("u", "v", "a", "a.b")}
     # a.b's tail b is missing; the second "a" shadows the first
-    basis = PathBasis(
+    basis = basis_from_paths(
         chain, "toeplitz", (), None, 3, [p["a"], p["v"], p["a.b"], p["a"], p["u"]], True
     )
     assert basis.first == [None, None, None, 0, None]

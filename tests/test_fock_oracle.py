@@ -7,7 +7,6 @@ import itertools
 import random
 
 from graphck.fock import (
-    PathBasis,
     algebra_dimension,
     build_basis,
     generator_matrices,
@@ -15,6 +14,8 @@ from graphck.fock import (
 )
 from graphck.graphs import Graph
 from helpers import (
+    basis_from_paths,
+    basis_paths,
     oracle_algebra_dimension,
     oracle_generator_matrices,
     oracle_verify_relations,
@@ -107,10 +108,10 @@ def _mangled(basis, rng):
     """The basis with paths dropped or repeated, exactness and marks
     reassigned at random: a representation that may break any relation."""
     g = basis.graph
-    paths = [p for p in basis.paths if rng.random() < 0.85]
+    paths = [p for p in basis_paths(basis) if rng.random() < 0.85]
     paths += rng.sample(paths, min(len(paths), rng.randint(0, 2)))
     marks = frozenset(u for u in g.regular_vertices if rng.random() < 0.5)
-    return PathBasis(
+    return basis_from_paths(
         g, basis.mode, marks, basis.depth, basis.omega_cap, tuple(paths), rng.random() < 0.5
     )
 
@@ -119,8 +120,8 @@ def test_failing_bases_give_the_oracle_witness(graphs):
     chain = graphs["chain"]
     # an "exact" basis holding truncated paths, with every mark
     short = build_basis(chain, depth=1)
-    fake = PathBasis(
-        chain, "ck", chain.regular_vertices, None, 3, short.paths, exact=True
+    fake = basis_from_paths(
+        chain, "ck", chain.regular_vertices, None, 3, basis_paths(short), exact=True
     )
     got = _agree(fake)
     assert [holds for _, holds, _ in got] == [True, True, False, True, True, False]
@@ -128,7 +129,9 @@ def test_failing_bases_give_the_oracle_witness(graphs):
 
     # paths of a bigger graph: some start outside the projections
     sub = Graph(["u", "v"], [chain.bundle("a")], name="chain.sub")
-    foreign = PathBasis(sub, "toeplitz", frozenset(), None, 3, short.paths, exact=True)
+    foreign = basis_from_paths(
+        sub, "toeplitz", frozenset(), None, 3, basis_paths(short), exact=True
+    )
     assert not _agree(foreign)[1][1]
 
     rng = random.Random(7501)

@@ -1,6 +1,7 @@
 """Seeded fuzz test: mangled graph text, walks, points and set expressions
 run through main() end in a documented exit code with at most a one-line
-message, never in an uncaught exception."""
+message, never in an uncaught exception.  So does every subcommand on a
+graph with no vertices and on a lone vertex."""
 
 import random
 
@@ -75,3 +76,22 @@ def test_mangled_inputs_end_in_a_documented_exit(tmp_path, capsys):
         codes.add(check(capsys, ["standard-form", graph, walk, point]))
         codes.add(check(capsys, ["cocycle", graph, walk, point]))
     assert {0, 1} <= codes
+
+
+def test_every_subcommand_on_degenerate_graphs(tmp_path, capsys):
+    check(capsys, ["corpus-run"])
+    for name, text in (("empty", "# nothing\n"), ("lone", "vertex u\n")):
+        path = tmp_path / (name + ".graph")
+        path.write_text(text)
+        g = str(path)
+        for argv in (
+            ["analyze", g],
+            ["ideals", g],
+            ["rep-verify", g],
+            ["setcalc", g, "V(u)"],
+            ["standard-form", g, "u", "u"],
+            ["cocycle", g, "u", "u"],
+            ["af-blocks", g],
+            ["limit-check", g],
+        ):
+            check(capsys, argv)

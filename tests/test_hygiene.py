@@ -2,10 +2,17 @@
 __init__, which imports to re-export, is exempt).  A name used only in a
 quoted annotation counts as unused: under ``from __future__ import
 annotations`` it needs no quotes.  Every private module-level function
-or class is used somewhere in the package.  Every public one is used by
-the package, its command line or the benchmark, or the allow list below
-gives the reason it stays.  Every absolute import names a standard-library
-module: the runtime needs nothing else."""
+or class is used somewhere in the package.  Every public one, and every
+method of a public class, private methods included, is used by the
+package, its command line or the benchmark, or the allow list below gives
+the reason it stays.  A class on the list covers its methods, and listed
+code counts as a caller of other methods.  Every absolute import names a
+standard-library module: the runtime needs nothing else.
+
+Uses are matched by name, not by owner: a method counts as called when
+an attribute or variable of the same name is used anywhere in the
+package or the benchmark.  So a method named like a module, a local or a
+list method (a ``paths`` property, an ``index`` method) passes unseen."""
 
 import ast
 import os
@@ -92,7 +99,26 @@ def test_every_private_helper_has_a_caller():
     assert not orphans, orphans
 
 
-def test_every_public_name_has_a_caller_or_a_reason():
+def _uncalled(candidates: dict[str, ast.AST], used: Counter) -> set[str]:
+    """The keys of the candidates whose name is used nowhere but inside
+    themselves or inside other uncalled candidates."""
+    uncalled = {}
+    while True:
+        fresh = {
+            key: node
+            for key, node in candidates.items()
+            if key not in uncalled and not (used - _uses(node))[node.name]
+        }
+        if not fresh:
+            return set(uncalled)
+        uncalled.update(fresh)
+        for node in fresh.values():
+            used -= _uses(node)
+
+
+def _public():
+    """The public module-level definitions, and the uses of every name by
+    the package, its command line and the benchmark."""
     trees = _modules()
     del trees["__init__.py"]
     callers = list(trees.values()) + list(_modules(BENCHMARK).values())
@@ -103,20 +129,27 @@ def test_every_public_name_has_a_caller_or_a_reason():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
-    # a name used only inside uncalled definitions is uncalled too
-    uncalled = {}
-    while True:
-        fresh = {
-            node.name: node
-            for node in public
-            if node.name not in uncalled and not (used - _uses(node))[node.name]
-        }
-        if not fresh:
-            break
-        uncalled.update(fresh)
-        for node in fresh.values():
-            used -= _uses(node)
-    assert set(uncalled) == set(UNCALLED_BY_DESIGN)
+    return public, used
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    public, used = _public()
+    assert _uncalled({node.name: node for node in public}, used) == set(UNCALLED_BY_DESIGN)
+
+
+def test_every_method_of_a_public_class_has_a_caller():
+    """Private methods too; dunder methods are called by the language, and
+    a class on the allow list covers its methods.  Every module-level
+    definition counts as a caller, the allow-listed ones included."""
+    public, used = _public()
+    methods = {
+        "%s.%s" % (cls.name, node.name): node
+        for cls in public
+        if isinstance(cls, ast.ClassDef) and cls.name not in UNCALLED_BY_DESIGN
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+    }
+    assert sorted(_uncalled(methods, used)) == []
 
 
 def test_package_imports_only_the_standard_library():

@@ -20,6 +20,7 @@ from graphck.ringsets import (
 from graphck.setexpr import parse_setexpr
 from graphck.trees import FiberTree, FiniteTree
 from helpers import (
+    fiber_vertices,
     oracle_basic_contains,
     oracle_basic_diff,
     oracle_basic_intersect,
@@ -125,7 +126,7 @@ def test_corpus_fibers(graphs):
     for g in graphs.values():
         for base in g.vertices:
             tree = FiberTree(g, base)
-            _fiber_agrees(rng, tree, tree.vertices_to_depth(3, omega_cap=2), seen)
+            _fiber_agrees(rng, tree, fiber_vertices(tree, 3, 2), seen)
     _assert_both_ways(seen)
 
 
@@ -136,7 +137,7 @@ def test_random_fibers_and_trees():
     for _ in range(90):
         g = random_graph(rng, max_vertices=6, max_bundles=6)
         tree = FiberTree(g, rng.choice(g.vertices))
-        vertices = tree.vertices_to_depth(3, omega_cap=2)
+        vertices = fiber_vertices(tree, 3, 2)
         if len(vertices) > FIBER_SIZE:
             continue
         compared += 1

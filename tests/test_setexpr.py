@@ -6,7 +6,7 @@ from graphck.graphs import parse_graph
 from graphck.paths import parse_path
 from graphck.ringsets import BasicSet, RingError, RingSet
 from graphck.setexpr import SetExprError, _tokenize, first_apex, parse_setexpr
-from graphck.trees import FiberTree, FiniteTree, TreeError
+from graphck.trees import FiberTree, FiniteTree
 from helpers import oracle_tokenize
 from test_fuzz import EXPRS, cone, mangle
 
@@ -64,8 +64,10 @@ def test_parse_errors(fiber):
 
 
 def test_semantic_errors(fiber, graphs):
-    with pytest.raises(TreeError):
-        parse_setexpr(fiber, "V(b)")  # walk starting at v, not in this fiber
+    # a walk starting at v is not in this fiber, an expression error as
+    # an unknown vertex is on a finite tree
+    with pytest.raises(SetExprError, match="^walk b does not start at u$"):
+        parse_setexpr(fiber, "V(b)")
     with pytest.raises(RingError):
         parse_setexpr(fiber, "V(u; b)")  # b does not leave u
 

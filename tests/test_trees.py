@@ -5,7 +5,7 @@ import pytest
 from graphck.graphs import GraphError, parse_graph
 from graphck.paths import Path, parse_path
 from graphck.trees import FiberTree, FiniteTree, TreeError
-from helpers import random_tree_graph
+from helpers import fiber_vertices, random_tree_graph
 
 
 def t2(graphs):
@@ -77,21 +77,21 @@ def test_fiber_vertices_and_children(graphs):
     assert fiber.child(abar, g.instance("a")) == unit
     assert fiber.child(unit, g.instance("b")) == b
     assert fiber.walk(abar, b) == ((g.instance("a"), True), (g.instance("b"), True))
-    depth2 = fiber.vertices_to_depth(2)
+    depth2 = fiber_vertices(fiber, 2)
     assert set(depth2) == {unit, abar, b}
 
 
 def test_fiber_vertices_to_depth_counts(graphs):
     fiber = FiberTree(graphs["o2"], "u")
     # reduced signed walks over two loops: 4 one-letter, each extends 3 ways
-    assert len(fiber.vertices_to_depth(0)) == 1
-    assert len(fiber.vertices_to_depth(1)) == 5
-    assert len(fiber.vertices_to_depth(2)) == 17
+    assert len(fiber_vertices(fiber, 0)) == 1
+    assert len(fiber_vertices(fiber, 1)) == 5
+    assert len(fiber_vertices(fiber, 2)) == 17
 
 
 def test_fiber_omega_truncation(graphs):
     fiber = FiberTree(graphs["oinf"], "u")
-    assert len(fiber.vertices_to_depth(1, omega_cap=2)) == 5
+    assert len(fiber_vertices(fiber, 1, omega_cap=2)) == 5
     assert fiber.endpoint(fiber.unit) in fiber.graph.infinite_emitters
     assert fiber.is_boundary_vertex(fiber.unit)
 

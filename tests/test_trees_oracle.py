@@ -7,7 +7,13 @@ import random
 
 from graphck.paths import Path, directed_upto
 from graphck.trees import FiberTree, FiniteTree
-from helpers import oracle_touches_boundary, oracle_walk, random_graph, random_tree_graph
+from helpers import (
+    fiber_vertices,
+    oracle_touches_boundary,
+    oracle_walk,
+    random_graph,
+    random_tree_graph,
+)
 
 # all pairs of a fiber's vertices are compared, so branchy random fibers
 # with more than this many vertices to depth 3 are skipped
@@ -51,7 +57,7 @@ def test_corpus_fibers(graphs):
     for g in graphs.values():
         for base in g.vertices:
             tree = FiberTree(g, base)
-            for k, n in _agree(tree, tree.vertices_to_depth(3, omega_cap=2)).items():
+            for k, n in _agree(tree, fiber_vertices(tree, 3, 2)).items():
                 seen[k] += n
     assert seen[True] > 500 and seen[False] > 50
 
@@ -63,7 +69,7 @@ def test_random_fibers():
     for _ in range(300):
         g = random_graph(rng, max_vertices=6, max_bundles=6)
         tree = FiberTree(g, rng.choice(g.vertices))
-        vertices = tree.vertices_to_depth(3, omega_cap=2)
+        vertices = fiber_vertices(tree, 3, 2)
         if len(vertices) > FIBER_SIZE:
             continue
         compared += 1
