@@ -1,14 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 unreadable input or bad usage, 2 a cap was
-needed or passed, 3 a semantic check failed (inadmissible family, failed
-relation, mismatched expectation).
+Exit codes: 0 success, 1 unreadable input, bad usage or a closed stdout, 2
+a cap was needed or passed, 3 a semantic check failed (inadmissible family,
+failed relation, mismatched expectation).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -480,19 +481,21 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout closed early: point it at devnull for the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapError as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 2
-    except (GraphSyntaxError, SetExprError, PathError, PointError, FockError, UsageError) as exc:
+    except (GraphSyntaxError, SetExprError, PathError, PointError, FockError, UsageError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (InvariantError, GraphError) as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return 3
-    except KeyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -286,6 +286,11 @@ class Graph:
         return {}
 
     @cached_property
+    def _walks(self) -> dict:
+        """Stripped text -> the walk it names, filled in by paths.parse_path."""
+        return {}
+
+    @cached_property
     def family_verdicts(self) -> dict:
         """Family -> admissibility verdict, filled in by invariants.is_invariant:
         the graph and a family are immutable, so each is checked once."""

@@ -5,13 +5,12 @@ letters are composable and no letter is immediately followed by its own
 reversal.  Length-0 paths are vertices.  A path is directed when every
 letter is traversed forward.  Composition concatenates and cancels at the
 junction; inverses reverse the word.  Paths form a groupoid with the
-vertices as units.
+vertices as units.  Walks are interned per graph; ``Path`` is slotted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .graphs import EdgeInstance, Graph, GraphError, SignedEdge
 
@@ -20,10 +19,11 @@ class PathError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     origin: str
     word: tuple[SignedEdge, ...] = ()
+    _keys: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         at = self.origin
@@ -43,6 +43,7 @@ class Path:
         p = object.__new__(cls)
         object.__setattr__(p, "origin", origin)
         object.__setattr__(p, "word", word)
+        object.__setattr__(p, "_keys", None)
         return p
 
     @classmethod
@@ -97,11 +98,13 @@ class Path:
             return Path.trusted(self.origin, self.word[:-1])
         return Path.trusted(self.origin, self.word + (s,))
 
-    @cached_property
+    @property
     def letter_keys(self) -> tuple:
-        """The sort keys of the letters; lexicographic order on them puts
-        every prefix before its extensions."""
-        return tuple(s.sort_key() for s in self.word)
+        """The sort keys of the letters, computed on first use; lexicographic
+        order on them puts every prefix before its extensions."""
+        if self._keys is None:
+            object.__setattr__(self, "_keys", tuple(s.sort_key() for s in self.word))
+        return self._keys
 
     def sort_key(self):
         return (len(self.word), self.letter_keys, self.origin)
@@ -127,24 +130,27 @@ def directed_upto(starts, steps, depth: int) -> list[Path]:
 
 
 def parse_path(graph: Graph, text: str) -> Path:
-    """Parse ``e.f.~g`` (or a bare vertex name for a length-0 path)."""
+    """Parse ``e.f.~g`` (or a bare vertex name for a length-0 path).  A text is
+    validated on its first parse; parsing it again gives the same object."""
     text = text.strip()
+    p = graph._walks.get(text)
+    if p is not None:
+        return p
     if not text:
         raise PathError("empty path text")
-    if "." not in text and "~" not in text and graph.has_vertex(text):
-        return Path.unit(text)
+    bare = "." not in text and "~" not in text
+    if bare and graph.has_vertex(text):
+        return graph._walks.setdefault(text, Path.unit(text))
     letters = []
     for part in text.split("."):
         part = part.strip()
         if not part:
             raise PathError("empty letter in path %r" % text)
-        forward = True
-        if part.startswith("~"):
-            forward = False
-            part = part[1:]
+        forward = not part.startswith("~")
         try:
-            e = graph.instance(part)
+            e = graph.instance(part.removeprefix("~"))
         except GraphError as exc:
-            raise PathError("in path %r: %s" % (text, exc)) from None
+            what = "unknown vertex or edge %r" % text if bare and "#" not in text else exc
+            raise PathError("in path %r: %s" % (text, what)) from None
         letters.append(e.signed[forward])
-    return Path(letters[0].origin, tuple(letters))
+    return graph._walks.setdefault(text, Path(letters[0].origin, tuple(letters)))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import graphck
 from graphck import corpus, invariants
 from graphck.cli import main
 
@@ -346,3 +350,30 @@ def test_setcalc_apex_outside_the_fiber_is_an_expression_error(capsys):
         code, out, err = run(capsys, "setcalc", "two", *argv)
         assert code == 1 and out == ""
         assert err == "error: walk %s does not start at %s\n" % (walk, base)
+
+
+def test_a_name_that_is_neither_vertex_nor_edge_says_so(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("# nothing\n")
+    for argv, name in (
+        (("setcalc", "chain", "V(zz)"), "zz"),
+        (("standard-form", "chain", "zz", "u"), "zz"),
+        (("setcalc", str(empty), "V(u)"), "u"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: in path %r: unknown vertex or edge %r\n" % (name, name), argv
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader closes the pipe before graphck writes anything
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphck.__file__)))
+    for argv in (["corpus-run"], ["analyze", "chain", "--json"]):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "graphck.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1, (argv, err)
+        assert "Traceback" not in err and "Error" not in err, (argv, err)

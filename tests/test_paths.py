@@ -2,8 +2,12 @@ import random
 
 import pytest
 
+from graphck import corpus
+from graphck.graphs import GraphError
 from graphck.paths import Path, PathError, directed_upto, parse_path
-from helpers import random_graph, random_walk_path
+from graphck.trees import FiberTree
+from helpers import fiber_vertices, random_graph, random_walk_path
+from test_fuzz import mangle
 
 
 def test_unit_and_str(graphs):
@@ -26,12 +30,24 @@ def test_parse_reversals(graphs):
     assert q.origin == "w" and q.terminus == "u"
 
 
-def test_parse_rejects_unknown(graphs):
-    g = graphs["chain"]
+def test_parse_rejects_unknown():
+    g = corpus.load("chain")
     with pytest.raises(Exception):
         parse_path(g, "a.q")
     with pytest.raises(PathError):
         parse_path(g, "")
+    # the error names what was looked for: only a bare name can be a vertex
+    for text, what in (
+        ("zz", "unknown vertex or edge 'zz'"),
+        (" zz ", "unknown vertex or edge 'zz'"),
+        ("zz#1", "unknown edge 'zz'"),
+        ("a.zz", "unknown edge 'zz'"),
+        ("~zz", "unknown edge 'zz'"),
+    ):
+        with pytest.raises(PathError) as exc:
+            parse_path(g, text)
+        assert str(exc.value) == "in path %r: %s" % (text.strip(), what)
+    assert g._walks == {}
 
 
 def test_validation_rejects_noncomposable(graphs):
@@ -140,3 +156,82 @@ def test_directed_upto_stops_at_an_empty_level(graphs):
     units = [Path.unit(v) for v in g.vertices]
     out = directed_upto(units, g.out_instances, 10**9)
     assert sorted(map(str, out)) == ["a", "a.b", "b", "u", "v", "w"]
+
+
+def _corpus_walks(g):
+    return [p for v in g.vertices for p in fiber_vertices(FiberTree(g, v), 3, 2)]
+
+
+def _outcome(g, text):
+    try:
+        return parse_path(g, text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_walks_are_interned_per_graph(graphs):
+    rng = random.Random(1801)
+    parsed = failed = 0
+    for g in graphs.values():
+        for p in _corpus_walks(g):
+            texts = [str(p), " %s " % p, mangle(rng, str(p))]
+            q = parse_path(g, texts[0])
+            assert q == p and q is parse_path(g, texts[0]) is parse_path(g, texts[1])
+            for t in texts[1:]:
+                before = dict(g._walks)
+                first = _outcome(g, t)
+                if isinstance(first, Path):
+                    assert parse_path(g, t) is first
+                    parsed += 1
+                else:
+                    # a bad text raises the same message on every call and is never stored
+                    assert _outcome(g, t) == first and g._walks == before, t
+                    failed += 1
+    assert parsed > 300 and failed > 250
+
+
+def test_a_second_parse_looks_nothing_up(monkeypatch):
+    g = corpus.load("mix")
+    walks = {str(p): parse_path(g, str(p)) for p in _corpus_walks(g)}
+    monkeypatch.setattr(g, "instance", None)
+    monkeypatch.setattr(g, "has_vertex", None)
+    monkeypatch.setattr(Path, "__post_init__", None)
+    assert all(parse_path(g, t) is p for t, p in walks.items())
+
+
+def test_a_first_parse_validates_the_word(graphs):
+    g = graphs["chain"]
+    for text, msg in (("a.a", "letter a does not start at v"), ("a.~a", "word is not reduced at ~a")):
+        for _ in range(2):
+            with pytest.raises(PathError, match=msg):
+                parse_path(g, text)
+        assert text not in g._walks
+
+
+def test_interned_walks_are_the_validated_ones(graphs):
+    for g in graphs.values():
+        for p in _corpus_walks(g):
+            q = parse_path(g, str(p))
+            fresh = Path(q.origin, q.word)  # the validating constructor
+            assert q == fresh and hash(q) == hash(fresh) and q.letter_keys == fresh.letter_keys
+            assert q.sort_key() == fresh.sort_key() and repr(q) == repr(fresh) == str(p)
+
+
+def test_two_graphs_never_share_a_walk():
+    g, h = corpus.load("mix"), corpus.load("mix")
+    for p in _corpus_walks(g):
+        a, b = parse_path(g, str(p)), parse_path(h, str(p))
+        assert a == b and a is not b
+    assert g._walks.keys() == h._walks.keys()
+    assert not set(map(id, g._walks.values())) & set(map(id, h._walks.values()))
+
+
+def test_paths_are_slotted_and_fill_their_letter_keys_lazily(graphs):
+    g = graphs["mix"]
+    for p in _corpus_walks(g):
+        t = Path.trusted(p.origin, p.word)
+        assert not hasattr(t, "__dict__") and t._keys is None
+        keys = t.letter_keys
+        assert keys == tuple(s.sort_key() for s in p.word) and t._keys is keys
+        assert t == p and hash(t) == hash((p.origin, p.word))
+
