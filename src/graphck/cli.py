@@ -212,7 +212,8 @@ def cmd_setcalc(args) -> int:
     tree = FiberTree(g, base)
     result = parse_setexpr(tree, args.expr)
     if isinstance(result, bool):
-        _emit(args, {"base": base, "equal": result}, ["true" if result else "false"])
+        key = "subset" if "<=" in args.expr else "equal"  # the one comparison it parsed
+        _emit(args, {"base": base, key: result}, ["true" if result else "false"])
         return 0
     _emit(args, {"base": base, "result": str(result)}, [str(result)])
     return 0

@@ -150,10 +150,15 @@ class EdgeInstance:
 
 @dataclass(frozen=True)
 class SignedEdge:
-    """An edge instance together with a traversal direction."""
+    """An edge instance together with a traversal direction; built once per
+    instance (``EdgeInstance.signed``), it keeps its sort key and hash."""
 
     edge: EdgeInstance
     forward: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", (*self.edge.sort_key(), not self.forward))
+        object.__setattr__(self, "_hash", hash((self.edge, self.forward)))
 
     @property
     def origin(self) -> str:
@@ -167,7 +172,10 @@ class SignedEdge:
         return self.edge.signed[not self.forward]
 
     def sort_key(self):
-        return (*self.edge.sort_key(), not self.forward)
+        return self._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.edge) if self.forward else "~" + str(self.edge)
@@ -241,17 +249,15 @@ class Graph:
             raise GraphError("unknown edge %r" % name) from None
 
     def instance(self, text: str) -> EdgeInstance:
-        """Parse ``e`` (index 0) or ``e#3`` into an edge instance; a text
-        parsed before gives the same object."""
+        """Parse ``e`` (index 0) or ``e#3``, ASCII digits only, into an edge
+        instance; a text parsed before gives the same object."""
         e = self._instances.get(text)
         if e is None:
-            name, _, idx = text.partition("#")
+            name, hash_sign, idx = text.partition("#")
             b = self.bundle(name)
-            try:
-                index = int(idx) if idx else 0
-            except ValueError:
-                raise GraphError("bad edge index %r" % idx) from None
-            e = self._instances[text] = b.instance(index)
+            if hash_sign and not (idx.isascii() and idx.isdigit()):
+                raise GraphError("bad edge index %r" % idx)
+            e = self._instances[text] = b.instance(int(idx) if idx else 0)
         return e
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:

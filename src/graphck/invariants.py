@@ -344,12 +344,11 @@ def _universe(tree, depth: int):
 
 
 def _absorb_union(tree, blocks: Iterable[BasicSet]) -> RingSet:
-    """The union of the blocks in order, skipping each one already covered."""
+    """The union of the blocks in order; a covered block leaves no piece
+    outside the running set, and the union then returns that set."""
     rs = RingSet.empty(tree)
     for b in blocks:
-        block = RingSet.of(tree, [b])
-        if not rs.contains(block):
-            rs = rs.union(block)
+        rs = rs.union(RingSet.of(tree, [b]))
     return rs
 
 

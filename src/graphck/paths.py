@@ -5,7 +5,8 @@ letters are composable and no letter is immediately followed by its own
 reversal.  Length-0 paths are vertices.  A path is directed when every
 letter is traversed forward.  Composition concatenates and cancels at the
 junction; inverses reverse the word.  Paths form a groupoid with the
-vertices as units.  Walks are interned per graph; ``Path`` is slotted.
+vertices as units.  Walks are interned per graph; ``Path`` is slotted and
+keeps its letter keys and its hash after first use.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ class Path:
     origin: str
     word: tuple[SignedEdge, ...] = ()
     _keys: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         at = self.origin
@@ -44,6 +46,7 @@ class Path:
         object.__setattr__(p, "origin", origin)
         object.__setattr__(p, "word", word)
         object.__setattr__(p, "_keys", None)
+        object.__setattr__(p, "_hash", None)
         return p
 
     @classmethod
@@ -108,6 +111,11 @@ class Path:
 
     def sort_key(self):
         return (len(self.word), self.letter_keys, self.origin)
+
+    def __hash__(self) -> int:  # the dataclass formula, kept after first use
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.origin, self.word)))
+        return self._hash
 
     def __str__(self) -> str:
         if not self.word:

@@ -21,8 +21,8 @@ of r reaching past r's last reversed letter.  So a signed sum of blocks is
 constant between the words where its F-sets start, and one lexicographic
 sweep over those words with a stack of prefixes gives its value on each
 piece: O(n log n) for n blocks, no walk.  contains and equals read the
-sweep of self minus other, and the canonical form asserts its blocks
-disjoint by the sweep of their sum.  boundary_contains makes the pieces of
+sweep of self minus other, and every set an operation returns is swept
+once for disjointness (see union).  boundary_contains makes the pieces of
 other minus self one block at a time (O(k m) relations) and stops at the
 first that touches the boundary; no canonical form is built.
 """
@@ -129,7 +129,7 @@ def _levels(tree, plus, minus=()) -> Iterator[int]:
             n -= 1
             acc[key[:n]] += sign
         for e in b.excluded - {up}:
-            acc[key + ((*tree.ekey(e), False),)] -= sign
+            acc[key + (e.signed[True].sort_key(),)] -= sign
     stack = []  # (word, running sum) of the F-sets at prefixes of the word
     for key, sign in sorted(acc.items()):
         while stack and key[: len(stack[-1][0])] != stack[-1][0]:
@@ -153,12 +153,14 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     for i, b in enumerate(blocks):
         if not b.excluded:
             full.setdefault(b.apex, []).append(i)
+    ends = {tree.endpoint(v) for v in full}  # child(v, e) ends at e.terminus
     kids: dict[int, list] = {}  # position -> (edge, child) in edge order
     i = 0
     while full and i < len(blocks):
         b = blocks[i]
         if b is not None and b.excluded and i not in kids:
-            kids[i] = [(e, tree.child(b.apex, e)) for e in sorted(b.excluded, key=tree.ekey)]
+            es = sorted((e for e in b.excluded if e.terminus in ends), key=tree.ekey)
+            kids[i] = [(e, tree.child(b.apex, e)) for e in es]
         e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
         if e is None:
             i += 1
@@ -173,23 +175,35 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
             i += 1
         else:  # a new full cone, which earlier blocks may fold in
             full.setdefault(b.apex, []).append(len(blocks) - 1)
+            if (end := tree.endpoint(b.apex)) not in ends:
+                ends.add(end)
+                kids.clear()  # built for the old ends
             i = 0
     return [b for b in blocks if b is not None]
 
 
-def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
-    """Absorbed, sorted and checked disjoint; the blocks must be valid."""
+def _sorted(tree, blocks: Iterable[BasicSet]) -> list[BasicSet]:
+    """Absorbed and sorted, not checked; the blocks must be valid."""
     blocks = list(blocks)
-    if len(blocks) < 2:
-        return tuple(blocks)
-    blocks = _absorb(tree, blocks)
-    blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
-    if any(n > 1 for n in _levels(tree, blocks)):
+    if len(blocks) > 1:
+        blocks = _absorb(tree, blocks)
+        blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
+    return blocks
+
+
+def _swept(tree, blocks: list[BasicSet]) -> tuple[BasicSet, ...]:
+    """The blocks, checked disjoint by the sweep of their sum."""
+    if len(blocks) > 1 and any(n > 1 for n in _levels(tree, blocks)):
         for i, b in enumerate(blocks):
             for c in blocks[i + 1 :]:
                 if basic_intersect(tree, b, c) is not None:
                     raise RingError("blocks %s and %s overlap" % (b, c))
     return tuple(blocks)
+
+
+def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
+    """Absorbed, sorted and checked disjoint; the blocks must be valid."""
+    return _swept(tree, _sorted(tree, blocks))
 
 
 @dataclass(frozen=True)
@@ -238,15 +252,23 @@ class RingSet:
         return RingSet(self.tree, _canonical(self.tree, parts))
 
     def union(self, other: "RingSet") -> "RingSet":
+        """self plus the pieces of other outside it, or self when there are
+        none (a basic set is never empty).  The pieces are absorbed and
+        sorted as in other minus self, but only the result is swept: a fold
+        replaces two disjoint blocks by their union, which keeps the sum of
+        the blocks, so an overlap among the pieces still shows there."""
         self._check_same(other)
-        blocks = self.blocks + other.minus(self).blocks
-        return RingSet(self.tree, _canonical(self.tree, blocks))
+        fresh = _sorted(self.tree, _pieces(self.tree, other.blocks, self.blocks))
+        return RingSet(self.tree, _canonical(self.tree, [*self.blocks, *fresh])) if fresh else self
 
     def symmdiff(self, other: "RingSet") -> "RingSet":
-        # the two differences are disjoint and canonical, so their blocks
-        # together are the union's
-        blocks = self.minus(other).blocks + other.minus(self).blocks
-        return RingSet(self.tree, _canonical(self.tree, blocks))
+        """The two differences, absorbed and sorted as in minus, make the
+        blocks of the result; only the result is swept, as in union."""
+        self._check_same(other)
+        tree = self.tree
+        blocks = _sorted(tree, _pieces(tree, self.blocks, other.blocks))
+        blocks += _sorted(tree, _pieces(tree, other.blocks, self.blocks))
+        return RingSet(tree, _canonical(tree, blocks))
 
     def equals(self, other: "RingSet") -> bool:
         self._check_same(other)

@@ -3,9 +3,10 @@
 ``V(u)`` is the cone at u and ``V(u; e, f#1)`` the same cone with the
 first steps along the named instances removed; over a walk fiber the
 apex may be a walk like ``a.~b``.  ``&`` and ``-`` bind tightest, then
-``|`` and ``^`` left to right, and a single ``==`` on the outside turns
-the result into a truth value.  ``0`` is the empty set.  Parentheses
-nest at most MAX_NESTING deep; a deeper expression is a SetExprError.
+``|`` and ``^`` left to right, and a single ``==`` or ``<=`` (subset) on
+the outside turns the result into a truth value.  ``0`` is the empty
+set.  Parentheses nest at most MAX_NESTING deep; a deeper expression is
+a SetExprError.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class SetExprError(GraphError):
 # so this stays far below the interpreter's recursion limit.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
+_TOKEN = re.compile(r"\s*(==|<=|[()&|^;,-]|[~\w#.]+)")
 _SPACE = re.compile(r"\s+")
 
 
@@ -46,11 +47,12 @@ def _tokenize(text: str) -> list[str]:
 
 
 def first_apex(text: str) -> str | None:
-    """The raw apex of the first cone atom, for picking a fiber base."""
+    """The raw apex of the first cone atom, for picking a fiber base; a
+    token there that is not a name is the parser's error."""
     toks = _tokenize(text)
     for i, t in enumerate(toks):
-        if t == "V" and i + 2 < len(toks) and toks[i + 1] == "(":
-            return toks[i + 2]
+        if t == "V" and i + 1 < len(toks) and toks[i + 1] == "(":
+            return _Parser(None, toks[i + 2 :]).word()
     return None
 
 
@@ -75,10 +77,10 @@ class _Parser:
 
     def parse(self):
         left = self.union()
-        if self.peek() == "==":
-            self.take()
+        if self.peek() in ("==", "<="):
+            op = self.take()
             right = self.union()
-            value = left.equals(right)
+            value = left.equals(right) if op == "==" else right.contains(left)
         else:
             value = left
         if self.peek() is not None:
@@ -123,7 +125,7 @@ class _Parser:
 
     def word(self) -> str:
         t = self.take()
-        if t in ("(", ")", ";", ",", "&", "|", "^", "-", "=="):
+        if t in ("(", ")", ";", ",", "&", "|", "^", "-", "==", "<="):
             raise SetExprError("expected a name, found %r" % t)
         return t
 

@@ -66,22 +66,24 @@ class Tree:
         k, n = 0, min(len(a), len(b))
         while k < n and (a[k] is b[k] or a[k] == b[k]):
             k += 1
-        steps = "".join("B" if s.forward else "F" for s in a[k:][::-1])
-        climb = len(steps)
-        steps += "".join("F" if s.forward else "B" for s in b[k:])
-        if not steps:
+        if k == len(a) == len(b):
             return ("equal", None, None, k, u)
-        first = a[-1].edge if climb else b[k].edge
+        first = a[-1].edge if len(a) > k else b[k].edge
         last = b[-1].edge if len(b) > k else a[k].edge
-        drop = len(steps) - len(steps.lstrip("F"))
-        if "F" in steps[drop:]:
-            return ("apart", first, last, k, None)
-        if drop == len(steps):
+        # the walk steps forward climbing the reversed letters at the end of
+        # a[k:], down to i, then if i == k along b's forward letters, up to j
+        i, j = len(a), k
+        while i > k and not a[i - 1].forward:
+            i -= 1
+        while i == k and j < len(b) and b[j].forward:
+            j += 1
+        if not all(s.forward for s in a[k : max(k, i - 1)]) or any(s.forward for s in b[j:]):
+            return ("apart", first, last, k, None)  # a later step is forward
+        if i == k and j == len(b):
             return ("below", first, last, k, v)
-        if drop == 0:
+        if i == len(a) and j == k:
             return ("above", first, last, k, u)
-        low = self.along(u, len(a) - drop) if drop <= climb else self.along(v, k + drop - climb)
-        return ("meet", first, last, k, low)
+        return ("meet", first, last, k, self.along(u, i) if j == k else self.along(v, j))
 
     def walk(self, u, v) -> tuple[Step, ...]:
         """The unique reduced walk from u to v, as anchored steps."""

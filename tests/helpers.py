@@ -1335,6 +1335,44 @@ def oracle_canonical(tree, blocks):
     return tuple(blocks)
 
 
+def oracle_relation(tree, u, v):
+    """Tree.relation as it was: the walk's steps spelled out as a string,
+    F for each forward step and B for each backward one."""
+    a, b = tree.word(u), tree.word(v)
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[k] == b[k]:
+        k += 1
+    steps = "".join("B" if s.forward else "F" for s in a[k:][::-1])
+    climb = len(steps)
+    steps += "".join("F" if s.forward else "B" for s in b[k:])
+    if not steps:
+        return ("equal", None, None, k, u)
+    first = a[-1].edge if climb else b[k].edge
+    last = b[-1].edge if len(b) > k else a[k].edge
+    drop = len(steps) - len(steps.lstrip("F"))
+    if "F" in steps[drop:]:
+        return ("apart", first, last, k, None)
+    if drop == len(steps):
+        return ("below", first, last, k, v)
+    if drop == 0:
+        return ("above", first, last, k, u)
+    low = tree.along(u, len(a) - drop) if drop <= climb else tree.along(v, k + drop - climb)
+    return ("meet", first, last, k, low)
+
+
+def oracle_absorb_union(tree, blocks):
+    """invariants._absorb_union as it was: each block joins by a union
+    unless the running set already contains it."""
+    from graphck.ringsets import RingSet
+
+    rs = RingSet.empty(tree)
+    for b in blocks:
+        block = RingSet.of(tree, [b])
+        if not rs.contains(block):
+            rs = rs.union(block)
+    return rs
+
+
 def oracle_intersect(x, y):
     out = []
     for b in x.blocks:
@@ -1377,7 +1415,7 @@ def oracle_boundary_contains(x, y):
     )
 
 
-_ORACLE_TOKEN = re.compile(r"\s*(==|[()&|^;,-]|[~\w#.]+)")
+_ORACLE_TOKEN = re.compile(r"\s*(==|<=|[()&|^;,-]|[~\w#.]+)")
 
 
 def oracle_tokenize(text: str) -> list[str]:

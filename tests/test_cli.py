@@ -138,6 +138,19 @@ def test_rep_verify_partial_marks(capsys):
     assert data["dimension"] == 10
 
 
+def test_setcalc_cone_without_a_name(capsys):
+    # without --base the fiber is picked from the first apex; a token there
+    # that is no name says so as it does with a base
+    for expr, message in (
+        ("V()", "expected a name, found ')'"),
+        ("V(;a)", "expected a name, found ';'"),
+        ("V(", "expression ends early"),
+    ):
+        code, out, err = run(capsys, "setcalc", "chain", expr, "--base", "u")
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert run(capsys, "setcalc", "chain", expr) == (code, out, err)
+
+
 def test_setcalc(capsys):
     code, out, _ = run(capsys, "setcalc", "chain", "V(u) - V(a)")
     assert code == 0
@@ -148,6 +161,10 @@ def test_setcalc(capsys):
     code, data = run_json(capsys, "setcalc", "chain", "V(a.b)", "--base", "u")
     assert code == 0
     assert data == {"base": "u", "result": "{V(a.b)}"}
+    code, out, _ = run(capsys, "setcalc", "chain", "V(a) <= V(u)")
+    assert (code, out) == (0, "true\n")
+    code, data = run_json(capsys, "setcalc", "chain", "V(u) <= V(u; a)")
+    assert (code, data) == (0, {"base": "u", "subset": False})
 
 
 def test_standard_form_and_cocycle(capsys):
@@ -212,6 +229,12 @@ def test_exit_code_bad_edge_index(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: in path 'a#x': bad edge index 'x'\n"
+    # int() would read 1_000; only ASCII digits name an instance
+    code, out, err = run(capsys, "standard-form", "oinf", "a#1_000", "u")
+    assert (code, out) == (1, "")
+    assert err == "error: in path 'a#1_000': bad edge index '1_000'\n"
+    code, out, _ = run(capsys, "standard-form", "oinf", "a#1000", "u")
+    assert code == 0 and "a#1000" in out
 
 
 def test_exit_code_cap(tmp_path, capsys):

@@ -120,6 +120,12 @@ def test_instance_parsing(graphs):
             g2.instance("e#2")
         with pytest.raises(GraphError, match="bad edge index 'x'"):
             g2.instance("e#x")
+    # int() would read all of these; only ASCII digits name an instance
+    for idx in ("1_000", "+2", " 1", "\u0663", "2 ", "", "-1"):
+        with pytest.raises(GraphError, match="^bad edge index %s$" % re.escape(repr(idx))):
+            g.instance("a#" + idx)
+        assert "a#" + idx not in g._instances
+    assert g.instance("a#1000").index == 1000 and g.instance("a#007").index == 7
 
 
 def test_instances_and_letters_are_built_once(graphs):
@@ -135,7 +141,8 @@ def test_instances_and_letters_are_built_once(graphs):
 
 
 def test_hashes_are_the_dataclass_formulas(graphs):
-    # hashes, and so set orders, do not see the cached letters
+    # hashes, and so set orders, do not see the cached letters, keys and
+    # hashes: a kept hash, asked for a second time, is still the formula
     for g in graphs.values():
         for b in g.bundles:
             e = g.instance(b.name)
@@ -145,6 +152,12 @@ def test_hashes_are_the_dataclass_formulas(graphs):
             assert hash(e) == hash((b, e.index)) and e == b.instance(0)
             assert hash(s) == hash((e, False)) and s == SignedEdge(e, False)
             assert hash(p) == hash((p.origin, p.word)) and p == Path(b.origin, p.word)
+            paths = (p, parse_path(g, b.name), Path.trusted(b.origin, p.word))
+            for _ in range(2):
+                assert [hash(x) for x in e.signed] == [hash((e, False)), hash((e, True))]
+                assert all(hash(q) == hash((q.origin, q.word)) for q in paths)
+            assert s.sort_key() is s.sort_key() == (b.name, 0, True)
+            assert e.signed[True].sort_key() is e.signed[True].sort_key() == (b.name, 0, False)
 
 
 def test_names_must_be_strings():

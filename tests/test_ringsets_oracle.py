@@ -7,8 +7,14 @@ import random
 
 import pytest
 
-from graphck import corpus
-from graphck.invariants import enumerate_invariants, family_open_set, open_set_of, tree_invariant_of
+from graphck import corpus, ringsets
+from graphck.invariants import (
+    Invariant,
+    enumerate_invariants,
+    family_open_set,
+    open_set_of,
+    tree_invariant_of,
+)
 from graphck.paths import parse_path
 from graphck.ringsets import (
     BasicSet,
@@ -21,6 +27,7 @@ from graphck.setexpr import parse_setexpr
 from graphck.trees import FiberTree, FiniteTree
 from helpers import (
     fiber_vertices,
+    oracle_absorb_union,
     oracle_basic_contains,
     oracle_basic_diff,
     oracle_basic_intersect,
@@ -32,6 +39,7 @@ from helpers import (
     oracle_has_vertex,
     oracle_intersect,
     oracle_minus,
+    oracle_relation,
     oracle_symmdiff,
     oracle_union,
     random_graph,
@@ -45,6 +53,7 @@ FIBER_SIZE = 40
 def _relation_agrees(tree, u, v):
     tag = oracle_classify(tree, u, v)
     kind, first, last, k, low = tree.relation(u, v)
+    assert (kind, first, last, k, low) == oracle_relation(tree, u, v), (tree, u, v)
     assert kind == tag[0], (tree, u, v)
     steps = tag[1]
     assert (first, last) == ((steps[0][0], steps[-1][0]) if steps else (None, None))
@@ -206,6 +215,44 @@ def test_criterion_2_sets(graphs):
                         assert w.contains(block) == oracle_contains(w, block)
                         checked += 1
     assert checked > 1000
+
+
+def test_absorb_union_against_contains_then_union(graphs):
+    # the open sets of every corpus family over every base, and the sets
+    # regenerated from their scans, block for block
+    for g in graphs.values():
+        for inv in enumerate_invariants(g):
+            for base in g.vertices:
+                fib = FiberTree(g, base)
+                walks = fib.directed_to_depth(4)
+                blocks = [BasicSet(p, inv.f(p.terminus)) for p in walks if p.terminus in inv.vertices]
+                w = open_set_of(fib, inv, depth=4)
+                assert w.blocks == oracle_absorb_union(fib, blocks).blocks, (g, inv, base)
+                fam = tree_invariant_of(w, depth=1)
+                blocks = [BasicSet(p, fam[p]) for p in sorted(fam, key=fib.vkey)]
+                back = family_open_set(fib, fam)
+                assert back.blocks == oracle_absorb_union(fib, blocks).blocks, (g, inv, base)
+
+
+def test_one_sweep_still_catches_overlapping_pieces(graphs, monkeypatch):
+    # union, symmdiff and the open-set union sweep only what they return:
+    # with a basic_diff that repeats its first piece, that sweep must raise
+    real = ringsets.basic_diff
+
+    def repeating(tree, b, c):
+        out = real(tree, b, c)
+        return out[:1] + out
+
+    monkeypatch.setattr(ringsets, "basic_diff", repeating)
+    g = graphs["chain"]
+    fib = FiberTree(g, "u")
+    cone, sub = RingSet.basic(fib, fib.unit), RingSet.basic(fib, parse_path(g, "a"))
+    for call in (lambda: cone.minus(sub), lambda: sub.union(cone), lambda: cone.symmdiff(sub)):
+        with pytest.raises(RingError, match="overlap"):
+            call()
+    t2 = FiberTree(graphs["t2"], "r")
+    with pytest.raises(RingError, match="overlap"):
+        open_set_of(t2, Invariant.make(["g00", "g10"]), depth=4)
 
 
 def test_canonical_and_overlap_verdicts():

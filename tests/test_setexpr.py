@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -76,6 +77,21 @@ def test_first_apex():
     assert first_apex("V(a.b; c) & V(u)") == "a.b"
     assert first_apex("0 | V(x)") == "x"
     assert first_apex("0") is None
+    # a token after "V(" that is not a name is the parser's own error
+    for text, token in (("V()", ")"), ("V(;a)", ";"), ("0 | V(== V(u)", "==")):
+        with pytest.raises(SetExprError, match=re.escape("expected a name, found '%s'" % token)):
+            first_apex(text)
+    with pytest.raises(SetExprError, match="^expression ends early$"):
+        first_apex("V(")
+
+
+def test_subset(fiber):
+    assert parse_setexpr(fiber, "V(a) <= V(u)") is True
+    assert parse_setexpr(fiber, "V(u) <= V(a) | V(u; a)") is True
+    assert parse_setexpr(fiber, "V(u) <= V(u; a)") is False
+    assert parse_setexpr(fiber, "0 <= 0") is True
+    with pytest.raises(SetExprError, match="^trailing '<='$"):
+        parse_setexpr(fiber, "V(a) <= V(u) <= V(u)")
 
 
 def test_surrounding_whitespace_is_skipped(fiber):
