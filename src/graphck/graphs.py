@@ -17,8 +17,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
+
+
+class _cached:
+    """functools.cached_property without the lock Python 3.11 takes on every
+    first read: the value goes into the instance dict and shadows this."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class _Omega:
@@ -133,7 +147,7 @@ class EdgeInstance:
     def sort_key(self):
         return (self.bundle.name, self.index)
 
-    @cached_property
+    @_cached
     def signed(self) -> tuple["SignedEdge", "SignedEdge"]:
         """The backward and the forward letter of this instance, built once:
         ``signed[forward]``.  Equal letters of one instance are then one
@@ -221,14 +235,30 @@ class Graph:
         self.vertices = vertices
         self.bundles = bundles
         self._vertex_set = frozenset(vertices)
-        self._by_name = {b.name: b for b in bundles}
-        out: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
-        inc: dict[str, list[EdgeBundle]] = {v: [] for v in vertices}
-        for b in bundles:
-            out[b.origin].append(b)
-            inc[b.terminus].append(b)
-        self._out = {v: tuple(bs) for v, bs in out.items()}
-        self._in = {v: tuple(bs) for v, bs in inc.items()}
+
+    def _grouped(self, end) -> dict[str, tuple[EdgeBundle, ...]]:
+        """Vertex -> its bundles at the given end, in order.  The indexes are
+        built on first use: a graph asked only for vertex classes builds none."""
+        groups: dict[str, list[EdgeBundle]] = {v: [] for v in self.vertices}
+        for b in self.bundles:
+            groups[end(b)].append(b)
+        return {v: tuple(bs) for v, bs in groups.items()}
+
+    @_cached
+    def _out(self) -> dict[str, tuple[EdgeBundle, ...]]:
+        return self._grouped(attrgetter("origin"))
+
+    @_cached
+    def _in(self) -> dict[str, tuple[EdgeBundle, ...]]:
+        return self._grouped(attrgetter("terminus"))
+
+    @_cached
+    def _successors(self) -> dict[str, frozenset[str]]:
+        return {v: frozenset(b.terminus for b in bs) for v, bs in self._out.items()}
+
+    @_cached
+    def _by_name(self) -> dict[str, EdgeBundle]:
+        return {b.name: b for b in self.bundles}
 
     def __repr__(self) -> str:
         label = self.name or "graph"
@@ -250,14 +280,15 @@ class Graph:
 
     def instance(self, text: str) -> EdgeInstance:
         """Parse ``e`` (index 0) or ``e#3``, ASCII digits only, into an edge
-        instance; a text parsed before gives the same object."""
-        e = self._instances.get(text)
+        instance; each spelling (``a``, ``a#0``, ``a#00``) gives one object."""
+        name, hash_sign, idx = text.partition("#")
+        b = self.bundle(name)
+        if hash_sign and not (idx.isascii() and idx.isdigit()):
+            raise GraphError("bad edge index %r" % idx)
+        key = (name, int(idx) if idx else 0)
+        e = self._instances.get(key)
         if e is None:
-            name, hash_sign, idx = text.partition("#")
-            b = self.bundle(name)
-            if hash_sign and not (idx.isascii() and idx.isdigit()):
-                raise GraphError("bad edge index %r" % idx)
-            e = self._instances[text] = b.instance(int(idx) if idx else 0)
+            e = self._instances[key] = b.instance(key[1])
         return e
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
@@ -273,30 +304,31 @@ class Graph:
         self.check_vertex(v)
         return self._in[v]
 
-    @cached_property
+    @_cached
     def sinks(self) -> frozenset[str]:
-        return frozenset(v for v in self.vertices if not self._out[v])
+        origins = {b.origin for b in self.bundles}
+        return frozenset(v for v in self.vertices if v not in origins)
 
-    @cached_property
+    @_cached
     def infinite_emitters(self) -> frozenset[str]:
         return frozenset(b.origin for b in self.bundles if is_omega(b.multiplicity))
 
-    @cached_property
+    @_cached
     def regular_vertices(self) -> frozenset[str]:
         """Vertices with finitely many, at least one, outgoing edges."""
         return self._vertex_set - self.sinks - self.infinite_emitters
 
-    @cached_property
-    def _instances(self) -> dict[str, EdgeInstance]:
-        """Text -> the instance it names, filled in by instance()."""
+    @_cached
+    def _instances(self) -> dict[tuple[str, int], EdgeInstance]:
+        """(bundle name, index) -> its instance, filled in by instance()."""
         return {}
 
-    @cached_property
+    @_cached
     def _walks(self) -> dict:
         """Stripped text -> the walk it names, filled in by paths.parse_path."""
         return {}
 
-    @cached_property
+    @_cached
     def family_verdicts(self) -> dict:
         """Family -> admissibility verdict, filled in by invariants.is_invariant:
         the graph and a family are immutable, so each is checked once."""
@@ -305,18 +337,18 @@ class Graph:
     # Derived facts, computed once per graph.  Everything below rests on one
     # iterative Tarjan pass, so it runs in O(V+E) with no recursion.
 
-    @cached_property
+    @_cached
     def sccs(self) -> tuple[frozenset[str], ...]:
         """Strongly connected components in reverse topological order."""
         out = self._out
         return tuple(tarjan(self.vertices, lambda v: [b.terminus for b in out[v]]))
 
-    @cached_property
+    @_cached
     def scc_index(self) -> dict[str, int]:
         """Vertex -> position of its component in sccs."""
         return {v: i for i, comp in enumerate(self.sccs) for v in comp}
 
-    @cached_property
+    @_cached
     def cyclic_sccs(self) -> dict[int, str]:
         """Component index -> the kind shared by every cycle inside it.
 
@@ -349,12 +381,12 @@ class Graph:
                 kinds[i] = "transitory" if exits else "terminal"
         return kinds
 
-    @cached_property
+    @_cached
     def cycle_vertices(self) -> frozenset[str]:
         """Vertices lying on at least one directed cycle."""
         return frozenset(v for i in self.cyclic_sccs for v in self.sccs[i])
 
-    @cached_property
+    @_cached
     def generator_reach(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(generators, reach): the generator components and, per component,
         the bitmask of the generators it reaches, its own bit included.
@@ -378,7 +410,7 @@ class Graph:
                     reach[i] |= reach[index[b.terminus]]
         return tuple(gens), tuple(reach)
 
-    @cached_property
+    @_cached
     def paths_into(self) -> dict[str, object]:
         """Vertex -> number of directed paths ending there, OMEGA if infinite.
 
@@ -505,14 +537,10 @@ def parse_graph(text: str, name: str = "") -> Graph:
                     elif mult_text == "omega":
                         bundles.append(EdgeBundle.trusted(bname, orig, term, OMEGA))
                     else:
+                        if not (mult_text.isascii() and mult_text.isdigit()):
+                            raise GraphSyntaxError("bad multiplicity %r" % mult_text, lineno)
                         try:
-                            mult = int(mult_text)
-                        except ValueError:
-                            raise GraphSyntaxError(
-                                "bad multiplicity %r" % mult_text, lineno
-                            ) from None
-                        try:
-                            bundles.append(EdgeBundle(bname, orig, term, mult))
+                            bundles.append(EdgeBundle(bname, orig, term, int(mult_text)))
                         except GraphError as exc:
                             raise GraphSyntaxError(str(exc), lineno) from None
                     continue

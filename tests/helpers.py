@@ -331,11 +331,10 @@ def oracle_parse_graph(text: str, name: str = "") -> Graph:
                     mult = 1
                 elif mult_text == "omega":
                     mult = OMEGA
+                elif mult_text.isascii() and mult_text.isdigit():
+                    mult = int(mult_text)
                 else:
-                    try:
-                        mult = int(mult_text)
-                    except ValueError:
-                        raise GraphSyntaxError("bad multiplicity %r" % mult_text, lineno) from None
+                    raise GraphSyntaxError("bad multiplicity %r" % mult_text, lineno)
                 try:
                     bundles.append(
                         EdgeBundle(m.group("name"), m.group("orig"), m.group("term"), mult)
@@ -621,9 +620,74 @@ def oracle_free_point_from(g: Graph, u: str):
 
 
 # Reference implementations of graphck.invariants, kept as differential
-# oracles: NextClosure over the closed sets, the candidate scan over all 2^|V|
-# vertex sets times every product of whole-bundle exclusion options, and
-# the quadratic and cubic cover searches.
+# oracles: the clause-by-clause admissibility check, NextClosure over the
+# closed sets, the candidate scan over all 2^|V| vertex sets times every
+# product of whole-bundle exclusion options, and the quadratic and cubic
+# cover searches.
+
+
+def oracle_check_family(g: Graph, inv):
+    """Admissibility clause by clause, every failure and note in order:
+    the check that invariants._check_family runs when a family excludes
+    something or fails one of its two set passes."""
+    from graphck.graphs import EdgeInstance
+    from graphck.invariants import CheckResult
+
+    failures = []
+    notes = []
+    nset = inv.vertices
+    for u in nset:
+        g.check_vertex(u)
+    fmap = dict(inv.exclusions)
+    for u, excl in inv.exclusions:
+        # sorted, as equal frozensets may iterate in different orders
+        for e in sorted(excl, key=EdgeInstance.sort_key):
+            try:
+                known = g.bundle(e.bundle.name) == e.bundle
+            except GraphError:
+                known = False
+            if not known or e.origin != u:
+                failures.append("excluded edge %s does not leave %s" % (e, u))
+    if failures:
+        return CheckResult(False, tuple(failures))
+
+    for u in sorted(nset):
+        excl = fmap.get(u, frozenset())
+        if excl and u not in g.infinite_emitters:
+            failures.append("vertex %s has finite valence but excludes %d edges" % (u, len(excl)))
+        chosen = {}
+        for e in excl:
+            chosen[e.bundle] = chosen.get(e.bundle, 0) + 1
+        for b in g.out_bundles(u):
+            picked = chosen.get(b, 0)
+            t = b.terminus
+            if is_omega(b.multiplicity) or picked < b.multiplicity:
+                # some instance is not excluded
+                if t not in nset:
+                    failures.append("edge %s leaves the family at %s" % (b.name, u))
+                elif fmap.get(t):
+                    failures.append(
+                        "edge %s from %s lands on %s, which must exclude nothing" % (b.name, u, t)
+                    )
+            if picked and t in nset:
+                if not fmap.get(t):
+                    failures.append(
+                        "excluded edge %s from %s lands on %s, which needs a nonempty exclusion set"
+                        % (b.name, u, t)
+                    )
+                elif t in g.infinite_emitters:
+                    notes.append(
+                        "excluded edge %s lands on the infinite-valence member %s with exclusions"
+                        % (b.name, t)
+                    )
+    for u in g.vertices:
+        if u in nset or u not in g.regular_vertices:
+            continue
+        if all(b.terminus in nset and not fmap.get(b.terminus) for b in g.out_bundles(u)):
+            failures.append(
+                "vertex %s sees only members with empty exclusions and must join the family" % u
+            )
+    return CheckResult(not failures, tuple(failures), tuple(notes))
 
 
 def oracle_closed_sets(g: Graph):

@@ -237,6 +237,16 @@ def test_exit_code_bad_edge_index(capsys):
     assert code == 0 and "a#1000" in out
 
 
+def test_exit_code_bad_multiplicity(tmp_path, capsys):
+    # int() would read 1_0 as 10; only ASCII digits or omega give a multiplicity
+    for mult in ("1_0", "+2", "\u0663"):
+        p = tmp_path / "mult.graph"
+        p.write_text("vertex u\nvertex v\nedge a : u -> v * %s\n" % mult, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", str(p))
+        assert (code, out) == (1, ""), mult
+        assert err == "error: line 3: bad multiplicity %r\n" % mult
+
+
 def test_exit_code_cap(tmp_path, capsys):
     lines = ["vertex v%d" % i for i in range(7)]
     for i in range(7):

@@ -16,7 +16,7 @@ from graphck.graphs import (
     subgraph_le,
 )
 from graphck.paths import Path, parse_path
-from helpers import random_graph, reachable
+from helpers import oracle_parse_graph, random_graph, reachable
 
 
 def test_parse_basic(graphs):
@@ -37,6 +37,20 @@ def test_parse_multiplicities():
     g = parse_graph("vertex u\nvertex v\nedge e : u -> v * 3\nedge f : u -> u * omega\n")
     assert g.bundle("e").multiplicity == 3
     assert is_omega(g.bundle("f").multiplicity)
+
+
+def test_multiplicity_is_ascii_digits_or_omega():
+    # int() would read all of these, as 10, 2, 3, 2 and 40
+    for mult in ("1_0", "+2", "\u0663", "\uff12", "\u0664\u0660"):
+        text = "vertex u\nvertex v\nedge a : u -> v * %s\n" % mult
+        for read in (parse_graph, oracle_parse_graph):
+            with pytest.raises(GraphSyntaxError) as err:
+                read(text)
+            assert str(err.value) == "line 3: bad multiplicity %r" % mult
+    assert parse_graph("vertex u\nedge a : u -> u * 010").bundle("a").multiplicity == 10
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_graph("vertex u\nedge a : u -> u * 0")
+    assert str(err.value) == "line 2: multiplicity of 'a' must be a positive int or omega"
 
 
 @pytest.mark.parametrize(
@@ -121,10 +135,11 @@ def test_instance_parsing(graphs):
         with pytest.raises(GraphError, match="bad edge index 'x'"):
             g2.instance("e#x")
     # int() would read all of these; only ASCII digits name an instance
+    kept = dict(g._instances)
     for idx in ("1_000", "+2", " 1", "\u0663", "2 ", "", "-1"):
         with pytest.raises(GraphError, match="^bad edge index %s$" % re.escape(repr(idx))):
             g.instance("a#" + idx)
-        assert "a#" + idx not in g._instances
+        assert g._instances == kept
     assert g.instance("a#1000").index == 1000 and g.instance("a#007").index == 7
 
 
@@ -138,6 +153,17 @@ def test_instances_and_letters_are_built_once(graphs):
     assert parse_path(g, "~a#2").word[0] is s.reverse()
     assert Path.unit("u").append(e).word[0] is s
     assert parse_path(graphs["o2"], "a").word[0] is not parse_path(g, "a").word[0]
+
+
+def test_every_spelling_of_an_instance_is_one_object(graphs):
+    for name, spellings in (("oinf", ("a", "a#0", "a#00")), ("two", ("e", "e#0", "e#000"))):
+        g = graphs[name]
+        first = g.instance(spellings[0])
+        assert all(g.instance(text) is first for text in spellings), name
+        assert all(parse_path(g, text).word[0] is first.signed[True] for text in spellings), name
+    oinf = graphs["oinf"]
+    assert oinf.instance("a#1") is oinf.instance("a#01") is oinf.instance("a#001")
+    assert oinf.instance("a#1") is not oinf.instance("a#10")
 
 
 def test_hashes_are_the_dataclass_formulas(graphs):

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from graphck import invariants
 from graphck.cover import lift_invariant
-from graphck.graphs import EdgeBundle, Graph
+from graphck.graphs import EdgeBundle, Graph, GraphError
 from graphck.invariants import (
     Invariant,
     InvariantError,
@@ -23,7 +24,7 @@ from graphck.points import FinitePath
 from graphck.ringsets import RingSet
 from graphck.trees import FiberTree
 
-from helpers import naive_invariants, random_graph
+from helpers import naive_invariants, oracle_check_family, random_graph
 
 EXPECTED_COUNTS = {
     "edge": 2,
@@ -339,6 +340,54 @@ def _candidates(rng, g, count):
 
 def _fresh(g):
     return Graph(g.vertices, g.bundles, name=g.name)
+
+
+def test_check_family_matches_the_clause_by_clause_oracle(graphs):
+    # every verdict, failure and note, in order, on graphs whose indexes the
+    # check builds itself; each family is also asked without its exclusions
+    rng = random.Random(4110)
+    pool = list(graphs.values()) + [random_graph(rng) for _ in range(100)]
+    seen = Counter()
+    for g in pool:
+        fresh = _fresh(g)
+        families = list(enumerate_invariants(g)) + list(_candidates(rng, g, 30))
+        for inv in families + [Invariant.make(inv.vertices) for inv in families]:
+            want = oracle_check_family(g, inv)
+            assert invariants._check_family(fresh, inv) == want, (g, inv)
+            seen[bool(inv.exclusions), want.ok] += 1
+        stray = Invariant.make(list(g.vertices[:1]) + ["nowhere"])
+        for check in (oracle_check_family, invariants._check_family):
+            with pytest.raises(GraphError, match="^unknown vertex 'nowhere'$"):
+                check(fresh, stray)
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def test_quotient_graphs_match_the_checked_constructor(graphs):
+    # the random graphs are large enough for set orders to depend on
+    # insertion order, which sinks must keep: that of the vertices
+    rng = random.Random(4111)
+    pool = list(graphs.values()) + [random_graph(rng, 12, 16) for _ in range(60)]
+    for g in pool:
+        for inv in enumerate_invariants(g):
+            q = quotient_data(g, inv).graph
+            kept = [v for v in g.vertices if v not in inv.vertices or v in inv.r_vertices]
+            bundles = [b for b in g.bundles if b.origin in kept and b.terminus in kept]
+            slow = Graph(kept, bundles, name=q.name)
+            # the vertex classes first, before any index is built
+            assert tuple(q.regular_vertices) == tuple(slow.regular_vertices), (g, inv)
+            old_sinks = frozenset(v for v in kept if not slow.out_bundles(v))
+            assert tuple(q.sinks) == tuple(slow.sinks) == tuple(old_sinks), (g, inv)
+            assert (q.vertices, q.bundles) == (tuple(kept), tuple(bundles)), (g, inv)
+            for v in kept:
+                assert q.out_bundles(v) == slow.out_bundles(v), (g, inv, v)
+                assert q.in_bundles(v) == slow.in_bundles(v), (g, inv, v)
+            for b in g.bundles:
+                if b in bundles:
+                    assert q.bundle(b.name) is slow.bundle(b.name) is b
+                else:
+                    for h in (q, slow):
+                        with pytest.raises(GraphError, match="^unknown edge"):
+                            h.bundle(b.name)
 
 
 def test_cached_verdicts_equal_fresh_ones(graphs):
