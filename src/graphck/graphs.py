@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -97,10 +98,7 @@ class EdgeBundle:
         """A bundle of multiplicity 1 or OMEGA, skipping the check in
         __post_init__."""
         b = object.__new__(cls)
-        object.__setattr__(b, "name", name)
-        object.__setattr__(b, "origin", origin)
-        object.__setattr__(b, "terminus", terminus)
-        object.__setattr__(b, "multiplicity", multiplicity)
+        b.__dict__.update(name=name, origin=origin, terminus=terminus, multiplicity=multiplicity)
         return b
 
     def instance(self, index: int = 0) -> "EdgeInstance":
@@ -430,7 +428,10 @@ class Graph:
         for comp in reversed(self.sccs):
             for v in comp:
                 if v not in table:
-                    table[v] = 1 + sum(b.multiplicity * table[b.origin] for b in self._in[v])
+                    n = 1
+                    for b in self._in[v]:
+                        n += b.multiplicity * table[b.origin]
+                    table[v] = n
         return table
 
 
@@ -438,46 +439,46 @@ def tarjan(vertices: Iterable[str], succ) -> list[frozenset[str]]:
     """Strongly connected components, reverse topological order.
 
     Iterative Tarjan: roots are taken in the order of vertices and the
-    successors of v in the order succ(v) lists them.
+    successors of v in the order succ(v) lists them.  Each frame of the
+    walk holds its vertex's low-link.  A vertex whose component is done
+    gets index inf, so the low-link test skips it with no on-stack set,
+    and a component leaves the stack as one slice, from its root up.
     """
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
+    index: dict[str, float] = {}
     stack: list[str] = []
     out: list[frozenset[str]] = []
     for root in vertices:
         if root in index:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = n = len(index)
         stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ(root)))]
+        work = [[root, iter(succ(root)), n]]
         while work:
-            v, it = work[-1]
+            frame = work[-1]
+            v, it, low = frame
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = len(index)
+                    frame[2] = low
+                    index[w] = n = len(index)
                     stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ(w))))
+                    work.append([w, iter(succ(w)), n])
                     break
-                if w in onstack and index[w] < low[v]:
-                    low[v] = index[w]
+                if index[w] < low:
+                    low = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                if low[v] == index[v]:
-                    comp = set()
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.add(w)
-                        if w == v:
-                            break
-                    out.append(frozenset(comp))
+                if low < index[v]:
+                    if low < work[-1][2]:
+                        work[-1][2] = low
+                    continue
+                i = len(stack) - 1
+                while stack[i] != v:
+                    i -= 1
+                comp = stack[i:]
+                del stack[i:]
+                for w in comp:
+                    index[w] = inf
+                out.append(frozenset(comp))
     return out
 
 
@@ -519,9 +520,17 @@ def parse_graph(text: str, name: str = "") -> Graph:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for stmt in line.split(";"):
-            stmt = stmt.strip()
-            if not stmt:
+            p = stmt.split()
+            if not p:
                 continue
+            # the common statements, read from their whitespace-split fields
+            if len(p) == 6 and p[0] == "edge" and p[2] == ":" and p[4] == "->":
+                bundles.append(EdgeBundle.trusted(p[1], p[3], p[5], 1))
+                continue
+            if len(p) == 2 and p[0] == "vertex":
+                vertices.append(p[1])
+                continue
+            stmt = stmt.strip()
             # the keywords differ in their first letter: one pattern can match
             if stmt[0] == "v":
                 m = _VERTEX_STMT.match(stmt)

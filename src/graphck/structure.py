@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .graphs import (
     OMEGA,
@@ -22,7 +24,6 @@ from .graphs import (
     Graph,
     GraphError,
     SignedEdge,
-    is_omega,
     tarjan,
 )
 from .paths import Path
@@ -65,21 +66,21 @@ class Cycle:
     __repr__ = __str__
 
 
-def _canonical_rotation(bundles: tuple[EdgeBundle, ...]) -> tuple[EdgeBundle, ...]:
-    """Rotate a cycle so its smallest bundle name comes first.
+def _canonical_rotation(names: list[str]) -> list[str]:
+    """Rotate a cycle's bundle names so the smallest comes first.
 
     The steps of a vertex-simple cycle leave distinct vertices, so their
     bundles are distinct and the smallest name alone fixes the minimal
     rotation.
     """
-    j = min(range(len(bundles)), key=lambda i: bundles[i].name)
-    return bundles[j:] + bundles[:j]
+    j = names.index(min(names))
+    return names[j:] + names[:j]
 
 
 def _cycle_count(bundles) -> object:
     total = 1
     for b in bundles:
-        if is_omega(b.multiplicity):
+        if b.multiplicity is OMEGA:
             return OMEGA
         total *= b.multiplicity
     return total
@@ -130,23 +131,36 @@ def _circuits(start: str, succ: dict[str, list[EdgeBundle]]):
 def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
     """All vertex-simple directed cycles, classified, smallest first.
 
-    Johnson's algorithm (SIAM J. Comput. 4, 1975), run only inside the
-    cyclic components: O((V+E)(C+1)) for C cycles.  Each cycle takes its
+    A terminal or transitory component is bare, one inside step per
+    vertex, so it is one cycle, walked from its smallest vertex.  The
+    returning components are searched with Johnson's algorithm (SIAM J.
+    Comput. 4, 1975): O((V+E)(C+1)) for C cycles.  Each cycle takes its
     kind from its component.  Raises CycleCapError past cap cycles.
     """
-    found: list[tuple[EdgeBundle, ...]] = []
-    cyclic = g.cyclic_sccs
-    # a terminal or transitory component is bare: it is one cycle, through start
-    todo = [(g.sccs[i], kind != "returning") for i, kind in cyclic.items()]
+    found: list[tuple[list[str], str, object]] = []
+    out = g._out
+    todo = [(g.sccs[i], kind) for i, kind in g.cyclic_sccs.items()]
     while todo:
-        comp, bare = todo.pop()
-        succ = {v: [b for b in g.out_bundles(v) if b.terminus in comp] for v in comp}
+        comp, kind = todo.pop()
         start = min(comp)
-        for bundles in _circuits(start, succ):
-            found.append(_canonical_rotation(bundles))
+        if kind == "returning":
+            succ = {v: [b for b in out[v] if b.terminus in comp] for v in comp}
+            circuits = _circuits(start, succ)
+        else:
+            walk, v = [], start
+            for _ in comp:
+                for b in out[v]:
+                    if b.terminus in comp:
+                        break
+                walk.append(b)
+                v = b.terminus
+            circuits = (walk,)
+        for bundles in circuits:
+            names = _canonical_rotation([b.name for b in bundles])
+            found.append((names, kind, _cycle_count(bundles)))
             if len(found) > cap:
                 raise CycleCapError("more than %d cycles" % cap)
-        if bare:
+        if kind != "returning":
             continue
         # the cycles avoiding start lie in the components of what is left
         rest = comp - {start}
@@ -156,20 +170,19 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
 
         for sub in tarjan(rest, inner):
             if len(sub) > 1 or any(t in sub for v in sub for t in inner(v)):
-                todo.append((sub, False))
+                todo.append((sub, kind))
     # every step is instance 0, so names order the cycles as sort keys do
-    found.sort(key=lambda bundles: [b.name for b in bundles])
+    found.sort(key=itemgetter(0))
     # one instance 0 per bundle on a cycle, however many cycles share it
-    on_cycle = {b.name: b for bundles in found for b in bundles}
-    step = {name: b.instance(0) for name, b in on_cycle.items()}
-    return tuple(
-        Cycle(
-            tuple(step[b.name] for b in bundles),
-            cyclic[g.scc_index[bundles[0].origin]],
-            _cycle_count(bundles),
-        )
-        for bundles in found
-    )
+    step = dict.fromkeys(chain.from_iterable(names for names, _, _ in found))
+    for name in step:
+        step[name] = g.bundle(name).instance(0)
+    cycles = []
+    for names, kind, count in found:
+        c = object.__new__(Cycle)
+        c.__dict__.update(instances=tuple(map(step.__getitem__, names)), kind=kind, count=count)
+        cycles.append(c)
+    return tuple(cycles)
 
 
 @dataclass(frozen=True)

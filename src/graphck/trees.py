@@ -77,8 +77,14 @@ class Tree:
             i -= 1
         while i == k and j < len(b) and b[j].forward:
             j += 1
-        if not all(s.forward for s in a[k : max(k, i - 1)]) or any(s.forward for s in b[j:]):
-            return ("apart", first, last, k, None)  # a later step is forward
+        # apart when a later step is forward: a backward letter in a[k:i-1], a forward in b[j:]
+        m, n = k, j
+        while m < i - 1 and a[m].forward:
+            m += 1
+        while n < len(b) and not b[n].forward:
+            n += 1
+        if m < i - 1 or n < len(b):
+            return ("apart", first, last, k, None)
         if i == k and j == len(b):
             return ("below", first, last, k, v)
         if i == len(a) and j == k:

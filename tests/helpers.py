@@ -298,6 +298,55 @@ def naive_invariants(g: Graph, skip_above: int = 50000):
     return out
 
 
+# The iterative Tarjan that graphck.graphs.tarjan replaced, kept as a
+# differential oracle: an on-stack set and a low-link dict, and each
+# component popped vertex by vertex.
+
+
+def oracle_tarjan(vertices, succ) -> list[frozenset[str]]:
+    """Strongly connected components, reverse topological order; roots in
+    the order of vertices, successors in the order succ(v) lists them."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    onstack: set[str] = set()
+    stack: list[str] = []
+    out: list[frozenset[str]] = []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w in onstack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    out.append(frozenset(comp))
+    return out
+
+
 # A reference implementation of graphck.graphs.parse_graph, kept as a
 # differential oracle: the statement-by-statement reader that tries both
 # statement patterns on every statement.

@@ -1,4 +1,4 @@
-"""Two sha256 digests over what graphck answers on seeded inputs.
+"""Three sha256 digests over what graphck answers on seeded inputs.
 
     PYTHONPATH=src python tests/output_digest.py [--seed N]
 
@@ -16,6 +16,15 @@ The lattice part hashes, for every corpus graph and seeded random graphs,
 * every ``quotient_data``: vertices, bundles and marks,
 * ``is_invariant`` on seeded candidate families, admissible or not.
 
+The census part hashes, for the corpus graphs, seeded chains, rings,
+binary trees, ladders, complete digraphs K3-K7 and layered dags with
+back edges, each read from text with its vertices declared in a seeded
+order, and seeded random graphs,
+
+* the ``structure_report``: each cycle with its kind and count, the
+  flags and the witnesses,
+* ``count_paths_into`` at every vertex.
+
 An error is hashed by its type and message.  A change meant to keep every
 answer prints the same digests before and after; pytest does not collect
 this file.
@@ -32,7 +41,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from graphck import corpus  # noqa: E402
-from graphck.graphs import EdgeBundle, GraphError  # noqa: E402
+from graphck.graphs import EdgeBundle, GraphError, parse_graph  # noqa: E402
 from graphck.invariants import (  # noqa: E402
     Invariant,
     enumerate_invariants,
@@ -44,6 +53,7 @@ from graphck.invariants import (  # noqa: E402
     tree_invariant_of,
 )
 from graphck.setexpr import parse_setexpr  # noqa: E402
+from graphck.structure import count_paths_into, structure_report  # noqa: E402
 from graphck.trees import FiberTree  # noqa: E402
 from helpers import random_graph, random_walk_path  # noqa: E402
 
@@ -165,11 +175,68 @@ def lattice_records(seed: int):
             yield "%s: %s is %s" % (label, inv, _answer(is_invariant, g, inv))
 
 
+def _text(rng, vertices, edges) -> str:
+    """Graph text with the vertices declared in a seeded order."""
+    vertices = list(vertices)
+    rng.shuffle(vertices)
+    lines = ["vertex %s" % v for v in vertices]
+    lines += ["edge e%d : %s -> %s" % (k, u, v) for k, (u, v) in enumerate(edges)]
+    return "\n".join(lines)
+
+
+def _census_texts(rng):
+    """(label, text) of the census graphs, in order."""
+    for n in (1, 2, 7, 40, 150):
+        vs = ["v%d" % i for i in range(n)]
+        yield "chain %d" % n, _text(rng, vs, zip(vs, vs[1:]))
+        yield "ring %d" % n, _text(rng, vs, zip(vs, vs[1:] + vs[:1]))
+    for d in (1, 3, 6):
+        vs = ["n%d" % i for i in range(1, 2 ** (d + 1))]
+        edges = [("n%d" % (i // 2), v) for i, v in enumerate(vs[1:], 2)]
+        yield "btree %d" % d, _text(rng, vs, edges)
+    for n in (2, 5, 12):
+        vs = ["%s%d" % (x, i) for x in "ab" for i in range(n)]
+        edges = [(x + str(i), y + str(i + 1)) for i in range(n - 1) for x in "ab" for y in "ab"]
+        yield "ladder %d" % n, _text(rng, vs, edges)
+    for n in range(3, 8):
+        vs = ["v%d" % i for i in range(n)]
+        yield "K%d" % n, _text(rng, vs, [(u, v) for u in vs for v in vs if u != v])
+    for n in (12, 60, 200):
+        for _ in range(3):
+            layers = [["l%d_%d" % (i, j) for j in range(max(1, n // 6))] for i in range(6)]
+            edges = [(u, rng.choice(nxt)) for cur, nxt in zip(layers, layers[1:]) for u in cur]
+            edges += [(u, rng.choice(nxt)) for cur, nxt in zip(layers, layers[1:]) for u in cur]
+            edges += [(v, u) for u, v in rng.sample(edges, 3)]
+            yield "dag %d" % n, _text(rng, [v for layer in layers for v in layer], edges)
+
+
+def census_records(seed: int):
+    """The reprs that the census digest covers, in order."""
+    rng = random.Random(seed)
+    graphs = [(name, corpus.load(name)) for name in corpus.GRAPH_NAMES]
+    graphs += [(label, parse_graph(text, label)) for label, text in _census_texts(rng)]
+    graphs += [("random %d" % k, random_graph(rng)) for k in range(RANDOM_GRAPHS)]
+    for label, g in graphs:
+        r = structure_report(g)
+        yield "%s %r: %r %r %r" % (
+            label,
+            g.vertices,
+            [(str(c), c.kind, c.count) for c in r.cycles],
+            r.flags(),
+            r.witnesses,
+        )
+        yield "%s into %r" % (label, [(v, count_paths_into(g, v)) for v in g.vertices])
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, default=19)
     args = p.parse_args(argv)
-    for part, records in (("cone sets", cone_set_records), ("lattice", lattice_records)):
+    for part, records in (
+        ("cone sets", cone_set_records),
+        ("lattice", lattice_records),
+        ("census", census_records),
+    ):
         h = hashlib.sha256()
         n = 0
         for line in records(args.seed):

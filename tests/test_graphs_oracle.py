@@ -1,9 +1,12 @@
-"""The graph reader against its reference version, and the order of Graph's faults.
+"""The graph reader and Tarjan against their reference versions, and the
+order of Graph's faults.
 
-parse_graph tries one statement pattern per statement and builds bundles
-of multiplicity 1 or omega unchecked.  The oracle in helpers.py reads
-every statement with both patterns, and every graph, message and line
-number must agree with it.
+parse_graph reads the common statements from their whitespace-split
+fields, tries one statement pattern on the others and builds bundles of
+multiplicity 1 or omega unchecked.  The oracle in helpers.py reads every
+statement with both patterns, and every graph, message and line number
+must agree with it.  tarjan must give the oracle's components in the
+oracle's order.
 """
 
 import random
@@ -11,9 +14,9 @@ import random
 import pytest
 
 from graphck import corpus
-from graphck.graphs import EdgeBundle, Graph, GraphError, parse_graph
+from graphck.graphs import EdgeBundle, Graph, GraphError, parse_graph, tarjan
 
-from helpers import oracle_parse_graph
+from helpers import oracle_parse_graph, oracle_tarjan, random_graph
 from test_fuzz import mangle
 
 # statement pieces and whitespace the reader must treat as the oracle does
@@ -130,10 +133,45 @@ def test_reader_matches_oracle_on_mangled_texts():
         "edgee : u -> u",
         "vertex u v",
         "",
+        # the field counts of the common statements, read otherwise or rejected
+        "vertex u; vertex v; edge e: : u -> v",
+        "vertex u; vertex v; edge a:b : u -> v",
+        "vertex u; edge e : u -> ->",
+        "vertex u; vertex v; edge e : u => v",
+        "vertex u; vertex v; edge e ; u -> v",
+        "vertex u; vertex v; edge e :: u -> v",
+        "vertex u; vertex v; Edge e : u -> v",
+        "vertex u; edge e : u -> u *2",
+        "vertex u; edge e : u -> u*2",
+        "vertex u; edge e : u -> u w",
+        "vertex\u3000u",
+        "vertex é",
+        "vertex u v w",
+        "vertex u\nvertex v\nedge e : u -> v\x1c",
+        "vertex u\nvertex v\nedge e\u2003: u\u00a0->\tv",
     ],
 )
 def test_reader_matches_oracle_on_edge_cases(text):
     _assert_reads_alike(text, text)
+
+
+def test_tarjan_matches_oracle(graphs):
+    # shuffled roots and successors; random graphs bring self-loops and
+    # isolated vertices
+    rng = random.Random(2101)
+    pool = list(graphs.values()) + [random_graph(rng, 12, 18) for _ in range(200)]
+    loops = isolated = 0
+    for k, g in enumerate(pool):
+        succ = {v: [b.terminus for b in g.out_bundles(v)] for v in g.vertices}
+        loops += any(v in ts for v, ts in succ.items())
+        isolated += any(not g.out_bundles(v) and not g.in_bundles(v) for v in g.vertices)
+        for _ in range(3):
+            order = list(g.vertices)
+            rng.shuffle(order)
+            for ts in succ.values():
+                rng.shuffle(ts)
+            assert tarjan(order, succ.__getitem__) == oracle_tarjan(order, succ.__getitem__), k
+    assert loops > 50 and isolated > 50, (loops, isolated)
 
 
 # several faults at once: Graph names the first in statement order, each
