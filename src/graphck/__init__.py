@@ -24,7 +24,7 @@ from .graphs import (
 from .paths import Path, PathError, parse_path
 from .trees import FiberTree, FiniteTree, TreeError
 from .ringsets import BasicSet, RingError, RingSet
-from .points import FinitePath, Lasso, PointError, act, parse_point
+from .points import Lasso, PointError, act, parse_point
 from .cover import (
     af_block_enumerate,
     compose_arrows,
@@ -77,7 +77,6 @@ __all__ = [
     "EdgeBundle",
     "EdgeInstance",
     "FiberTree",
-    "FinitePath",
     "FiniteTree",
     "FockError",
     "Graph",

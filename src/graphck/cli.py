@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     GraphError,
     GraphSyntaxError,
-    SignedEdge,
     is_omega,
     load_graph,
     subgraph_le,
@@ -279,7 +278,7 @@ def _random_subgraph(rng: random.Random, g: Graph) -> Graph:
 
 def _lift_path(g: Graph, p):
     word = tuple(
-        SignedEdge(g.bundle(s.edge.bundle.name).instance(s.edge.index), s.forward)
+        g.bundle(s.edge.bundle.name).instance(s.edge.index).signed[s.forward]
         for s in p.word
     )
     return type(p)(p.origin, word)

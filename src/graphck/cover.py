@@ -1,11 +1,12 @@
 """Arrows over the path covering: standard forms, degree, transversals.
 
 An arrow is a pair (alpha, x) of a reduced walk and a boundary point with
-t(alpha) = o(x); it translates x to alpha.x.  Every arrow factors uniquely
-as alpha = beta1.beta2^-1 where beta2 is the prefix of x that alpha
-cancels, and the degree len(beta1) - len(beta2) is a groupoid cocycle.
-The transversal keeps only points whose walk is fully directed; every
-point translates into it along the prefix ending at its last reversal.
+t(alpha) = o(x), the point a walk or a Lasso; it translates x to alpha.x.
+Every arrow factors uniquely as alpha = beta1.beta2^-1 where beta2 is the
+prefix of x that alpha cancels, and the degree len(beta1) - len(beta2) is
+a groupoid cocycle.  The transversal keeps only points whose walk is
+fully directed; every point translates into it along the prefix ending
+at its last reversal.  An aperiodic ray is refused.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def standard_form(alpha: Path, y) -> StandardForm:
     inverse to the first r letters of y, so beta1 = alpha without those
     letters, beta2 = that prefix of y, and x = y with the prefix removed.
     """
+    if y.kind == "aperiodic":
+        raise PointError("cannot factor a walk against %r" % (y,))
     if alpha.terminus != y.origin:
         raise PointError(
             "walk %s ends at %s but the point starts at %s"
@@ -110,7 +113,9 @@ def transversal_translate(g: Graph, x, s=()):
     """
     if not point_in_boundary(g, x, s):
         raise PointError("%s is not a boundary point here" % (x,))
-    word = x.path.word if x.kind == "finite" else x.stem.word
+    if x.kind == "aperiodic":
+        raise PointError("cannot translate %r into the transversal" % (x,))
+    word = x.word if x.kind == "finite" else x.stem.word
     k = 0
     for i, letter in enumerate(word):
         if not letter.forward:
@@ -128,7 +133,7 @@ def end_member(rs: RingSet, x) -> bool:
     below every apex, so one deep enough prefix decides.
     """
     if x.kind == "finite":
-        return rs.has_vertex(x.path)
+        return rs.has_vertex(x)
     deepest = max((len(b.apex) for b in rs.blocks), default=0)
     settled = len(x.stem.word if x.kind == "lasso" else x.alpha.word) + deepest + 2
     return rs.has_vertex(x.prefix_path(settled))

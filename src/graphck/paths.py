@@ -5,8 +5,9 @@ letters are composable and no letter is immediately followed by its own
 reversal.  Length-0 paths are vertices.  A path is directed when every
 letter is traversed forward.  Composition concatenates and cancels at the
 junction; inverses reverse the word.  Paths form a groupoid with the
-vertices as units.  Walks are interned per graph; ``Path`` is slotted and
-keeps its letter keys and its hash after first use.
+vertices as units, and a path is also a finite boundary point (``kind``
+"finite").  Walks are interned per graph; ``Path`` is slotted and keeps
+its letter keys and its hash after first use.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ class Path:
     word: tuple[SignedEdge, ...] = ()
     _keys: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    kind = "finite"
 
     def __post_init__(self):
         at = self.origin
@@ -86,8 +89,13 @@ class Path:
     def prefix(self, n: int) -> "Path":
         return Path.trusted(self.origin, self.word[:n])
 
+    def word_prefix(self, n: int) -> tuple[SignedEdge, ...]:
+        return self.word[:n]
+
     def drop(self, n: int) -> "Path":
         """The path left after removing the first n letters."""
+        if not 0 <= n <= len(self.word):
+            raise PathError("cannot drop %d letters from %s" % (n, self))
         if n == 0:
             return self
         return Path.trusted(self.word[n - 1].terminus, self.word[n:])

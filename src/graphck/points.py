@@ -1,11 +1,12 @@
 """Boundary points of path fibers: finite walks and eventually periodic rays.
 
 The fiber over a base vertex is a directed tree whose vertices are the
-reduced walks from that base.  Its boundary consists of the walks ending at
-a sink or an infinite emitter together with the ends of rays that are
-eventually directed.  An eventually periodic end has a unique shortest
-presentation stem + repeating directed circuit, and Lasso stores exactly
-that presentation, so structural equality decides equality of ends.
+reduced walks from that base.  Its boundary holds the walks ending at a
+sink or an infinite emitter, each a ``Path``, and the ends of rays that
+are eventually directed.  An eventually periodic end has a unique
+shortest presentation stem + repeating directed circuit, and Lasso
+stores exactly that presentation, so structural equality decides
+equality of ends.
 """
 
 from __future__ import annotations
@@ -13,41 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import GraphError
-from .paths import Path, SignedEdge
+from .paths import Path, SignedEdge, parse_path
 
 
 class PointError(GraphError):
     pass
-
-
-@dataclass(frozen=True)
-class FinitePath:
-    """A point given by one reduced walk, kept as the walk itself."""
-
-    path: Path
-
-    kind = "finite"
-
-    @property
-    def origin(self) -> str:
-        return self.path.origin
-
-    @property
-    def terminus(self) -> str:
-        return self.path.terminus
-
-    @property
-    def is_directed(self) -> bool:
-        return self.path.is_directed
-
-    def word_prefix(self, n: int) -> tuple[SignedEdge, ...]:
-        return self.path.word[:n]
-
-    def drop(self, r: int) -> "FinitePath":
-        return FinitePath(self.path.drop(r))
-
-    def __str__(self) -> str:
-        return str(self.path)
 
 
 def _rotate(cycle: tuple[SignedEdge, ...], j: int) -> tuple[SignedEdge, ...]:
@@ -186,7 +157,7 @@ class AperiodicDescriptor:
 def act(alpha: Path, x):
     """Translate a point by a walk composable with it."""
     if x.kind == "finite":
-        return FinitePath(alpha * x.path)
+        return alpha * x
     if x.kind == "lasso":
         return Lasso.of(alpha * x.stem, x.cycle)
     raise PointError("cannot act on %r" % (x,))
@@ -195,11 +166,9 @@ def act(alpha: Path, x):
 def parse_point(graph, text: str):
     """``e.~f`` or a bare vertex for a finite point, ``stem@circuit`` for
     the end down a repeating circuit."""
-    from .paths import parse_path
-
     text = text.strip()
     if "@" not in text:
-        return FinitePath(parse_path(graph, text))
+        return parse_path(graph, text)
     stem_text, _, circuit_text = text.partition("@")
     stem = parse_path(graph, stem_text)
     circuit = parse_path(graph, circuit_text)

@@ -27,7 +27,7 @@ from .graphs import (
     tarjan,
 )
 from .paths import Path
-from .points import AperiodicDescriptor, FinitePath, act
+from .points import AperiodicDescriptor, act
 
 
 class StructureError(GraphError):
@@ -299,7 +299,7 @@ def _bfs_word(g: Graph, src: str, targets, within=None) -> tuple[SignedEdge, ...
             word = []
             while at != src:
                 at, e = prev[at]
-                word.append(SignedEdge(e))
+                word.append(e.signed[True])
             return tuple(reversed(word))
         for b in g.out_bundles(at):
             t = b.terminus
@@ -322,7 +322,7 @@ def free_point_from(g: Graph, u: str):
     g.check_vertex(u)
     hit = _bfs_word(g, u, g.sinks | g.infinite_emitters)
     if hit is not None:
-        return FinitePath(Path(u, hit))
+        return Path(u, hit)
     gens, reach = g.generator_reach
     mask = reach[g.scc_index[u]]
     # the cyclic components hold the low bits, in sccs order
@@ -347,8 +347,8 @@ def free_point_from(g: Graph, u: str):
     # w lies in a component reached from u, and both steps' termini share
     # its component, so these words exist
     alpha = _bfs_word(g, u, {w})
-    gamma = (SignedEdge(first),) + _bfs_word(g, first.terminus, {w}, comp)
-    ret = (SignedEdge(exit_step),) + _bfs_word(g, exit_step.terminus, {w}, comp)
+    gamma = (first.signed[True],) + _bfs_word(g, first.terminus, {w}, comp)
+    ret = (exit_step.signed[True],) + _bfs_word(g, exit_step.terminus, {w}, comp)
     return AperiodicDescriptor(Path(u, alpha), gamma, ret)
 
 

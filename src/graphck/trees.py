@@ -143,8 +143,8 @@ class FiniteTree(Tree):
         frontier = [root]
         while frontier:
             v = frontier.pop()
-            steps = [SignedEdge(b.instance(0)) for b in graph.out_bundles(v)]
-            steps += [SignedEdge(b.instance(0), False) for b in graph.in_bundles(v)]
+            steps = [b.instance(0).signed[True] for b in graph.out_bundles(v)]
+            steps += [b.instance(0).signed[False] for b in graph.in_bundles(v)]
             for s in steps:
                 if s.terminus not in words:
                     words[s.terminus] = words[v] + (s,)

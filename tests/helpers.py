@@ -201,13 +201,11 @@ def random_lasso(rng, g, max_stem: int = 4):
 
 
 def random_point(rng, g, allow_lasso: bool = True):
-    from graphck.points import FinitePath
-
     if allow_lasso and rng.random() < 0.4:
         x = random_lasso(rng, g)
         if x is not None:
             return x
-    return FinitePath(random_walk_path(rng, g))
+    return random_walk_path(rng, g)
 
 
 def arrow_into(rng, g, x, max_len: int = 5):
@@ -604,19 +602,29 @@ def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
     )
 
 
+# graph -> the vertices that some cycle vertex or omega terminus reaches
+_INFINITE_INTO: "weakref.WeakKeyDictionary[Graph, frozenset]" = weakref.WeakKeyDictionary()
+
+
+def _infinitely_entered(g: Graph) -> frozenset[str]:
+    if g not in _INFINITE_INTO:
+        reach = {v: reachable(g, v) for v in g.vertices}
+        sources = set()
+        for v in g.vertices:
+            for b in g.out_bundles(v):
+                if v in reach[b.terminus]:
+                    sources.add(v)
+                if is_omega(b.multiplicity):
+                    sources.add(b.terminus)
+        _INFINITE_INTO[g] = frozenset().union(*(reach[s] for s in sources))
+    return _INFINITE_INTO[g]
+
+
 def oracle_count_paths_into(g: Graph, u: str):
     """Directed paths ending at u by a recursive memo; OMEGA when some
     cycle vertex or omega terminus reaches u."""
-    sources = set()
-    for v in g.vertices:
-        for b in g.out_bundles(v):
-            if v in reachable(g, b.terminus):
-                sources.add(v)
-            if is_omega(b.multiplicity):
-                sources.add(b.terminus)
-    for s in sources:
-        if u in reachable(g, s):
-            return OMEGA
+    if u in _infinitely_entered(g):
+        return OMEGA
     memo: dict = {}
 
     def f(v):
@@ -632,14 +640,14 @@ def oracle_free_point_from(g: Graph, u: str):
     taking the first component in Tarjan order that u reaches and that
     has a vertex with two steps inside it, that vertex first in
     g.vertices order."""
-    from graphck.points import AperiodicDescriptor, FinitePath
+    from graphck.points import AperiodicDescriptor
     from graphck.structure import StructureError, _bfs_word
 
     g.check_vertex(u)
     singular = set(g.sinks) | set(g.infinite_emitters)
     hit = _bfs_word(g, u, singular)
     if hit is not None:
-        return FinitePath(Path(u, hit))
+        return Path(u, hit)
     reach = reachable(g, u)
     order = {v: i for i, v in enumerate(g.vertices)}
     for comp in g.sccs:

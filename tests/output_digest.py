@@ -1,4 +1,4 @@
-"""Three sha256 digests over what graphck answers on seeded inputs.
+"""Four sha256 digests over what graphck answers on seeded inputs.
 
     PYTHONPATH=src python tests/output_digest.py [--seed N]
 
@@ -25,6 +25,16 @@ order, and seeded random graphs,
   flags and the witnesses,
 * ``count_paths_into`` at every vertex.
 
+The points part hashes, for seeded walks and ``stem@circuit`` texts over
+the corpus graphs (now and then one that names no point), the kind and
+the ``str`` (never the ``repr``) of
+
+* the ``parse_point`` result,
+* ``act`` and ``standard_form``, with its degree, along seeded arrows into
+  the point, most of them composable,
+* ``transversal_translate`` with seeded marks,
+* ``end_member`` on seeded ring sets of the point's fiber.
+
 An error is hashed by its type and message.  A change meant to keep every
 answer prints the same digests before and after; pytest does not collect
 this file.
@@ -42,6 +52,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from graphck import corpus  # noqa: E402
 from graphck.graphs import EdgeBundle, GraphError, parse_graph  # noqa: E402
+from graphck.cover import end_member, standard_form, transversal_translate  # noqa: E402
 from graphck.invariants import (  # noqa: E402
     Invariant,
     enumerate_invariants,
@@ -52,16 +63,20 @@ from graphck.invariants import (  # noqa: E402
     quotient_data,
     tree_invariant_of,
 )
+from graphck.points import act, parse_point  # noqa: E402
 from graphck.setexpr import parse_setexpr  # noqa: E402
 from graphck.structure import count_paths_into, structure_report  # noqa: E402
 from graphck.trees import FiberTree  # noqa: E402
-from helpers import random_graph, random_walk_path  # noqa: E402
+from helpers import random_graph, random_lasso, random_walk_path  # noqa: E402
 
 FIBERS = 440  # fibers drawn, cycling through the corpus
 SETS_PER_FIBER = 6
 RANDOM_GRAPHS = 200
 CANDIDATES = 30  # per graph, each also asked without its exclusions
 OPS = {"&": "intersect", "|": "union", "^": "symmdiff", "-": "minus"}
+POINTS = 660  # points drawn, cycling through the corpus
+ARROWS_PER_POINT = 3
+SETS_PER_POINT = 3
 
 
 def _cone(rng, g, base) -> str:
@@ -228,6 +243,70 @@ def census_records(seed: int):
         yield "%s into %r" % (label, [(v, count_paths_into(g, v)) for v in g.vertices])
 
 
+def _point_text(rng, g) -> str:
+    """A walk, a stem@circuit end, or a stem@walk text that may name no
+    point."""
+    r = rng.random()
+    if r < 0.4:
+        x = random_lasso(rng, g)
+        if x is not None:
+            return str(x)
+    elif r < 0.5:
+        return "%s@%s" % (random_walk_path(rng, g, 3), random_walk_path(rng, g, 3))
+    return str(random_walk_path(rng, g))
+
+
+def _said(f, *args) -> str:
+    """The str of f's answer, or the error's type and message."""
+    try:
+        return str(f(*args))
+    except GraphError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _point(x) -> str:
+    return "%s %s" % (x.kind, x)
+
+
+def _form(alpha, x) -> str:
+    sf = standard_form(alpha, x)
+    return "%s degree %d" % (sf, sf.degree)
+
+
+def _translate(g, x, marks) -> str:
+    alpha, y = transversal_translate(g, x, marks)
+    return "%s, %s" % (alpha, _point(y))
+
+
+def point_records(seed: int):
+    """The strs that the points digest covers, in order."""
+    rng = random.Random(seed)
+    for i in range(POINTS):
+        g = corpus.load(corpus.GRAPH_NAMES[i % len(corpus.GRAPH_NAMES)])
+        text = _point_text(rng, g)
+        yield "%s %s := %s" % (g.name, text, _said(lambda: _point(parse_point(g, text))))
+        try:
+            x = parse_point(g, text)
+        except GraphError:
+            continue
+        for _ in range(ARROWS_PER_POINT):
+            start = x.origin if rng.random() < 0.9 else None
+            alpha = random_walk_path(rng, g, 5, start).inverse()
+            yield "%s by %s: %s; %s" % (
+                x,
+                alpha,
+                _said(lambda: _point(act(alpha, x))),
+                _said(_form, alpha, x),
+            )
+        marks = [v for v in sorted(g.regular_vertices) if rng.random() < 0.3]
+        yield "%s marks %s: %s" % (x, marks, _said(_translate, g, x, marks))
+        tree = FiberTree(g, x.origin)
+        for _ in range(SETS_PER_POINT):
+            expr = _expression(rng, g, x.origin, rng.randint(1, 4))
+            rs = parse_setexpr(tree, expr)
+            yield "%s in %s: %s" % (x, expr, _said(end_member, rs, x))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, default=19)
@@ -236,6 +315,7 @@ def main(argv=None) -> int:
         ("cone sets", cone_set_records),
         ("lattice", lattice_records),
         ("census", census_records),
+        ("points", point_records),
     ):
         h = hashlib.sha256()
         n = 0

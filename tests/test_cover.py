@@ -18,15 +18,16 @@ from graphck.cover import (
 from graphck.graphs import CapError
 from graphck.invariants import Invariant
 from graphck.paths import Path, parse_path
-from graphck.points import FinitePath, Lasso, PointError, act
+from graphck.points import Lasso, PointError, act
 from graphck.ringsets import RingSet
+from graphck.structure import free_point_from
 from graphck.trees import FiberTree
 
 from helpers import act_on_ringset, random_lasso, random_point, random_walk_path
 
 
 def pt(g, text):
-    return FinitePath(parse_path(g, text))
+    return parse_path(g, text)
 
 
 def test_cover_edges_chain(graphs):
@@ -57,7 +58,7 @@ def test_standard_form_worked_example(graphs):
     sf = standard_form(parse_path(g, "a.b"), pt(g, "~b"))
     assert sf.beta1 == parse_path(g, "a")
     assert sf.beta2 == parse_path(g, "~b")
-    assert sf.x == FinitePath(Path.unit("v"))
+    assert sf.x == Path.unit("v")
     assert sf.degree == 0
     assert sf.alpha() == parse_path(g, "a.b")
     assert sf.point() == pt(g, "~b")
@@ -98,7 +99,7 @@ def test_standard_form_random_properties(graphs):
             # maximality: beta1 does not cancel into x
             if sf.x.kind == "finite":
                 joined = act(sf.beta1, sf.x)
-                assert len(joined.path) == len(sf.beta1) + len(sf.x.path)
+                assert len(joined) == len(sf.beta1) + len(sf.x)
             # the factorization is idempotent
             again = standard_form(sf.alpha(), sf.point())
             assert again == sf
@@ -136,7 +137,7 @@ def test_arrow_groupoid_laws(graphs):
         unit_arrow = compose_arrows(invert_arrow(ar1), ar1)
         assert unit_arrow == (Path.unit(x.origin), x)
     with pytest.raises(PointError):
-        compose_arrows((Path.unit("u"), FinitePath(Path.unit("u"))), (parse_path(g, "a"), pt(g, "b")))
+        compose_arrows((Path.unit("u"), Path.unit("u")), (parse_path(g, "a"), pt(g, "b")))
 
 
 def test_boundary_membership_with_marks(graphs):
@@ -147,23 +148,23 @@ def test_boundary_membership_with_marks(graphs):
     with pytest.raises(PointError):
         point_in_boundary(g, pt(g, "a.b"), s={"w"})  # sink cannot be marked
     m = graphs["mix"]
-    assert point_in_boundary(m, FinitePath(Path.unit("u")))  # infinite emitter
+    assert point_in_boundary(m, Path.unit("u"))  # infinite emitter
 
 
 def test_transversal_membership(graphs):
     g = graphs["chain"]
     assert in_transversal(g, pt(g, "a.b"))
-    assert not in_transversal(g, FinitePath(parse_path(g, "~b")))  # not directed
+    assert not in_transversal(g, parse_path(g, "~b"))  # not directed
     o = graphs["oinf"]
     assert in_transversal(o, Lasso.of(Path.unit("u"), parse_path(o, "a#0").word))
 
 
 def test_transversal_translate(graphs):
     g = graphs["chain"]
-    x = FinitePath(Path("w", parse_path(g, "~b.~a").word))
+    x = Path("w", parse_path(g, "~b.~a").word)
     alpha, x2 = transversal_translate(g, x)
     assert alpha == parse_path(g, "~b.~a")
-    assert x2 == FinitePath(Path.unit("u"))
+    assert x2 == Path.unit("u")
     assert in_transversal(g, x2)
     assert act(alpha, x2) == x
     # already transversal points translate trivially
@@ -214,7 +215,23 @@ def test_end_member_finite_points(graphs):
     assert end_member(full, pt(g, "e"))
     assert not end_member(cut, pt(g, "e"))
     assert end_member(cut, pt(g, "a#1"))
-    assert end_member(cut, FinitePath(Path.unit("u")))  # the emitter's own point
+    assert end_member(cut, Path.unit("u"))  # the emitter's own point
+
+
+def test_aperiodic_points_are_refused_in_one_line(graphs):
+    g = graphs["o2"]
+    x = free_point_from(g, "u")
+    assert x.kind == "aperiodic"
+    unit = Path.unit("u")
+    for call in (
+        lambda: standard_form(unit, x),
+        lambda: degree(parse_path(g, "a"), x),
+        lambda: transversal_translate(g, x),
+        lambda: act(unit, x),
+    ):
+        with pytest.raises(PointError) as info:
+            call()
+        assert "\n" not in str(info.value)
 
 
 def test_act_on_ringset_equivariance(graphs):

@@ -7,7 +7,9 @@ method of a public class, private methods included, is used by the
 package, its command line or the benchmark, or the allow list below gives
 the reason it stays.  A class on the list covers its methods, and listed
 code counts as a caller of other methods.  Every absolute import names a
-standard-library module: the runtime needs nothing else.
+standard-library module: the runtime needs nothing else.  Every letter
+the package builds comes from ``EdgeInstance.signed``, so equal letters
+of one instance are one object.
 
 Uses are matched by name, not by owner: a method counts as called when
 an attribute or variable of the same name is used anywhere in the
@@ -150,6 +152,35 @@ def test_every_method_of_a_public_class_has_a_caller():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
     }
     assert sorted(_uncalled(methods, used)) == []
+
+
+def test_letters_are_built_only_by_edge_instance_signed():
+    def calls(node):
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+            == "SignedEdge"
+        ]
+
+    trees = _modules()
+    allowed = {
+        id(call)
+        for cls in trees["graphs.py"].body
+        if isinstance(cls, ast.ClassDef) and cls.name == "EdgeInstance"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "signed"
+        for call in calls(node)
+    }
+    assert len(allowed) == 2
+    stray = [
+        "%s:%d" % (fname, call.lineno)
+        for fname, tree in trees.items()
+        for call in calls(tree)
+        if id(call) not in allowed
+    ]
+    assert not stray, stray
 
 
 def test_package_imports_only_the_standard_library():

@@ -20,7 +20,6 @@ from graphck.invariants import (
     tree_invariant_of,
 )
 from graphck.paths import Path, parse_path
-from graphck.points import FinitePath
 from graphck.ringsets import RingSet
 from graphck.trees import FiberTree
 

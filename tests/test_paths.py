@@ -98,6 +98,16 @@ def test_prefix_drop(graphs):
     assert p.drop(2) == Path.unit("w")
 
 
+def test_drop_out_of_range_raises(graphs):
+    g = graphs["chain"]
+    p = parse_path(g, "a.b")
+    for n in (-1, -2, 3, 4):
+        with pytest.raises(PathError, match="cannot drop %d letters from a.b" % n):
+            p.drop(n)
+    with pytest.raises(PathError):
+        Path.unit("u").drop(1)
+
+
 def test_groupoid_laws_random():
     rng = random.Random(407)
     for _ in range(300):

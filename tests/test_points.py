@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphck.paths import Path, parse_path
-from graphck.points import AperiodicDescriptor, FinitePath, Lasso, PointError, act
+from graphck.points import AperiodicDescriptor, Lasso, PointError, act
 
 from helpers import random_lasso, random_point, random_walk_path
 
@@ -14,12 +14,12 @@ def sgn(g, text):
 
 def test_finite_point_basics(graphs):
     g = graphs["chain"]
-    x = FinitePath(parse_path(g, "a.b"))
+    x = parse_path(g, "a.b")
     assert x.origin == "u" and x.terminus == "w"
     assert x.is_directed
     assert x.word_prefix(1) == parse_path(g, "a").word
-    assert x.drop(1) == FinitePath(parse_path(g, "b"))
-    y = FinitePath(parse_path(g, "~a"))
+    assert x.drop(1) == parse_path(g, "b")
+    y = parse_path(g, "~a")
     assert not y.is_directed
 
 
@@ -100,7 +100,7 @@ def test_act_composes(graphs):
 
 def test_act_requires_composability(graphs):
     g = graphs["chain"]
-    x = FinitePath(Path.unit("w"))
+    x = Path.unit("w")
     with pytest.raises(Exception):
         act(parse_path(g, "a"), x)  # a ends at v, not w
 
