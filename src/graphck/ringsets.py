@@ -21,10 +21,13 @@ of r reaching past r's last reversed letter.  So a signed sum of blocks is
 constant between the words where its F-sets start, and one lexicographic
 sweep over those words with a stack of prefixes gives its value on each
 piece: O(n log n) for n blocks, no walk.  contains and equals read the
-sweep of self minus other, and every set an operation returns is swept
-once for disjointness (see union).  boundary_contains makes the pieces of
-other minus self one block at a time (O(k m) relations) and stops at the
-first that touches the boundary; no canonical form is built.
+sweep of self minus other.  A set an operation returns is checked
+disjoint once (see union): three or more blocks by the sweep, two by
+their one intersection.  _absorb builds no child unless an excluded edge
+could lead to a full cone, judged by endpoint and depth.  boundary_contains
+makes the pieces of other minus self one block at a time (O(k m)
+relations) and stops at the first that touches the boundary; no
+canonical form is built.
 """
 
 from __future__ import annotations
@@ -144,6 +147,14 @@ def _levels(tree, plus, minus=()) -> Iterator[int]:
         yield stack[-1][1] - (stack[i - 1][1] if i else 0)
 
 
+def _near(tree, b: BasicSet, ends: set) -> list:
+    """b's excluded edges whose child could be a full cone: ends holds the
+    (endpoint, depth) of each full cone, and child(v, e) ends at e.terminus
+    one letter deeper or shallower than v."""
+    n = len(tree.word(b.apex))
+    return [e for e in b.excluded if (e.terminus, n + 1) in ends or (e.terminus, n - 1) in ends]
+
+
 def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     """Fold each full child cone into a block that excludes its edge, in
     the order of a scan from the front that restarts after every fold and
@@ -153,13 +164,15 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     for i, b in enumerate(blocks):
         if not b.excluded:
             full.setdefault(b.apex, []).append(i)
-    ends = {tree.endpoint(v) for v in full}  # child(v, e) ends at e.terminus
+    ends = {(tree.endpoint(v), len(tree.word(v))) for v in full}
+    if not ends or not any(_near(tree, b, ends) for b in blocks if b.excluded):
+        return blocks  # no fold is possible, found before any child is built
     kids: dict[int, list] = {}  # position -> (edge, child) in edge order
     i = 0
     while full and i < len(blocks):
         b = blocks[i]
         if b is not None and b.excluded and i not in kids:
-            es = sorted((e for e in b.excluded if e.terminus in ends), key=tree.ekey)
+            es = sorted(_near(tree, b, ends), key=tree.ekey)
             kids[i] = [(e, tree.child(b.apex, e)) for e in es]
         e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
         if e is None:
@@ -175,7 +188,7 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
             i += 1
         else:  # a new full cone, which earlier blocks may fold in
             full.setdefault(b.apex, []).append(len(blocks) - 1)
-            if (end := tree.endpoint(b.apex)) not in ends:
+            if (end := (tree.endpoint(b.apex), len(tree.word(b.apex)))) not in ends:
                 ends.add(end)
                 kids.clear()  # built for the old ends
             i = 0
@@ -192,8 +205,9 @@ def _sorted(tree, blocks: Iterable[BasicSet]) -> list[BasicSet]:
 
 
 def _swept(tree, blocks: list[BasicSet]) -> tuple[BasicSet, ...]:
-    """The blocks, checked disjoint by the sweep of their sum."""
-    if len(blocks) > 1 and any(n > 1 for n in _levels(tree, blocks)):
+    """The blocks, checked disjoint: two by their intersection, more by the
+    sweep of their sum, and the overlapping pair found pairwise."""
+    if len(blocks) == 2 or len(blocks) > 2 and any(n > 1 for n in _levels(tree, blocks)):
         for i, b in enumerate(blocks):
             for c in blocks[i + 1 :]:
                 if basic_intersect(tree, b, c) is not None:
@@ -208,7 +222,8 @@ def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
 
 @dataclass(frozen=True)
 class RingSet:
-    """A finite disjoint union of basic sets over one tree."""
+    """A finite disjoint union of basic sets over one tree.  The constructor
+    trusts its blocks, as every operation builds them; of and basic check."""
 
     tree: object
     blocks: tuple[BasicSet, ...]
@@ -227,11 +242,12 @@ class RingSet:
 
     @classmethod
     def basic(cls, tree, apex, excluded: Iterable[EdgeInstance] = ()) -> "RingSet":
-        if isinstance(apex, BasicSet):
-            if excluded:
-                raise RingError("excluded edges belong inside the basic set")
-            return cls.of(tree, [apex])
-        return cls.of(tree, [BasicSet(apex, frozenset(excluded))])
+        """One validated block, which is canonical as it stands."""
+        if isinstance(apex, BasicSet) and excluded:
+            raise RingError("excluded edges belong inside the basic set")
+        b = apex if isinstance(apex, BasicSet) else BasicSet(apex, frozenset(excluded))
+        _validate_basic(tree, b)
+        return cls(tree, (b,))
 
     def _check_same(self, other: "RingSet"):
         if self.tree is not other.tree and self.tree != other.tree:

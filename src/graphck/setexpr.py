@@ -56,91 +56,93 @@ def first_apex(text: str) -> str | None:
     return None
 
 
+_PUNCT = frozenset(("(", ")", ";", ",", "&", "|", "^", "-", "==", "<="))
+
+
 class _Parser:
+    """Recursive descent over the token list, walked by index; the list
+    ends in None, which no rule consumes."""
+
     def __init__(self, tree, tokens: list[str]):
         self.tree = tree
-        self.toks = tokens + [None]  # take never moves past the end marker
+        self.toks = tokens + [None]
         self.pos = 0
         self.nesting = 0
 
-    def peek(self) -> str | None:
-        return self.toks[self.pos]
-
-    def take(self, expected: str | None = None) -> str:
-        t = self.peek()
-        if t is None:
-            raise SetExprError("expression ends early")
-        if expected is not None and t != expected:
-            raise SetExprError("expected %r but found %r" % (expected, t))
+    def expect(self, token: str) -> None:
+        t = self.toks[self.pos]
+        if t != token:
+            what = "expected %r but found %r" % (token, t) if t else "expression ends early"
+            raise SetExprError(what)
         self.pos += 1
-        return t
 
     def parse(self):
         left = self.union()
-        if self.peek() in ("==", "<="):
-            op = self.take()
+        op = self.toks[self.pos]
+        if op in ("==", "<="):
+            self.pos += 1
             right = self.union()
             value = left.equals(right) if op == "==" else right.contains(left)
         else:
             value = left
-        if self.peek() is not None:
-            raise SetExprError("trailing %r" % self.peek())
+        if self.toks[self.pos] is not None:
+            raise SetExprError("trailing %r" % self.toks[self.pos])
         return value
 
     def union(self) -> RingSet:
         acc = self.term()
-        while self.peek() in ("|", "^"):
-            op = self.take()
+        while (op := self.toks[self.pos]) in ("|", "^"):
+            self.pos += 1
             rhs = self.term()
             acc = acc.union(rhs) if op == "|" else acc.symmdiff(rhs)
         return acc
 
     def term(self) -> RingSet:
         acc = self.factor()
-        while self.peek() in ("&", "-"):
-            op = self.take()
+        while (op := self.toks[self.pos]) in ("&", "-"):
+            self.pos += 1
             rhs = self.factor()
             acc = acc.intersect(rhs) if op == "&" else acc.minus(rhs)
         return acc
 
     def factor(self) -> RingSet:
-        t = self.peek()
+        t = self.toks[self.pos]
+        if t == "V":
+            return self.atom()
         if t == "(":
             if self.nesting == MAX_NESTING:
                 raise SetExprError("parentheses nest deeper than %d" % MAX_NESTING)
-            self.take()
+            self.pos += 1
             self.nesting += 1
             inner = self.union()
             self.nesting -= 1
-            self.take(")")
+            self.expect(")")
             return inner
         if t == "0":
-            self.take()
+            self.pos += 1
             return RingSet.empty(self.tree)
-        if t == "V":
-            return self.atom()
-        if t is None:
-            raise SetExprError("expression ends early")
-        raise SetExprError("expected a cone or parenthesis, found %r" % t)
+        what = "expected a cone or parenthesis, found %r" % t if t else "expression ends early"
+        raise SetExprError(what)
 
     def word(self) -> str:
-        t = self.take()
-        if t in ("(", ")", ";", ",", "&", "|", "^", "-", "==", "<="):
-            raise SetExprError("expected a name, found %r" % t)
+        t = self.toks[self.pos]
+        if not t or t in _PUNCT:
+            raise SetExprError("expected a name, found %r" % t if t else "expression ends early")
+        self.pos += 1
         return t
 
     def atom(self) -> RingSet:
-        self.take("V")
-        self.take("(")
+        self.pos += 1  # the V
+        self.expect("(")
         apex = self._apex(self.word())
         excluded = []
-        if self.peek() == ";":
-            self.take()
+        if self.toks[self.pos] == ";":
+            self.pos += 1
             excluded.append(self._instance(self.word()))
-            while self.peek() == ",":
-                self.take()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 excluded.append(self._instance(self.word()))
-        self.take(")")
+        self.expect(")")
         return RingSet.basic(self.tree, apex, excluded)
 
     def _apex(self, text: str):

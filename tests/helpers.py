@@ -15,13 +15,17 @@ from graphck.fock import FockError, PathBasis, RelationReport
 from graphck.graphs import (
     OMEGA,
     EdgeBundle,
+    EdgeInstance,
     Graph,
     GraphError,
     GraphSyntaxError,
     SignedEdge,
     is_omega,
 )
-from graphck.paths import Path, directed_upto
+from graphck.paths import Path, directed_upto, parse_path
+from graphck.ringsets import RingSet
+from graphck.setexpr import MAX_NESTING, SetExprError, _tokenize
+from graphck.trees import FiberTree
 
 
 def random_graph(
@@ -78,16 +82,23 @@ def reachable(g: Graph, v: str) -> frozenset[str]:
 _EXTENSIONS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
+def _shared(g: Graph, e: EdgeInstance) -> EdgeInstance:
+    """The graph's own instance equal to e, whose letters parse_path uses."""
+    return g.instance("%s#%d" % (e.bundle.name, e.index))
+
+
 def _signed_extensions(g: Graph, at: str, omega_cap: int) -> list[SignedEdge]:
-    """The letters leaving at, omega bundles cut at omega_cap instances."""
+    """The letters leaving at, omega bundles cut at omega_cap instances; they
+    are the graph's own letters (EdgeInstance.signed of Graph.instance), so
+    a drawn walk and the same walk parsed share their letter objects."""
     table = _EXTENSIONS.setdefault(g, {})
     key = (at, omega_cap)
     if key not in table:
         out = []
         for b in g.out_bundles(at):
-            out.extend(SignedEdge(e) for e in b.instances(omega_cap))
+            out.extend(_shared(g, e).signed[True] for e in b.instances(omega_cap))
         for b in g.in_bundles(at):
-            out.extend(SignedEdge(e, forward=False) for e in b.instances(omega_cap))
+            out.extend(_shared(g, e).signed[False] for e in b.instances(omega_cap))
         table[key] = out
     return table[key]
 
@@ -142,7 +153,7 @@ def random_directed_path(
         options = []
         for b in g.out_bundles(p.terminus):
             cap = 3 if is_omega(b.multiplicity) else None
-            options.extend(b.instances(cap))
+            options.extend(_shared(g, e) for e in b.instances(cap))
         if not options:
             break
         p = p.append(rng.choice(options))
@@ -219,7 +230,6 @@ def act_on_ringset(alpha: Path, rs):
     o(alpha): RingSet.pushforward along p -> alpha.p, edges kept as they
     are, since translation keeps every apex endpoint."""
     from graphck.points import PointError
-    from graphck.trees import FiberTree
 
     fiber = rs.tree
     if not isinstance(fiber, FiberTree) or alpha.terminus != fiber.base:
@@ -687,7 +697,6 @@ def oracle_check_family(g: Graph, inv):
     """Admissibility clause by clause, every failure and note in order:
     the check that invariants._check_family runs when a family excludes
     something or fails one of its two set passes."""
-    from graphck.graphs import EdgeInstance
     from graphck.invariants import CheckResult
 
     failures = []
@@ -1247,8 +1256,6 @@ def oracle_algebra_dimension(basis) -> int:
 def oracle_walk(tree, u, v):
     """The walk from u to v: a search over the undirected tree for a finite
     tree, the groupoid product u^-1 * v for a fiber."""
-    from graphck.trees import FiberTree
-
     tree.check_vertex(u)
     tree.check_vertex(v)
     if isinstance(tree, FiberTree):
@@ -1288,8 +1295,6 @@ def oracle_touches_boundary(tree, apex, excluded=frozenset()):
     infinite emitter or cycle vertex is reachable through an allowed first
     step, searching the graph once per bundle.
     """
-    from graphck.trees import FiberTree
-
     for e in excluded:
         tree.validate_out_edge(apex, e)
     g = tree.graph
@@ -1484,8 +1489,6 @@ def oracle_relation(tree, u, v):
 def oracle_absorb_union(tree, blocks):
     """invariants._absorb_union as it was: each block joins by a union
     unless the running set already contains it."""
-    from graphck.ringsets import RingSet
-
     rs = RingSet.empty(tree)
     for b in blocks:
         block = RingSet.of(tree, [b])
@@ -1516,8 +1519,6 @@ def oracle_union(x, y):
 
 
 def oracle_symmdiff(x, y):
-    from graphck.ringsets import RingSet
-
     left = RingSet(x.tree, oracle_minus(x, y))
     return oracle_union(left, RingSet(x.tree, oracle_minus(y, x)))
 
@@ -1542,8 +1543,6 @@ _ORACLE_TOKEN = re.compile(r"\s*(==|<=|[()&|^;,-]|[~\w#.]+)")
 def oracle_tokenize(text: str) -> list[str]:
     """setexpr's tokens by a positional scan: one token match at a time,
     whitespace around tokens, trailing included, skipped."""
-    from graphck.setexpr import SetExprError
-
     out = []
     pos, end = 0, len(text.rstrip())
     while pos < end:
@@ -1553,3 +1552,117 @@ def oracle_tokenize(text: str) -> list[str]:
         out.append(m.group(1))
         pos = m.end()
     return out
+
+
+class _OracleParser:
+    """setexpr's parser as it was, one peek and one take per token."""
+
+    def __init__(self, tree, tokens: list[str]):
+        self.tree = tree
+        self.toks = tokens + [None]  # take never moves past the end marker
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.pos]
+
+    def take(self, expected: str | None = None) -> str:
+        t = self.peek()
+        if t is None:
+            raise SetExprError("expression ends early")
+        if expected is not None and t != expected:
+            raise SetExprError("expected %r but found %r" % (expected, t))
+        self.pos += 1
+        return t
+
+    def parse(self):
+        left = self.union()
+        if self.peek() in ("==", "<="):
+            op = self.take()
+            right = self.union()
+            value = left.equals(right) if op == "==" else right.contains(left)
+        else:
+            value = left
+        if self.peek() is not None:
+            raise SetExprError("trailing %r" % self.peek())
+        return value
+
+    def union(self) -> RingSet:
+        acc = self.term()
+        while self.peek() in ("|", "^"):
+            op = self.take()
+            rhs = self.term()
+            acc = acc.union(rhs) if op == "|" else acc.symmdiff(rhs)
+        return acc
+
+    def term(self) -> RingSet:
+        acc = self.factor()
+        while self.peek() in ("&", "-"):
+            op = self.take()
+            rhs = self.factor()
+            acc = acc.intersect(rhs) if op == "&" else acc.minus(rhs)
+        return acc
+
+    def factor(self) -> RingSet:
+        t = self.peek()
+        if t == "(":
+            if self.nesting == MAX_NESTING:
+                raise SetExprError("parentheses nest deeper than %d" % MAX_NESTING)
+            self.take()
+            self.nesting += 1
+            inner = self.union()
+            self.nesting -= 1
+            self.take(")")
+            return inner
+        if t == "0":
+            self.take()
+            return RingSet.empty(self.tree)
+        if t == "V":
+            return self.atom()
+        if t is None:
+            raise SetExprError("expression ends early")
+        raise SetExprError("expected a cone or parenthesis, found %r" % t)
+
+    def word(self) -> str:
+        t = self.take()
+        if t in ("(", ")", ";", ",", "&", "|", "^", "-", "==", "<="):
+            raise SetExprError("expected a name, found %r" % t)
+        return t
+
+    def atom(self) -> RingSet:
+        self.take("V")
+        self.take("(")
+        apex = self._apex(self.word())
+        excluded = []
+        if self.peek() == ";":
+            self.take()
+            excluded.append(self._instance(self.word()))
+            while self.peek() == ",":
+                self.take()
+                excluded.append(self._instance(self.word()))
+        self.take(")")
+        return RingSet.basic(self.tree, apex, excluded)
+
+    def _apex(self, text: str):
+        apex = text
+        if isinstance(self.tree, FiberTree):
+            try:
+                apex = parse_path(self.tree.graph, text)
+            except GraphError as exc:
+                raise SetExprError("bad walk %r: %s" % (text, exc)) from None
+        try:
+            return self.tree.check_vertex(apex)
+        except GraphError as exc:
+            raise SetExprError(str(exc)) from None
+
+    def _instance(self, text: str):
+        try:
+            return self.tree.graph.instance(text)
+        except GraphError as exc:
+            raise SetExprError(str(exc)) from None
+
+
+def oracle_parse_setexpr(tree, text: str):
+    """parse_setexpr by the token-at-a-time parser: the same value, or the
+    same error, in the same order of evaluation."""
+    return _OracleParser(tree, _tokenize(text)).parse()

@@ -8,7 +8,10 @@ The cone-set part hashes, in a fixed order, the repr of
   corpus graphs (comparisons included),
 * every ``&``, ``|``, ``^`` and ``-`` of pairs of those sets on one fiber,
 * every roundtrip ``open_set_of`` -> ``tree_invariant_of`` ->
-  ``family_open_set`` of the corpus families, over every base.
+  ``family_open_set`` of the corpus families, over every base,
+* ``parse_setexpr`` of each seeded expression mangled as the fuzz test
+  mangles its inputs (``test_fuzz.mangle``), with a random stream of its
+  own, so that most of them end in an error.
 
 The lattice part hashes, for every corpus graph and seeded random graphs,
 
@@ -68,6 +71,7 @@ from graphck.setexpr import parse_setexpr  # noqa: E402
 from graphck.structure import count_paths_into, structure_report  # noqa: E402
 from graphck.trees import FiberTree  # noqa: E402
 from helpers import random_graph, random_lasso, random_walk_path  # noqa: E402
+from test_fuzz import mangle  # noqa: E402
 
 FIBERS = 440  # fibers drawn, cycling through the corpus
 SETS_PER_FIBER = 6
@@ -116,6 +120,7 @@ def _family(fam) -> str:
 def cone_set_records(seed: int):
     """The reprs that the cone-set digest covers, in order."""
     rng = random.Random(seed)
+    mangler = random.Random("mangled %d" % seed)
     for i in range(FIBERS):
         g = corpus.load(corpus.GRAPH_NAMES[i % len(corpus.GRAPH_NAMES)])
         base = rng.choice(g.vertices)
@@ -129,6 +134,8 @@ def cone_set_records(seed: int):
             yield "%s %s := %r" % (g.name, text, result)
             if not isinstance(result, bool):
                 sets.append(result)
+            bad = mangle(mangler, text)
+            yield "%s %r := %s" % (g.name, bad, _answer(parse_setexpr, tree, bad))
         for x in sets:
             for y in sets:
                 for op, name in OPS.items():

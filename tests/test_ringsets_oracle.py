@@ -300,3 +300,37 @@ def test_hand_made_overlaps_rejected(graphs):
     for blocks in ([abar, unit], [unit, abar], [abar, abar]):
         with pytest.raises(RingError, match="overlap"):
             RingSet.of(fiber, blocks)
+
+
+def _sweep_verdict(tree, blocks):
+    """The overlap message of the check that sweeps every block list, two
+    blocks included, or None when the sorted blocks are disjoint."""
+    blocks = ringsets._sorted(tree, blocks)
+    if any(n > 1 for n in ringsets._levels(tree, blocks)):
+        for i, b in enumerate(blocks):
+            for c in blocks[i + 1 :]:
+                if basic_intersect(tree, b, c) is not None:
+                    return "blocks %s and %s overlap" % (b, c)
+    return None
+
+
+def test_two_blocks_are_checked_as_the_sweep_checks_them(graphs):
+    # every pair of basic sets drawn on corpus fibers: RingSet.of raises
+    # exactly when the sweep finds an overlap, with the same text
+    rng = random.Random(8700)
+    verdicts = {True: 0, False: 0}
+    for g in graphs.values():
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            basics = _basics(rng, tree, fiber_vertices(tree, 3, 2), 12)
+            for b in basics:
+                for c in basics:
+                    want = _sweep_verdict(tree, [b, c])
+                    verdicts[want is None] += 1
+                    if want is None:
+                        RingSet.of(tree, [b, c])
+                        continue
+                    with pytest.raises(RingError) as got:
+                        RingSet.of(tree, [b, c])
+                    assert str(got.value) == want, (b, c)
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, verdicts

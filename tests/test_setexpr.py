@@ -3,12 +3,12 @@ import re
 
 import pytest
 
-from graphck.graphs import parse_graph
+from graphck.graphs import GraphError, parse_graph
 from graphck.paths import parse_path
 from graphck.ringsets import BasicSet, RingError, RingSet
 from graphck.setexpr import SetExprError, _tokenize, first_apex, parse_setexpr
 from graphck.trees import FiberTree, FiniteTree
-from helpers import oracle_tokenize
+from helpers import oracle_parse_setexpr, oracle_tokenize
 from test_fuzz import EXPRS, cone, mangle
 
 
@@ -141,3 +141,48 @@ def test_tokenizer_matches_the_positional_scan(graphs):
         assert _tokens_or_message(_tokenize, text) == want, text
         errors += isinstance(want, str)
     assert errors > 100 and len(texts) - errors > 1000
+
+
+def _flat(rng, g, base, atoms):
+    """Atoms and groups joined by unparenthesised operators of both levels,
+    so that precedence decides the value; now and then a comparison."""
+    parts = []
+    for _ in range(atoms):
+        r = rng.random()
+        if r < 0.15:
+            parts.append("0")
+        elif r < 0.3 and atoms > 1:
+            parts.append("(%s)" % _flat(rng, g, base, rng.randint(1, 3)))
+        else:
+            parts.append(cone(rng, g, base))
+    text = parts[0]
+    for part in parts[1:]:
+        text += " %s %s" % (rng.choice("&|^-"), part)
+    return text
+
+
+def _value_or_error(parse, tree, text):
+    try:
+        got = parse(tree, text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    return got if isinstance(got, bool) else (got.tree, got.blocks)
+
+
+def test_parser_matches_the_token_at_a_time_oracle(graphs):
+    # seeded expressions, and mangled ones: the same blocks or truth value,
+    # or the same error type and message
+    rng = random.Random(8600)
+    kinds = {"set": 0, "bool": 0, "error": 0}
+    for name, g in sorted(graphs.items()):
+        for _ in range(40):
+            base = rng.choice(g.vertices)
+            tree = FiberTree(g, base)
+            text = _flat(rng, g, base, rng.randint(1, 7))
+            if rng.random() < 0.3:
+                text += rng.choice((" == ", " <= ")) + _flat(rng, g, base, rng.randint(1, 3))
+            for t in (text, mangle(rng, text), mangle(rng, text)):
+                want = _value_or_error(oracle_parse_setexpr, tree, t)
+                assert _value_or_error(parse_setexpr, tree, t) == want, t
+                kinds["bool" if isinstance(want, bool) else "set" if want[0] is tree else "error"] += 1
+    assert min(kinds.values()) > 100, kinds
