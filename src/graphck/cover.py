@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeInstance, Graph, is_omega, subgraph_le
+from .graphs import EdgeInstance, Graph, subgraph_le
 from .paths import Path, directed_upto
 from .points import PointError, act
 from .ringsets import RingSet
@@ -197,11 +197,7 @@ def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> lis
         raise PointError("marked subgraph is not included in the graph")
     steps: dict[str, list[EdgeInstance]] = {v: [] for v in sub.vertices}
     for b in sub.bundles:
-        big = g.bundle(b.name)
-        m = b.multiplicity
-        cap = omega_cap if is_omega(m) else m
-        for i in range(cap):
-            steps[b.origin].append(big.instance(i))
+        steps[b.origin].extend(map(g.bundle(b.name).instance, b.indices(omega_cap)))
     return directed_upto([Path.unit(v) for v in sub.vertices], steps.__getitem__, n)
 
 

@@ -81,6 +81,11 @@ class CapError(GraphError):
     """An enumeration needed a cap it was not given, or passed one."""
 
 
+MAX_INSTANCES = 10**4
+"""The most instances EdgeBundle.indices lists for a finite bundle; the
+corpus, the tests and the benchmark use multiplicities up to 3."""
+
+
 @dataclass(frozen=True)
 class EdgeBundle:
     name: str
@@ -104,15 +109,21 @@ class EdgeBundle:
     def instance(self, index: int = 0) -> "EdgeInstance":
         return EdgeInstance(self, index)
 
-    def instances(self, omega_cap: int | None = None) -> Iterator["EdgeInstance"]:
-        """Yield the instances; omega bundles are cut off at omega_cap."""
+    def indices(self, omega_cap: int | None = None) -> range:
+        """The instance indices; omega bundles are cut off at omega_cap, and
+        a finite multiplicity past MAX_INSTANCES raises CapError."""
         m = self.multiplicity
         if is_omega(m):
             if omega_cap is None:
                 raise CapError("cannot enumerate an omega bundle without a cap")
-            m = omega_cap
-        for i in range(m):
-            yield EdgeInstance(self, i)
+            return range(omega_cap)
+        if m > MAX_INSTANCES:
+            raise CapError("bundle %s has %d instances, more than %d" % (self.name, m, MAX_INSTANCES))
+        return range(m)
+
+    def instances(self, omega_cap: int | None = None) -> Iterator["EdgeInstance"]:
+        """The instances at indices(omega_cap), which raises on the call."""
+        return (EdgeInstance(self, i) for i in self.indices(omega_cap))
 
     def __str__(self) -> str:
         tail = "" if self.multiplicity == 1 else " * %r" % (self.multiplicity,)
@@ -283,10 +294,13 @@ class Graph:
         b = self.bundle(name)
         if hash_sign and not (idx.isascii() and idx.isdigit()):
             raise GraphError("bad edge index %r" % idx)
-        key = (name, int(idx) if idx else 0)
-        e = self._instances.get(key)
+        return self.interned(b, int(idx) if idx else 0)
+
+    def interned(self, b: EdgeBundle, index: int) -> EdgeInstance:
+        """This graph's one instance of its bundle b at index."""
+        e = self._instances.get((b.name, index))
         if e is None:
-            e = self._instances[key] = b.instance(key[1])
+            e = self._instances[b.name, index] = b.instance(index)
         return e
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
@@ -318,7 +332,7 @@ class Graph:
 
     @_cached
     def _instances(self) -> dict[tuple[str, int], EdgeInstance]:
-        """(bundle name, index) -> its instance, filled in by instance()."""
+        """(bundle name, index) -> its instance, filled in by interned()."""
         return {}
 
     @_cached

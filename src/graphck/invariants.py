@@ -14,9 +14,14 @@ set: the instances of its finite bundles that land outside H.  Calling
 those vertices B(H), the families are in bijection with the pairs
 (H, R) for R within B(H), so there are sum over H of 2^|B(H)| of them.
 enumerate_invariants lists the closed sets H from the generator reach
-masks cached on the graph, at O(V) each, and then spends O(V+E) on
-every family.  Admissibility verdicts are cached on the graph, so the
-check that quotient_data repeats on an enumerated family is a lookup.
+masks cached on the graph, at O(V) each, and builds every family
+straight from (H, R).  is_invariant reads any family so, R its excluding
+members: it is admissible exactly when R lies among the emitters, H is
+closed, and each r in R sends its omega bundles into H and excludes the
+forced set.  That is O(V+E) set work; a family failing it runs the
+clause-by-clause check, which words the failures.  Verdicts are cached
+on the graph, so quotient_data's check of an enumerated family is a
+lookup; its residue keeps V - H, with the marks R and regular - H.
 hasse_edges reads the order off bit columns over the list, at
 O(n (V + X)) big-int operations for n families and X excluded edges,
 plus about one per cover to pick the covers out.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .graphs import EdgeBundle, EdgeInstance, Graph, GraphError, is_omega, subgraph_le
@@ -123,19 +129,14 @@ def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
 
 
 _ADMISSIBLE = CheckResult(True)
+_NOTE = "excluded edge %s lands on the infinite-valence member %s with exclusions"
 
 
 def _check_family(g: Graph, inv: Invariant) -> CheckResult:
+    res = _check_h_r(g, inv)
+    if res is not None:
+        return res
     nset = inv.vertices
-    if not inv.exclusions and nset <= g._vertex_set:
-        # Without exclusions, two clauses are left: members' out-bundles
-        # land in N, and no regular outsider's all do.  Two set passes; a
-        # failure falls through to the full check, which words it in order.
-        succ = g._successors.__getitem__
-        if all(map(nset.issuperset, map(succ, nset))) and not any(
-            map(nset.issuperset, map(succ, g.regular_vertices - nset))
-        ):
-            return _ADMISSIBLE
     failures = []
     notes = []
     for u in nset:
@@ -178,10 +179,7 @@ def _check_family(g: Graph, inv: Invariant) -> CheckResult:
                         % (b.name, u, t)
                     )
                 elif t in g.infinite_emitters:
-                    notes.append(
-                        "excluded edge %s lands on the infinite-valence member %s with exclusions"
-                        % (b.name, t)
-                    )
+                    notes.append(_NOTE % (b.name, t))
     for u in g.vertices:
         if u in nset or u not in g.regular_vertices:
             continue
@@ -190,6 +188,38 @@ def _check_family(g: Graph, inv: Invariant) -> CheckResult:
                 "vertex %s sees only members with empty exclusions and must join the family" % u
             )
     return CheckResult(not failures, tuple(failures), tuple(notes))
+
+
+def _check_h_r(g: Graph, inv: Invariant) -> CheckResult | None:
+    """The verdict on an admissible family in its (H, R) form (see the
+    module docstring), None for any other: R must be distinct emitters,
+    and F_r as many instances as r's finite bundles leaving H have, each
+    of one of them.  The notes are those bundles landing in R."""
+    nset = inv.vertices
+    h = nset.difference(r for r, _ in inv.exclusions) if inv.exclusions else nset
+    succ = g._successors.__getitem__
+    if (
+        len(h) + len(inv.exclusions) != len(nset)
+        or not h <= g._vertex_set
+        or not all(map(h.issuperset, map(succ, h)))
+        or any(map(h.issuperset, map(succ, g.regular_vertices - h)))
+    ):
+        return None
+    notes = []
+    for r, fr in sorted(inv.exclusions):  # in the full check's order
+        out = g._out.get(r, ())
+        leaving = [b for b in out if b.terminus not in h]
+        # an equal bundle of another graph passes, as in the full check
+        if (
+            r not in g.infinite_emitters
+            or not leaving
+            or any(is_omega(b.multiplicity) for b in leaving)
+            or len(fr) != sum(b.multiplicity for b in leaving)
+            or any(e.bundle.terminus in h or e.bundle not in out for e in fr)
+        ):
+            return None
+        notes += [_NOTE % (b.name, b.terminus) for b in leaving if b.terminus in nset]
+    return CheckResult(True, (), tuple(notes)) if notes else _ADMISSIBLE
 
 
 def invariant_leq(a: Invariant, b: Invariant) -> bool:
@@ -245,8 +275,9 @@ def enumerate_invariants(g: Graph) -> Enumeration:
     """All admissible families, smallest first.
 
     One family per closed set H and subset R of its breaking vertices
-    B(H) (see the module docstring).  Every family still passes through
-    is_invariant, whose notes are collected; a failure raises.
+    B(H) (see the module docstring), built straight from (H, R) with its
+    sort key.  Every family still passes through is_invariant, whose
+    notes are collected; a failure raises.
 
     Excluding part of a bundle is never admissible, and neither is
     excluding any instance of an omega bundle: the unexcluded instances
@@ -258,31 +289,34 @@ def enumerate_invariants(g: Graph) -> Enumeration:
     found = []
     notes = set()
     for h in _closed_sets(g):
+        # (vertex, forced exclusions, their part of Invariant.sort_key)
         breaking = []
         for u in emitters:
-            bundles = g.out_bundles(u)
+            bundles = g._out[u]
             if u in h or any(is_omega(b.multiplicity) and b.terminus not in h for b in bundles):
                 continue
-            excl = [
-                e
-                for b in bundles
-                if not is_omega(b.multiplicity) and b.terminus not in h
-                for e in b.instances()
-            ]
+            # all of u's omega bundles land in h, so these are finite
+            excl = frozenset(e for b in bundles if b.terminus not in h for e in b.instances())
             if excl:
-                breaking.append((u, excl))
+                breaking.append((u, excl, (u, tuple(sorted(e.sort_key() for e in excl)))))
+        hs = tuple(sorted(h))
         for k in range(len(breaking) + 1):
             for picks in itertools.combinations(breaking, k):
-                inv = Invariant.make(h.union(u for u, _ in picks), dict(picks))
+                if picks:  # the key is Invariant.sort_key's, from the parts
+                    rs = tuple(u for u, _, _ in picks)
+                    inv = Invariant(h.union(rs), tuple((u, es) for u, es, _ in picks))
+                    key = (len(inv.vertices), tuple(sorted(hs + rs)), tuple(x for _, _, x in picks))
+                else:
+                    inv, key = Invariant(h, ()), (len(h), hs, ())
                 res = is_invariant(g, inv)
                 if not res.ok:
                     raise InvariantError(
                         "enumerated family %s is not admissible: %s" % (inv, res.failures[0])
                     )
-                found.append(inv)
+                found.append((key, inv))
                 notes.update(res.notes)
-    found.sort(key=lambda i: i.sort_key())
-    return Enumeration(tuple(found), tuple(sorted(notes)))
+    found.sort(key=itemgetter(0))
+    return Enumeration(tuple(inv for _, inv in found), tuple(sorted(notes)))
 
 
 def hasse_edges(invariants) -> list[tuple[int, int]]:
@@ -419,6 +453,7 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
         # every block asked about is valid: an apex and its own out-edges
         return w.boundary_contains(RingSet(tree, (BasicSet(apex, excluded),)))
 
+    at = tree.graph.interned
     fam = {}
     for p in universe:
         v = tree.endpoint(p)
@@ -429,14 +464,10 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
         named = _named_omega_indices(w, p)
         bundles = tree.graph.out_bundles(v)
         omegas = [b for b in bundles if is_omega(b.multiplicity)]
-        if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
+        if not all(swallows(tree.child(p, at(b, named.get(b, -1) + 1))) for b in omegas):
             continue
-        candidates = []
-        for b in bundles:
-            if is_omega(b.multiplicity):
-                candidates.extend(b.instance(i) for i in range(named.get(b, -1) + 1))
-            else:
-                candidates.extend(b.instances())
+        # an omega bundle's candidates are its named indices, a finite one's all
+        candidates = [at(b, i) for b in bundles for i in b.indices(named.get(b, -1) + 1)]
         fmin = frozenset(e for e in candidates if not swallows(tree.child(p, e)))
         if swallows(p, fmin):
             fam[p] = fmin
@@ -470,16 +501,19 @@ def quotient_data(g: Graph, inv: Invariant) -> QuotientData:
     if not res.ok:
         raise InvariantError("not an admissible family: %s" % (res.failures[0],))
     rset = inv.r_vertices
-    kept = [v for v in g.vertices if v not in inv.vertices or v in rset]
-    keptset = set(kept)
-    bundles = [b for b in g.bundles if b.origin in keptset and b.terminus in keptset]
-    name = (g.name or "graph") + ".quotient"
-    q = Graph.restricted(kept, bundles, name)
-    marks = rset | (g.regular_vertices - inv.vertices)
-    bad = marks - q.regular_vertices
+    h = inv.vertices - rset
+    # the residue's regular vertices, read off its bundles in the same pass
+    bundles, origins, emitting = [], set(), set()
+    for b in g.bundles:
+        if b.origin not in h and b.terminus not in h:
+            bundles.append(b)
+            (emitting if is_omega(b.multiplicity) else origins).add(b.origin)
+    marks = rset | (g.regular_vertices - h)
+    bad = marks - (origins - emitting)
     if bad:
         raise InvariantError("marks %s fell out of the regular vertices" % sorted(bad))
-    return QuotientData(q, marks)
+    kept = [v for v in g.vertices if v not in h]
+    return QuotientData(Graph.restricted(kept, bundles, (g.name or "graph") + ".quotient"), marks)
 
 
 def induced_marks(sub: Graph, sup: Graph, marks: Iterable[str]) -> frozenset[str]:

@@ -176,7 +176,7 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
     # one instance 0 per bundle on a cycle, however many cycles share it
     step = dict.fromkeys(chain.from_iterable(names for names, _, _ in found))
     for name in step:
-        step[name] = g.bundle(name).instance(0)
+        step[name] = g.interned(g.bundle(name), 0)
     cycles = []
     for names, kind, count in found:
         c = object.__new__(Cycle)

@@ -51,6 +51,23 @@ def random_graph(
     return Graph(vertices, bundles)
 
 
+def random_breaking_graph(rng: random.Random, max_vertices: int = 6) -> Graph:
+    """A random graph with breaking vertices: on top of a random graph
+    without omega bundles, one to three emitters r, each with an omega
+    bundle to a vertex of that graph and finite bundles, of multiplicity
+    one to three, to any vertex, another emitter or r itself.  A closed set
+    holding the omega targets but not some finite target breaks at r."""
+    base = random_graph(rng, max_vertices, max_vertices, allow_omega=False)
+    emitters = ["r%d" % i for i in range(rng.randint(1, 3))]
+    vertices = list(base.vertices) + emitters
+    bundles = list(base.bundles)
+    for r in emitters:
+        bundles.append(EdgeBundle("w" + r, r, rng.choice(base.vertices), OMEGA))
+        for k in range(rng.randint(1, 3)):
+            bundles.append(EdgeBundle("f%s_%d" % (r, k), r, rng.choice(vertices), rng.randint(1, 3)))
+    return Graph(vertices, bundles)
+
+
 def random_tree_graph(rng: random.Random, n: int) -> Graph:
     """A connected graph whose undirected shape is a tree, multiplicities 1."""
     vertices = ["n%d" % i for i in range(n)]

@@ -13,7 +13,8 @@ The cone-set part hashes, in a fixed order, the repr of
   mangles its inputs (``test_fuzz.mangle``), with a random stream of its
   own, so that most of them end in an error.
 
-The lattice part hashes, for every corpus graph and seeded random graphs,
+The lattice part hashes, for every corpus graph, seeded random graphs and
+seeded graphs with breaking vertices (``helpers.random_breaking_graph``),
 
 * the families and notes of ``enumerate_invariants`` and ``hasse_edges``,
 * every ``quotient_data``: vertices, bundles and marks,
@@ -70,12 +71,18 @@ from graphck.points import act, parse_point  # noqa: E402
 from graphck.setexpr import parse_setexpr  # noqa: E402
 from graphck.structure import count_paths_into, structure_report  # noqa: E402
 from graphck.trees import FiberTree  # noqa: E402
-from helpers import random_graph, random_lasso, random_walk_path  # noqa: E402
+from helpers import (  # noqa: E402
+    random_breaking_graph,
+    random_graph,
+    random_lasso,
+    random_walk_path,
+)
 from test_fuzz import mangle  # noqa: E402
 
 FIBERS = 440  # fibers drawn, cycling through the corpus
 SETS_PER_FIBER = 6
 RANDOM_GRAPHS = 200
+BREAKING_GRAPHS = 60  # most of the lattice part's families with exclusions
 CANDIDATES = 30  # per graph, each also asked without its exclusions
 OPS = {"&": "intersect", "|": "union", "^": "symmdiff", "-": "minus"}
 POINTS = 660  # points drawn, cycling through the corpus
@@ -179,6 +186,8 @@ def lattice_records(seed: int):
     rng = random.Random(seed)
     pool = [corpus.load(name) for name in corpus.GRAPH_NAMES]
     pool += [random_graph(rng) for _ in range(RANDOM_GRAPHS)]
+    breaking = random.Random("breaking %d" % seed)
+    pool += [random_breaking_graph(breaking) for _ in range(BREAKING_GRAPHS)]
     for k, g in enumerate(pool):
         label = "%d %s %r" % (k, g.name, g.bundles)
         en = enumerate_invariants(g)

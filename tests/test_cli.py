@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import graphck
 from graphck import corpus, invariants
 from graphck.cli import main
+from graphck.graphs import MAX_INSTANCES
 
 
 def run(capsys, *argv):
@@ -410,3 +412,19 @@ def test_closed_stdout_ends_quietly():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=120) == 1, (argv, err)
         assert "Traceback" not in err and "Error" not in err, (argv, err)
+
+
+def test_a_bundle_past_the_instance_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text(
+        "vertex u\nvertex v\nvertex w\nedge a : u -> v * omega\nedge b : u -> w * %d\n" % 10**12
+    )
+    want = "cap exceeded: bundle b has %d instances, more than %d\n" % (10**12, MAX_INSTANCES)
+    for argv in (["ideals"], ["rep-verify", "--depth", "1"], ["limit-check"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out, err) == (2, "", want), argv
+    # the census never lists instances
+    code, data = run_json(capsys, "analyze", str(path))
+    assert code == 0 and data["paths_into"] == {"u": 1, "v": "omega", "w": 10**12 + 1}

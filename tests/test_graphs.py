@@ -4,6 +4,7 @@ import re
 import pytest
 
 from graphck.graphs import (
+    MAX_INSTANCES,
     OMEGA,
     CapError,
     EdgeBundle,
@@ -146,7 +147,8 @@ def test_instance_parsing(graphs):
 def test_instances_and_letters_are_built_once(graphs):
     g = graphs["oinf"]
     e = g.instance("a#2")
-    assert g.instance("a#2") is e
+    assert g.instance("a#2") is e is g.interned(g.bundle("a"), 2)
+    assert g.interned(g.bundle("a"), 3) is g.instance("a#3")
     s = parse_path(g, "a#2").word[0]
     assert s is e.signed[True] and s.reverse() is e.signed[False]
     assert s.reverse().reverse() is s
@@ -265,3 +267,19 @@ def test_bundle_validation():
     with pytest.raises(GraphError):
         EdgeBundle("e", "u", "v", 2).instance(2)
     assert EdgeBundle("e", "u", "v", OMEGA).instance(10 ** 9).index == 10 ** 9
+
+
+def test_a_finite_bundle_lists_at_most_the_cap():
+    assert len(list(EdgeBundle("e", "u", "v", MAX_INSTANCES).instances())) == MAX_INSTANCES
+    message = "^bundle e has %d instances, more than %d$" % (MAX_INSTANCES + 1, MAX_INSTANCES)
+    for m in (MAX_INSTANCES + 1, 10**12):
+        b = EdgeBundle("e", "u", "v", m)
+        # raised on the call, before any instance is built
+        with pytest.raises(CapError, match=message if m == MAX_INSTANCES + 1 else None):
+            b.instances()
+        with pytest.raises(CapError):
+            b.indices()
+        g = Graph(["u", "v"], [b])
+        with pytest.raises(CapError):
+            g.out_instances("u")
+        assert g.instance("e#%d" % (m - 1)).index == m - 1

@@ -5,7 +5,7 @@ import pytest
 
 from graphck import invariants
 from graphck.cover import lift_invariant
-from graphck.graphs import EdgeBundle, Graph, GraphError
+from graphck.graphs import OMEGA, EdgeBundle, Graph, GraphError
 from graphck.invariants import (
     Invariant,
     InvariantError,
@@ -23,7 +23,7 @@ from graphck.paths import Path, parse_path
 from graphck.ringsets import RingSet
 from graphck.trees import FiberTree
 
-from helpers import naive_invariants, oracle_check_family, random_graph
+from helpers import naive_invariants, oracle_check_family, random_breaking_graph, random_graph
 
 EXPECTED_COUNTS = {
     "edge": 2,
@@ -193,6 +193,8 @@ def test_open_set_roundtrip_on_corpus(graphs):
                 w = open_set_of(fib, inv, depth=4)
                 fam = tree_invariant_of(w, depth=1)
                 for p, f in fam.items():
+                    # the graph's own instances, so cones share parse_path's letters
+                    assert all(e is g.interned(e.bundle, e.index) for e in f), (name, p)
                     assert lifted.member(p), (name, inv, base, p)
                     assert f == lifted.f_set(p), (name, inv, base, p)
                 for p in fib.directed_to_depth(1):
@@ -359,6 +361,46 @@ def test_check_family_matches_the_clause_by_clause_oracle(graphs):
             with pytest.raises(GraphError, match="^unknown vertex 'nowhere'$"):
                 check(fresh, stray)
     assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def _mutants(rng, g, inv):
+    """The family with one excluded instance dropped, with one instance of a
+    bundle into H added, with one r moved into H, and with one excluded
+    instance swapped for one of a bundle into H."""
+    r, fr = rng.choice(inv.exclusions)
+    excl = dict(inv.exclusions)
+    h = inv.vertices - inv.r_vertices
+    into = rng.choice([b for b in g.out_bundles(r) if b.terminus in h])
+    top = 4 if into.multiplicity is OMEGA else into.multiplicity
+    dropped = fr - {rng.choice(sorted(fr, key=str))}
+    added = into.instance(rng.randrange(top))
+    yield Invariant.make(inv.vertices, {**excl, r: dropped})
+    yield Invariant.make(inv.vertices, {**excl, r: fr | {added}})
+    yield Invariant.make(inv.vertices, {**excl, r: ()})
+    yield Invariant.make(inv.vertices, {**excl, r: dropped | {added}})
+
+
+def test_families_with_exclusions_and_their_mutants_match_the_oracle():
+    # every breaking vertex has an omega bundle into H, so each family has
+    # all four mutants; each verdict, failure and note must be the oracle's
+    rng = random.Random(4112)
+    seen = Counter()
+    for _ in range(60):
+        g = random_breaking_graph(rng)
+        fresh = _fresh(g)
+        for inv in enumerate_invariants(g):
+            if not inv.exclusions:
+                continue
+            for k, fam in enumerate([inv, *_mutants(rng, g, inv)]):
+                want = oracle_check_family(g, fam)
+                assert invariants._check_family(fresh, fam) == want, (g, fam)
+                seen[k, want.ok, bool(want.notes)] += 1
+    assert seen[0, False, False] == seen[0, False, True] == 0, seen
+    assert seen[0, True, False] + seen[0, True, True] >= 500, seen
+    assert min(seen[0, True, False], seen[0, True, True]) >= 200, seen
+    # a mutant may be admissible: r joins H when its excluded edges land on r
+    for k in (1, 2, 3, 4):
+        assert seen[k, False, False] + seen[k, False, True] >= 400, (k, seen)
 
 
 def test_quotient_graphs_match_the_checked_constructor(graphs):

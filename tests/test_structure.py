@@ -40,6 +40,8 @@ def test_cycle_census(graphs):
     assert [(str(c), c.kind, c.count) for c in loop] == [("[a]", "terminal", 1)]
     o2 = find_cycles(graphs["o2"])
     assert [(str(c), c.kind) for c in o2] == [("[a]", "returning"), ("[b]", "returning")]
+    # each step is the graph's own instance, whose letters parse_path uses
+    assert all(c.instances[0] is graphs["o2"].instance(n) for c, n in zip(o2, "ab"))
     oinf = find_cycles(graphs["oinf"])
     assert [(str(c), c.kind, c.count) for c in oinf] == [("[a#0]", "returning", OMEGA)]
     trans = find_cycles(graphs["trans"])
