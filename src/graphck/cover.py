@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeInstance, Graph, subgraph_le
+from .graphs import CapError, EdgeInstance, Graph, subgraph_le
 from .paths import Path, directed_upto
 from .points import PointError, act
 from .ringsets import RingSet
@@ -201,6 +201,10 @@ def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> lis
     return directed_upto([Path.unit(v) for v in sub.vertices], steps.__getitem__, n)
 
 
+MAX_AF_PAIRS = 10**5
+"""The most path pairs af_block_enumerate lists; the corpus and tests need < 1000."""
+
+
 def af_block_enumerate(
     g: Graph, sub: Graph, n: int, omega_cap: int = 3
 ) -> list[ArrowBlock]:
@@ -209,10 +213,13 @@ def af_block_enumerate(
     at the terminus as its source region.
 
     Enlarging the subgraph or the length bound only ever adds pairs.
+    More than MAX_AF_PAIRS pairs raise CapError before any is built.
     """
     groups: dict[tuple[int, str], list[Path]] = {}
     for p in directed_paths_upto(g, sub, n, omega_cap):
         groups.setdefault((len(p), p.terminus), []).append(p)
+    if (pairs := sum(len(paths) ** 2 for paths in groups.values())) > MAX_AF_PAIRS:
+        raise CapError("%d pairs of paths, more than %d" % (pairs, MAX_AF_PAIRS))
     blocks = []
     for (_, t), paths in sorted(groups.items()):
         region = RingSet.basic(FiberTree(g, t), Path.unit(t))

@@ -11,6 +11,10 @@ Vertex classes used throughout the package:
 * sinks: no outgoing positive edge,
 * regular vertices: finitely many outgoing positive edges, at least one,
 * infinite emitters: at least one omega bundle going out.
+
+Bundles and instances keep their hash, the dataclass formula, after first
+use; an instance's two letters (``EdgeInstance.signed``) are built once
+and store their sort key, hash and ends.
 """
 
 from __future__ import annotations
@@ -106,16 +110,25 @@ class EdgeBundle:
         b.__dict__.update(name=name, origin=origin, terminus=terminus, multiplicity=multiplicity)
         return b
 
+    def __hash__(self) -> int:  # the dataclass formula, kept after first use
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.origin, self.terminus, self.multiplicity))
+            self.__dict__["_hash"] = h
+        return h
+
     def instance(self, index: int = 0) -> "EdgeInstance":
         return EdgeInstance(self, index)
 
     def indices(self, omega_cap: int | None = None) -> range:
         """The instance indices; omega bundles are cut off at omega_cap, and
-        a finite multiplicity past MAX_INSTANCES raises CapError."""
+        a cap or a finite multiplicity past MAX_INSTANCES raises CapError."""
         m = self.multiplicity
         if is_omega(m):
             if omega_cap is None:
                 raise CapError("cannot enumerate an omega bundle without a cap")
+            if omega_cap > MAX_INSTANCES:
+                raise CapError("omega cap %d is more than %d" % (omega_cap, MAX_INSTANCES))
             return range(omega_cap)
         if m > MAX_INSTANCES:
             raise CapError("bundle %s has %d instances, more than %d" % (self.name, m, MAX_INSTANCES))
@@ -156,6 +169,12 @@ class EdgeInstance:
     def sort_key(self):
         return (self.bundle.name, self.index)
 
+    def __hash__(self) -> int:  # the dataclass formula, kept after first use
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.bundle, self.index))
+        return h
+
     @_cached
     def signed(self) -> tuple["SignedEdge", "SignedEdge"]:
         """The backward and the forward letter of this instance, built once:
@@ -174,22 +193,17 @@ class EdgeInstance:
 @dataclass(frozen=True)
 class SignedEdge:
     """An edge instance together with a traversal direction; built once per
-    instance (``EdgeInstance.signed``), it keeps its sort key and hash."""
+    instance (``EdgeInstance.signed``), it keeps its sort key, its hash and
+    the vertices it leaves and enters, ``origin`` and ``terminus``."""
 
     edge: EdgeInstance
     forward: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "_key", (*self.edge.sort_key(), not self.forward))
-        object.__setattr__(self, "_hash", hash((self.edge, self.forward)))
-
-    @property
-    def origin(self) -> str:
-        return self.edge.origin if self.forward else self.edge.terminus
-
-    @property
-    def terminus(self) -> str:
-        return self.edge.terminus if self.forward else self.edge.origin
+        e, b, ahead = self.edge, self.edge.bundle, self.forward
+        ends = (b.origin, b.terminus) if ahead else (b.terminus, b.origin)
+        self.__dict__.update(_key=(b.name, e.index, not ahead), _hash=hash((e, ahead)))
+        self.__dict__["origin"], self.__dict__["terminus"] = ends
 
     def reverse(self) -> "SignedEdge":
         return self.edge.signed[not self.forward]

@@ -359,8 +359,9 @@ def hasse_edges(invariants) -> list[tuple[int, int]]:
         excluded = dict(a.exclusions)
         for u in a.vertices:
             above &= has[u]
+        for u in a.vertices.intersection(drops):  # the members with drop columns
             fa = excluded.get(u, ())
-            for e, column in drops.get(u, {}).items():
+            for e, column in drops[u].items():
                 if e not in fa:
                     blocked |= column
         up.append(above & ~blocked)

@@ -7,7 +7,8 @@ letter is traversed forward.  Composition concatenates and cancels at the
 junction; inverses reverse the word.  Paths form a groupoid with the
 vertices as units, and a path is also a finite boundary point (``kind``
 "finite").  Walks are interned per graph; ``Path`` is slotted and keeps
-its letter keys and its hash after first use.
+its letter keys and its hash after first use, and ``Path.trusted`` fills
+its slots through their descriptors.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ class Path:
         """A path from a word that is composable from origin and reduced by
         construction, skipping the checks in __post_init__."""
         p = object.__new__(cls)
-        object.__setattr__(p, "origin", origin)
-        object.__setattr__(p, "word", word)
-        object.__setattr__(p, "_keys", None)
-        object.__setattr__(p, "_hash", None)
+        _set_origin(p, origin)
+        _set_word(p, word)
+        _set_keys(p, None)
+        _set_hash(p, None)
         return p
 
     @classmethod
@@ -114,7 +115,7 @@ class Path:
         """The sort keys of the letters, computed on first use; lexicographic
         order on them puts every prefix before its extensions."""
         if self._keys is None:
-            object.__setattr__(self, "_keys", tuple(s.sort_key() for s in self.word))
+            _set_keys(self, tuple(s.sort_key() for s in self.word))
         return self._keys
 
     def sort_key(self):
@@ -122,7 +123,7 @@ class Path:
 
     def __hash__(self) -> int:  # the dataclass formula, kept after first use
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.origin, self.word)))
+            _set_hash(self, hash((self.origin, self.word)))
         return self._hash
 
     def __str__(self) -> str:
@@ -131,6 +132,10 @@ class Path:
         return ".".join(str(s) for s in self.word)
 
     __repr__ = __str__
+
+
+# the slot descriptors set a frozen Path's slots without __setattr__
+_set_origin, _set_word, _set_keys, _set_hash = (Path.__dict__[n].__set__ for n in Path.__slots__)
 
 
 def directed_upto(starts, steps, depth: int) -> list[Path]:

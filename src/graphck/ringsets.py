@@ -23,8 +23,9 @@ sweep over those words with a stack of prefixes gives its value on each
 piece: O(n log n) for n blocks, no walk.  contains and equals read the
 sweep of self minus other.  A set an operation returns is checked
 disjoint once (see union): three or more blocks by the sweep, two by
-their one intersection.  _absorb builds no child unless an excluded edge
-could lead to a full cone, judged by endpoint and depth.  boundary_contains
+their one intersection.  _absorb tells from root words, without building
+the child walk, whether the child along an excluded edge is a full cone,
+and a block keeps the sort key _sorted computes for it.  boundary_contains
 makes the pieces of other minus self one block at a time (O(k m)
 relations) and stops at the first that touches the boundary; no
 canonical form is built.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .graphs import EdgeInstance, GraphError
@@ -147,12 +149,19 @@ def _levels(tree, plus, minus=()) -> Iterator[int]:
         yield stack[-1][1] - (stack[i - 1][1] if i else 0)
 
 
-def _near(tree, b: BasicSet, ends: set) -> list:
-    """b's excluded edges whose child could be a full cone: ends holds the
-    (endpoint, depth) of each full cone, and child(v, e) ends at e.terminus
-    one letter deeper or shallower than v."""
-    n = len(tree.word(b.apex))
-    return [e for e in b.excluded if (e.terminus, n + 1) in ends or (e.terminus, n - 1) in ends]
+def _full_child(tree, b: BasicSet, full: dict, depths: set):
+    """(e, the child's root word) for b's first excluded edge e, in edge
+    order, whose child is a full cone (a key of full), or None.  The child
+    along e at v has v's word plus e's forward letter, or v's word less its
+    last letter when that is ~e; depths holds at least the keys' lengths."""
+    w = tree.word(b.apex)
+    n = len(w)
+    hits = []
+    if n + 1 in depths:
+        hits = [(e, k) for e in b.excluded if (k := w + (e.signed[True],)) in full]
+    if n - 1 in depths and not w[-1].forward and w[-1].edge in b.excluded and w[:-1] in full:
+        hits.append((w[-1].edge, w[:-1]))
+    return min(hits, key=lambda hit: tree.ekey(hit[0])) if hits else None
 
 
 def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
@@ -160,25 +169,19 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     the order of a scan from the front that restarts after every fold and
     moves the folded block to the back.  A fold that leaves exclusions
     enables no earlier fold, so only a new full cone restarts the scan."""
-    full: dict[object, list[int]] = {}  # apex -> positions of full cones
+    full: dict[tuple, list[int]] = {}  # root word -> positions of full cones
     for i, b in enumerate(blocks):
         if not b.excluded:
-            full.setdefault(b.apex, []).append(i)
-    ends = {(tree.endpoint(v), len(tree.word(v))) for v in full}
-    if not ends or not any(_near(tree, b, ends) for b in blocks if b.excluded):
-        return blocks  # no fold is possible, found before any child is built
-    kids: dict[int, list] = {}  # position -> (edge, child) in edge order
+            full.setdefault(tree.word(b.apex), []).append(i)
+    depths = {len(w) for w in full}
     i = 0
     while full and i < len(blocks):
         b = blocks[i]
-        if b is not None and b.excluded and i not in kids:
-            es = sorted(_near(tree, b, ends), key=tree.ekey)
-            kids[i] = [(e, tree.child(b.apex, e)) for e in es]
-        e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
-        if e is None:
+        hit = b is not None and b.excluded and _full_child(tree, b, full, depths)
+        if not hit:
             i += 1
             continue
-        del kids[i]
+        e, kid = hit
         blocks[i] = blocks[full[kid].pop()] = None
         if not full[kid]:
             del full[kid]
@@ -187,20 +190,23 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
         if merged.excluded:
             i += 1
         else:  # a new full cone, which earlier blocks may fold in
-            full.setdefault(b.apex, []).append(len(blocks) - 1)
-            if (end := (tree.endpoint(b.apex), len(tree.word(b.apex)))) not in ends:
-                ends.add(end)
-                kids.clear()  # built for the old ends
+            w = tree.word(b.apex)
+            full.setdefault(w, []).append(len(blocks) - 1)
+            depths.add(len(w))
             i = 0
     return [b for b in blocks if b is not None]
 
 
 def _sorted(tree, blocks: Iterable[BasicSet]) -> list[BasicSet]:
-    """Absorbed and sorted, not checked; the blocks must be valid."""
+    """Absorbed and sorted, not checked; the blocks must be valid.  Each
+    block keeps its sort key, which is not a field."""
     blocks = list(blocks)
     if len(blocks) > 1:
         blocks = _absorb(tree, blocks)
-        blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
+        for b in blocks:
+            if "_key" not in b.__dict__:
+                b.__dict__["_key"] = (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded)))
+        blocks.sort(key=attrgetter("_key"))
     return blocks
 
 

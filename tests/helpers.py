@@ -1478,6 +1478,56 @@ def oracle_canonical(tree, blocks):
     return tuple(blocks)
 
 
+def _oracle_near(tree, b, ends: set) -> list:
+    """b's excluded edges whose child could be a full cone: ends holds the
+    (endpoint, depth) of each full cone, and child(v, e) ends at e.terminus
+    one letter deeper or shallower than v."""
+    n = len(tree.word(b.apex))
+    return [e for e in b.excluded if (e.terminus, n + 1) in ends or (e.terminus, n - 1) in ends]
+
+
+def oracle_absorb(tree, blocks):
+    """ringsets._absorb as it was: it builds the child along every excluded
+    edge that the endpoint-and-depth filter lets through, and folds a block
+    when that child is a full cone, in the same scan order."""
+    from graphck.ringsets import BasicSet
+
+    blocks = list(blocks)
+    full: dict[object, list[int]] = {}  # apex -> positions of full cones
+    for i, b in enumerate(blocks):
+        if not b.excluded:
+            full.setdefault(b.apex, []).append(i)
+    ends = {(tree.endpoint(v), len(tree.word(v))) for v in full}
+    if not ends or not any(_oracle_near(tree, b, ends) for b in blocks if b.excluded):
+        return blocks
+    kids: dict[int, list] = {}  # position -> (edge, child) in edge order
+    i = 0
+    while full and i < len(blocks):
+        b = blocks[i]
+        if b is not None and b.excluded and i not in kids:
+            es = sorted(_oracle_near(tree, b, ends), key=tree.ekey)
+            kids[i] = [(e, tree.child(b.apex, e)) for e in es]
+        e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
+        if e is None:
+            i += 1
+            continue
+        del kids[i]
+        blocks[i] = blocks[full[kid].pop()] = None
+        if not full[kid]:
+            del full[kid]
+        merged = BasicSet(b.apex, b.excluded - {e})
+        blocks.append(merged)
+        if merged.excluded:
+            i += 1
+        else:  # a new full cone, which earlier blocks may fold in
+            full.setdefault(b.apex, []).append(len(blocks) - 1)
+            if (end := (tree.endpoint(b.apex), len(tree.word(b.apex)))) not in ends:
+                ends.add(end)
+                kids.clear()  # built for the old ends
+            i = 0
+    return [b for b in blocks if b is not None]
+
+
 def oracle_relation(tree, u, v):
     """Tree.relation as it was: the walk's steps spelled out as a string,
     F for each forward step and B for each backward one."""

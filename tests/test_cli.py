@@ -9,6 +9,7 @@ import pytest
 import graphck
 from graphck import corpus, invariants
 from graphck.cli import main
+from graphck.cover import MAX_AF_PAIRS
 from graphck.graphs import MAX_INSTANCES
 
 
@@ -358,6 +359,26 @@ def test_af_blocks_bad_truncation(capsys):
     assert err == "error: omega cap must be at least 1, got 0\n"
     code, out, _ = run(capsys, "af-blocks", "chain", "--length", "0")
     assert code == 0 and out.startswith("3 blocks at length <= 0\n")
+
+
+def test_omega_truncation_and_af_pairs_past_their_caps_exit_2(capsys):
+    # the omega cap is refused before any path is built and the pair count
+    # before any pair; without them, af-blocks at an omega cap of 300000
+    # ran out of memory
+    big = MAX_INSTANCES + 1
+    too_big = "omega cap %d is more than %d" % (big, MAX_INSTANCES)
+    # every pair of the 10**4 loops, and the unit with itself
+    too_many = "%d pairs of paths, more than %d" % (MAX_INSTANCES**2 + 1, MAX_AF_PAIRS)
+    cases = [
+        (["af-blocks", "oinf", "--length", "1", "--omega-truncate", str(big)], too_big),
+        (["rep-verify", "oinf", "--depth", "1", "--omega-truncate", str(big)], too_big),
+        (["af-blocks", "oinf", "--length", "1", "--omega-truncate", str(MAX_INSTANCES)], too_many),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out, err) == (2, "", "cap exceeded: %s\n" % message), argv
 
 
 def test_setcalc_unknown_base_is_a_usage_error(capsys):

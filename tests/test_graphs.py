@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -17,7 +18,7 @@ from graphck.graphs import (
     subgraph_le,
 )
 from graphck.paths import Path, parse_path
-from helpers import oracle_parse_graph, random_graph, reachable
+from helpers import oracle_parse_graph, random_graph, random_walk_path, reachable
 
 
 def test_parse_basic(graphs):
@@ -186,6 +187,35 @@ def test_hashes_are_the_dataclass_formulas(graphs):
                 assert all(hash(q) == hash((q.origin, q.word)) for q in paths)
             assert s.sort_key() is s.sort_key() == (b.name, 0, True)
             assert e.signed[True].sort_key() is e.signed[True].sort_key() == (b.name, 0, False)
+
+
+def test_edges_letters_and_walks_keep_what_they_compute(graphs):
+    # stored facts equal the formulas they replace, asked once or twice
+    assert [f.name for f in dataclasses.fields(SignedEdge)] == ["edge", "forward"]
+    rng = random.Random(2500)
+    pool = list(graphs.values()) + [random_graph(rng, max_vertices=6) for _ in range(30)]
+    walks = 0
+    for g in pool:
+        for b in g.bundles:
+            formula = hash((b.name, b.origin, b.terminus, b.multiplicity))
+            assert hash(b) == formula and hash(b) == formula
+            for i in b.indices(3):
+                for e in (g.interned(b, i), b.instance(i)):
+                    assert hash(e) == hash((b, i)) and hash(e) == hash((b, i))
+                    back, ahead = e.signed
+                    assert (ahead.origin, ahead.terminus) == (b.origin, b.terminus)
+                    assert (back.origin, back.terminus) == (b.terminus, b.origin)
+                    for s in (back, SignedEdge(e, False), ahead, SignedEdge(e, True)):
+                        assert hash(s) == hash((e, s.forward))
+                        assert s.sort_key() == (b.name, i, not s.forward)
+        for _ in range(20):
+            p = random_walk_path(rng, g, max_len=6)
+            q = Path.trusted(p.origin, p.word)
+            assert q == Path(p.origin, p.word) and hash(q) == hash(p) == hash((p.origin, p.word))
+            assert q.letter_keys == p.letter_keys == tuple(s.sort_key() for s in p.word)
+            assert q.terminus == p.terminus and str(q) == str(p)
+            walks += len(p.word) > 1
+    assert walks > 300
 
 
 def test_names_must_be_strings():

@@ -27,6 +27,7 @@ from graphck.setexpr import parse_setexpr
 from graphck.trees import FiberTree, FiniteTree
 from helpers import (
     fiber_vertices,
+    oracle_absorb,
     oracle_absorb_union,
     oracle_basic_contains,
     oracle_basic_diff,
@@ -175,6 +176,54 @@ def _expression(rng, g, base, atoms):
         op,
         _expression(rng, g, base, atoms - left),
     )
+
+
+def _decompose(rng, tree, v, depth, out, seen):
+    """Blocks built to fold: V(v) less some of its out-edges, and beside it
+    the full cone, a further decomposition or nothing at each of their
+    children; seen counts the children reached by cancelling."""
+    cut = [e for e in tree.graph.out_instances(tree.endpoint(v), 2) if rng.random() < 0.6]
+    if not cut or not depth:
+        out.append(BasicSet(v))
+        return
+    out.append(BasicSet(v, frozenset(cut)))
+    w = tree.word(v)
+    for e in cut:
+        kid = tree.child(v, e)
+        if rng.random() < 0.8:
+            seen["cancel"] += len(tree.word(kid)) < len(w)
+            _decompose(rng, tree, kid, rng.randrange(depth), out, seen)
+
+
+def _absorb_agrees(rng, tree, vertices, lists, seen):
+    # apexes whose word ends in a reversed letter have a child by cancelling
+    back = [v for v in vertices if tree.word(v) and not tree.word(v)[-1].forward]
+    for _ in range(lists):
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            pool = back if back and rng.random() < 0.5 else vertices
+            _decompose(rng, tree, rng.choice(pool), 3, blocks, seen)
+        blocks += _basics(rng, tree, vertices, rng.randrange(3))
+        blocks += rng.sample(blocks, rng.randrange(2))  # the same block twice
+        rng.shuffle(blocks)
+        got = ringsets._absorb(tree, list(blocks))
+        assert got == oracle_absorb(tree, list(blocks)), (tree, blocks)
+        seen["lists"] += 1
+        seen["folds"] += len(blocks) - len(got)
+
+
+def test_absorb_matches_the_oracle(graphs):
+    # the exact test on root words folds what building every candidate
+    # child folded, in the same order
+    rng = random.Random(8250)
+    seen = {"lists": 0, "folds": 0, "cancel": 0}
+    for g in graphs.values():
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            _absorb_agrees(rng, tree, fiber_vertices(tree, 3, 2), 60, seen)
+    tree = FiniteTree(random_tree_graph(rng, 12))
+    _absorb_agrees(rng, tree, list(tree.vertices), 200, seen)
+    assert seen["lists"] >= 2000 and seen["folds"] >= 500 and seen["cancel"] >= 200, seen
 
 
 def test_random_set_expressions():
