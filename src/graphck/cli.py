@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 unreadable input, bad usage or a closed stdout, 2
 a cap was needed or passed, 3 a semantic check failed (inadmissible family,
 failed relation, mismatched expectation).
+
+Importing this module loads graphck.graphs and graphck.corpus only, which
+hold the graph reader and every error the exit codes name.  Each command
+imports the modules it calls when it runs: rep-verify loads fock alone,
+analyze loads structure with the walks and points it reads.
 """
 
 from __future__ import annotations
@@ -10,35 +15,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import corpus
-from .cover import af_block_enumerate, directed_paths_upto, standard_form
-from .fock import FockError, algebra_dimension, all_hold, build_basis, verify_relations
 from .graphs import (
     CapError,
     EdgeBundle,
+    FockError,
     Graph,
     GraphError,
     GraphSyntaxError,
+    InvariantError,
+    PathError,
+    PointError,
+    SetExprError,
     is_omega,
     load_graph,
     subgraph_le,
 )
-from .invariants import (
-    InvariantError,
-    enumerate_invariants,
-    hasse_edges,
-    induced_marks,
-    quotient_data,
-)
-from .paths import PathError, parse_path
-from .points import PointError, parse_point
-from .ringsets import BasicSet, RingSet
-from .setexpr import SetExprError, first_apex, parse_setexpr
-from .structure import count_paths_into, is_essentially_principal, structure_report
-from .trees import FiberTree
 
 
 class UsageError(Exception):
@@ -72,6 +66,8 @@ def _emit(args, data: dict, lines):
 
 
 def cmd_analyze(args) -> int:
+    from .structure import count_paths_into, structure_report
+
     if args.cap < 0:
         raise UsageError("--cap must be at least 0, got %d" % args.cap)
     g = _load(args.graph)
@@ -108,6 +104,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ideals(args) -> int:
+    from .invariants import enumerate_invariants, hasse_edges, quotient_data
+    from .structure import is_essentially_principal
+
     g = _load(args.graph)
     faithful = is_essentially_principal(g)
     en = enumerate_invariants(g)
@@ -168,6 +167,8 @@ def cmd_ideals(args) -> int:
 
 
 def cmd_rep_verify(args) -> int:
+    from .fock import algebra_dimension, all_hold, build_basis, verify_relations
+
     g = _load(args.graph)
     marks = None if args.marks is None else [m for m in args.marks.split(",") if m]
     basis = build_basis(
@@ -199,6 +200,10 @@ def cmd_rep_verify(args) -> int:
 
 
 def cmd_setcalc(args) -> int:
+    from .paths import parse_path
+    from .setexpr import first_apex, parse_setexpr
+    from .trees import FiberTree
+
     g = _load(args.graph)
     base = args.base
     if base is None:
@@ -219,6 +224,10 @@ def cmd_setcalc(args) -> int:
 
 
 def cmd_standard_form(args) -> int:
+    from .cover import standard_form
+    from .paths import parse_path
+    from .points import parse_point
+
     g = _load(args.graph)
     alpha = parse_path(g, args.walk)
     y = parse_point(g, args.point)
@@ -234,6 +243,10 @@ def cmd_standard_form(args) -> int:
 
 
 def cmd_cocycle(args) -> int:
+    from .cover import standard_form
+    from .paths import parse_path
+    from .points import parse_point
+
     g = _load(args.graph)
     sf = standard_form(parse_path(g, args.walk), parse_point(g, args.point))
     print(sf.degree)
@@ -241,6 +254,8 @@ def cmd_cocycle(args) -> int:
 
 
 def cmd_af_blocks(args) -> int:
+    from .cover import af_block_enumerate
+
     g = _load(args.graph)
     sub = g if args.sub is None else _load(args.sub)
     blocks = af_block_enumerate(g, sub, args.length, omega_cap=args.omega_truncate)
@@ -262,7 +277,7 @@ def cmd_af_blocks(args) -> int:
     return 0
 
 
-def _random_subgraph(rng: random.Random, g: Graph) -> Graph:
+def _random_subgraph(rng, g: Graph) -> Graph:
     verts = [v for v in g.vertices if rng.random() < 0.8] or [sorted(g.vertices)[0]]
     vset = set(verts)
     bundles = []
@@ -287,6 +302,9 @@ def _lift_path(g: Graph, p):
 def _singleton_checks(rng, g, sub, sub_marks, lines) -> bool:
     """Singletons at inherited marks stay singletons upstairs; at a vertex
     that lost its mark the transported set must leave the kernel."""
+    from .ringsets import BasicSet, RingSet
+    from .trees import FiberTree
+
     g_marks = g.regular_vertices
     tree = FiberTree(sub, sorted(sub.vertices)[0])
     walks = list(tree.directed_to_depth(2, omega_cap=2))
@@ -315,6 +333,12 @@ def _singleton_checks(rng, g, sub, sub_marks, lines) -> bool:
 
 
 def cmd_limit_check(args) -> int:
+    import random
+
+    from .cover import directed_paths_upto
+    from .fock import algebra_dimension, build_basis
+    from .invariants import induced_marks
+
     if args.chains < 1:
         raise UsageError("--chains must be at least 1, got %d" % args.chains)
     g = _load(args.graph)
@@ -379,6 +403,10 @@ def cmd_limit_check(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
+    from .fock import algebra_dimension, build_basis
+    from .invariants import enumerate_invariants
+    from .structure import structure_report
+
     exp = corpus.expected()
     bad = 0
     lines = []
@@ -418,7 +446,8 @@ def cmd_corpus_run(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="graphck", description=__doc__)
+    # the help shows the summary and the exit codes, not the note on loading
+    parser = _Parser(prog="graphck", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .graphs import Graph, parse_graph
 
@@ -23,6 +22,8 @@ GRAPH_NAMES = (
 
 
 def _read(filename: str) -> str:
+    from importlib import resources
+
     return resources.files(__package__).joinpath("corpus", filename).read_text("utf-8")
 
 

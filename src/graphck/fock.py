@@ -33,11 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EdgeInstance, Graph, GraphError, is_omega
-
-
-class FockError(GraphError):
-    pass
+from .graphs import CapError, EdgeInstance, FockError, Graph, is_omega
 
 
 @dataclass(eq=False)
@@ -78,6 +74,12 @@ class PathBasis:
         return frozenset(i for i, k in enumerate(self.length) if k < self.depth)
 
 
+MAX_BASIS = 10**6
+"""The most paths build_basis puts in a basis.  The largest basis that the
+corpus, the tests and the benchmark build has 80,200 paths: the Toeplitz
+basis of a 400-vertex chain."""
+
+
 def build_basis(
     g: Graph,
     mode: str = "toeplitz",
@@ -99,6 +101,9 @@ def build_basis(
     path's tail is kept.  Within a level that order is "first letter in
     sort-key order, then tail in rank order", so each level comes out
     sorted with no sort, in O(level + the edges entering the level below).
+    Before a level is built its size is bounded from the level below, and
+    summed exactly when the bound reaches MAX_BASIS; a basis of more than
+    MAX_BASIS paths raises CapError.
     """
     if mode not in ("toeplitz", "ck"):
         raise FockError("unknown mode %r" % mode)
@@ -129,6 +134,9 @@ def build_basis(
     into: dict[str, list[int]] = {}
     for r, (_, _, v, _) in enumerate(ranked):
         into.setdefault(v, []).append(r)
+    # no vertex has more entering edges, so no level is more than this
+    # many times the level below it
+    fan_in = max(map(len, into.values()), default=0)
 
     origin = sorted(v for v in g.vertices if v not in mset)
     length = [0] * len(origin)
@@ -136,10 +144,18 @@ def build_basis(
     tail: list[int | None] = [None] * len(origin)
     # the indices of the last level, by origin, in rank order
     starts = {v: [i] for i, v in enumerate(origin)}
+    level = len(origin)
     for n in range(1, depth_eff + 1):
         low = len(origin)
         below, starts = starts, {}
-        for r in sorted(r for v in below for r in into.get(v, ())):
+        ranks = sorted(r for v in below for r in into.get(v, ()))
+        # the exact size, unless the bound already keeps it under the cap
+        if (
+            low + fan_in * level > MAX_BASIS
+            and (size := low + sum(len(below[ranked[r][2]]) for r in ranks)) > MAX_BASIS
+        ):
+            raise CapError("%d basis paths up to length %d, more than %d" % (size, n, MAX_BASIS))
+        for r in ranks:
             _, u, v, k = ranked[r]
             tails = below[v]
             starts.setdefault(u, []).extend(range(len(origin), len(origin) + len(tails)))
@@ -148,7 +164,8 @@ def build_basis(
             tail += tails
         if len(origin) == low:
             break
-        length += [n] * (len(origin) - low)
+        level = len(origin) - low
+        length += [n] * level
     return PathBasis(g, mode, mset, depth, omega_cap, exact, edges, origin, length, first, tail)
 
 

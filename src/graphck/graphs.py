@@ -85,6 +85,30 @@ class CapError(GraphError):
     """An enumeration needed a cap it was not given, or passed one."""
 
 
+# The errors that the command line maps to exit codes live here, so that
+# catching them loads no other module; each home module imports its own.
+
+
+class PathError(GraphError):
+    """A walk that does not compose or reduce (graphck.paths)."""
+
+
+class PointError(GraphError):
+    """A boundary point that cannot be read or used (graphck.points)."""
+
+
+class SetExprError(GraphError):
+    """A cone-set expression that does not parse (graphck.setexpr)."""
+
+
+class FockError(GraphError):
+    """A path basis that cannot be built (graphck.fock)."""
+
+
+class InvariantError(GraphError):
+    """An inadmissible vertex family (graphck.invariants)."""
+
+
 MAX_INSTANCES = 10**4
 """The most instances EdgeBundle.indices lists for a finite bundle; the
 corpus, the tests and the benchmark use multiplicities up to 3."""

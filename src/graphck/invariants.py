@@ -40,14 +40,18 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .graphs import EdgeBundle, EdgeInstance, Graph, GraphError, is_omega, subgraph_le
+from .graphs import (
+    EdgeBundle,
+    EdgeInstance,
+    Graph,
+    GraphError,
+    InvariantError,
+    is_omega,
+    subgraph_le,
+)
 from .paths import Path
 from .ringsets import BasicSet, RingSet
 from .trees import FiberTree
-
-
-class InvariantError(GraphError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import EdgeInstance, Graph, GraphError, SignedEdge
-
-
-class PathError(GraphError):
-    pass
+from .graphs import EdgeInstance, Graph, GraphError, PathError, SignedEdge
 
 
 @dataclass(frozen=True, slots=True)

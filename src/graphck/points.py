@@ -13,12 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import GraphError
+from .graphs import PointError
 from .paths import Path, SignedEdge, parse_path
-
-
-class PointError(GraphError):
-    pass
 
 
 def _rotate(cycle: tuple[SignedEdge, ...], j: int) -> tuple[SignedEdge, ...]:

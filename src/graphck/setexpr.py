@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import re
 
-from .graphs import GraphError
+from .graphs import GraphError, SetExprError
 from .paths import parse_path
 from .ringsets import RingSet
 from .trees import FiberTree
 
 __all__ = ["SetExprError", "parse_setexpr", "first_apex"]
-
-
-class SetExprError(GraphError):
-    pass
 
 
 # Each parenthesis costs the recursive-descent parser three stack frames,

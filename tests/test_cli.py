@@ -10,6 +10,7 @@ import graphck
 from graphck import corpus, invariants
 from graphck.cli import main
 from graphck.cover import MAX_AF_PAIRS
+from graphck.fock import MAX_BASIS
 from graphck.graphs import MAX_INSTANCES
 
 
@@ -379,6 +380,16 @@ def test_omega_truncation_and_af_pairs_past_their_caps_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert (code, out, err) == (2, "", "cap exceeded: %s\n" % message), argv
+
+
+def test_a_basis_past_its_cap_exits_2_before_it_is_built(capsys):
+    # depth 4 at an omega cap of 100 would hold 101,010,101 paths and ran out
+    # of memory; each level is sized before it is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep-verify", "oinf", "--depth", "4", "--omega-truncate", "100")
+    assert time.perf_counter() - start < 1.0
+    want = "cap exceeded: %d basis paths up to length 3, more than %d\n" % (1010101, MAX_BASIS)
+    assert (code, out, err) == (2, "", want)
 
 
 def test_setcalc_unknown_base_is_a_usage_error(capsys):

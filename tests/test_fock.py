@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from graphck import fock
 from graphck.fock import (
     FockError,
     RelationReport,
@@ -11,7 +12,7 @@ from graphck.fock import (
     build_basis,
     verify_relations,
 )
-from graphck.graphs import Graph, parse_graph
+from graphck.graphs import CapError, Graph, parse_graph
 from graphck.invariants import induced_marks
 from graphck.paths import parse_path
 from graphck.structure import count_paths_into
@@ -85,6 +86,21 @@ def test_toeplitz_mode_checks_marks(graphs):
     marked = build_basis(t2, "toeplitz", marks={"r", "c0"})
     assert basis_paths(marked) == basis_paths(build_basis(t2, "toeplitz"))
     assert marked.marks == frozenset()
+
+
+def test_basis_cap_is_checked_before_each_level(monkeypatch):
+    # 3 units, then 4 paths of length 1 and 3 of length 2: 10 in all; y has
+    # 3 entering edges, so 3 times the level below overshoots each level and
+    # the exact sum decides
+    g = parse_graph("vertex x; vertex y; vertex z; edge e : x -> y * 3; edge f : y -> z")
+    monkeypatch.setattr(fock, "MAX_BASIS", 10)
+    assert build_basis(g).size == 10
+    monkeypatch.setattr(fock, "MAX_BASIS", 9)
+    with pytest.raises(CapError, match=r"^10 basis paths up to length 2, more than 9$"):
+        build_basis(g)
+    monkeypatch.setattr(fock, "MAX_BASIS", 6)
+    with pytest.raises(CapError, match=r"^7 basis paths up to length 1, more than 6$"):
+        build_basis(g)
 
 
 def test_basis_of_graph_with_many_cycles():

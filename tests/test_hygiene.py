@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports (the package
-__init__, which imports to re-export, is exempt).  A name used only in a
-quoted annotation counts as unused: under ``from __future__ import
+"""Every module of the package uses each name it imports, and a name
+imported inside a function is used in that function.  A name used only
+in a quoted annotation counts as unused: under ``from __future__ import
 annotations`` it needs no quotes.  Every private module-level function
-or class is used somewhere in the package.  Every public one, and every
+or class is used somewhere in the package, except a module
+``__getattr__``, which the interpreter calls.  Every public one, and every
 method of a public class, private methods included, is used by the
 package, its command line or the benchmark, or the allow list below gives
 the reason it stays.  A class on the list covers its methods, and listed
@@ -43,15 +44,26 @@ UNCALLED_BY_DESIGN = {
 }
 
 
-def _imported(tree: ast.Module) -> dict[str, int]:
-    names = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                names[a.asname or a.name.split(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for a in node.names:
-                names[a.asname or a.name] = node.lineno
+def _imported(tree: ast.Module) -> list[tuple[str, int, ast.AST]]:
+    """(name, line, scope) for each name an import binds; the scope is the
+    innermost function around the import, or else the module."""
+    names = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+                bound = [a.asname or a.name for a in child.names]
+            else:
+                bound = []
+            names.extend((name, child.lineno, scope) for name in bound)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+            else:
+                visit(child, scope)
+
+    visit(tree, tree)
     return names
 
 
@@ -67,13 +79,10 @@ def _modules(directory: str = PACKAGE) -> dict[str, ast.Module]:
 def test_no_module_imports_a_name_it_never_uses():
     stale = []
     for fname, tree in _modules().items():
-        if fname == "__init__.py":
-            continue
-        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         stale += [
             "%s:%d %s" % (fname, line, name)
-            for name, line in _imported(tree).items()
-            if name not in used
+            for name, line, scope in _imported(tree)
+            if name not in {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
         ]
     assert not stale, stale
 
@@ -96,6 +105,7 @@ def test_every_private_helper_has_a_caller():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_")
+        and node.name != "__getattr__"  # a module's, called by the interpreter
         and used[node.name] == _uses(node)[node.name]
     ]
     assert not orphans, orphans
