@@ -7,7 +7,7 @@ failed relation, mismatched expectation).
 Importing this module loads graphck.graphs and graphck.corpus only, which
 hold the graph reader and every error the exit codes name.  Each command
 imports the modules it calls when it runs: rep-verify loads fock alone,
-analyze loads structure with the walks and points it reads.
+and analyze structure alone.
 """
 
 from __future__ import annotations

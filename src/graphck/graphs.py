@@ -12,9 +12,10 @@ Vertex classes used throughout the package:
 * regular vertices: finitely many outgoing positive edges, at least one,
 * infinite emitters: at least one omega bundle going out.
 
-Bundles and instances keep their hash, the dataclass formula, after first
-use; an instance's two letters (``EdgeInstance.signed``) are built once
-and store their sort key, hash and ends.
+A bundle owns its instances (``EdgeBundle.instance``), so each edge
+instance, and each of its two letters (``EdgeInstance.signed``), is one
+object.  Bundles and instances keep their hash, the dataclass formula,
+after first use; a letter stores its sort key, hash and ends.
 """
 
 from __future__ import annotations
@@ -142,7 +143,13 @@ class EdgeBundle:
         return h
 
     def instance(self, index: int = 0) -> "EdgeInstance":
-        return EdgeInstance(self, index)
+        """This bundle's one instance at index, built on first use and kept
+        outside the dataclass fields; a bad index raises and is not kept."""
+        made = self.__dict__.setdefault("_made", {})
+        e = made.get(index)
+        if e is None:
+            e = made[index] = EdgeInstance(self, index)
+        return e
 
     def indices(self, omega_cap: int | None = None) -> range:
         """The instance indices; omega bundles are cut off at omega_cap, and
@@ -160,7 +167,7 @@ class EdgeBundle:
 
     def instances(self, omega_cap: int | None = None) -> Iterator["EdgeInstance"]:
         """The instances at indices(omega_cap), which raises on the call."""
-        return (EdgeInstance(self, i) for i in self.indices(omega_cap))
+        return map(self.instance, self.indices(omega_cap))
 
     def __str__(self) -> str:
         tail = "" if self.multiplicity == 1 else " * %r" % (self.multiplicity,)
@@ -326,20 +333,13 @@ class Graph:
             raise GraphError("unknown edge %r" % name) from None
 
     def instance(self, text: str) -> EdgeInstance:
-        """Parse ``e`` (index 0) or ``e#3``, ASCII digits only, into an edge
-        instance; each spelling (``a``, ``a#0``, ``a#00``) gives one object."""
+        """Parse ``e`` (index 0) or ``e#3``, ASCII digits only, and ask the
+        bundle: each spelling (``a``, ``a#0``, ``a#00``) is its one object."""
         name, hash_sign, idx = text.partition("#")
         b = self.bundle(name)
         if hash_sign and not (idx.isascii() and idx.isdigit()):
             raise GraphError("bad edge index %r" % idx)
-        return self.interned(b, int(idx) if idx else 0)
-
-    def interned(self, b: EdgeBundle, index: int) -> EdgeInstance:
-        """This graph's one instance of its bundle b at index."""
-        e = self._instances.get((b.name, index))
-        if e is None:
-            e = self._instances[b.name, index] = b.instance(index)
-        return e
+        return b.instance(int(idx) if idx else 0)
 
     def out_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)
@@ -367,11 +367,6 @@ class Graph:
     def regular_vertices(self) -> frozenset[str]:
         """Vertices with finitely many, at least one, outgoing edges."""
         return self._vertex_set - self.sinks - self.infinite_emitters
-
-    @_cached
-    def _instances(self) -> dict[tuple[str, int], EdgeInstance]:
-        """(bundle name, index) -> its instance, filled in by interned()."""
-        return {}
 
     @_cached
     def _walks(self) -> dict:

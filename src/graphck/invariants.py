@@ -458,7 +458,6 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
         # every block asked about is valid: an apex and its own out-edges
         return w.boundary_contains(RingSet(tree, (BasicSet(apex, excluded),)))
 
-    at = tree.graph.interned
     fam = {}
     for p in universe:
         v = tree.endpoint(p)
@@ -469,10 +468,10 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
         named = _named_omega_indices(w, p)
         bundles = tree.graph.out_bundles(v)
         omegas = [b for b in bundles if is_omega(b.multiplicity)]
-        if not all(swallows(tree.child(p, at(b, named.get(b, -1) + 1))) for b in omegas):
+        if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
             continue
         # an omega bundle's candidates are its named indices, a finite one's all
-        candidates = [at(b, i) for b in bundles for i in b.indices(named.get(b, -1) + 1)]
+        candidates = [e for b in bundles for e in b.instances(named.get(b, -1) + 1)]
         fmin = frozenset(e for e in candidates if not swallows(tree.child(p, e)))
         if swallows(p, fmin):
             fam[p] = fmin

@@ -26,8 +26,6 @@ from .graphs import (
     SignedEdge,
     tarjan,
 )
-from .paths import Path
-from .points import AperiodicDescriptor, act
 
 
 class StructureError(GraphError):
@@ -176,7 +174,7 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
     # one instance 0 per bundle on a cycle, however many cycles share it
     step = dict.fromkeys(chain.from_iterable(names for names, _, _ in found))
     for name in step:
-        step[name] = g.interned(g.bundle(name), 0)
+        step[name] = g.bundle(name).instance(0)
     cycles = []
     for names, kind, count in found:
         c = object.__new__(Cycle)
@@ -278,6 +276,9 @@ def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
 
 def isotropy(x):
     """(kind, fixing walk): nontrivial exactly on the lasso points."""
+    from .paths import Path
+    from .points import act
+
     if x.kind != "lasso":
         return ("trivial", None)
     loop = Path(x.stem.terminus, x.cycle)
@@ -319,6 +320,9 @@ def free_point_from(g: Graph, u: str):
     component u reaches is read off its generator mask.  Raises when
     every walk from u is eventually periodic.
     """
+    from .paths import Path
+    from .points import AperiodicDescriptor
+
     g.check_vertex(u)
     hit = _bfs_word(g, u, g.sinks | g.infinite_emitters)
     if hit is not None:

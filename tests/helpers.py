@@ -99,23 +99,18 @@ def reachable(g: Graph, v: str) -> frozenset[str]:
 _EXTENSIONS: "weakref.WeakKeyDictionary[Graph, dict]" = weakref.WeakKeyDictionary()
 
 
-def _shared(g: Graph, e: EdgeInstance) -> EdgeInstance:
-    """The graph's own instance equal to e, whose letters parse_path uses."""
-    return g.instance("%s#%d" % (e.bundle.name, e.index))
-
-
 def _signed_extensions(g: Graph, at: str, omega_cap: int) -> list[SignedEdge]:
     """The letters leaving at, omega bundles cut at omega_cap instances; they
-    are the graph's own letters (EdgeInstance.signed of Graph.instance), so
-    a drawn walk and the same walk parsed share their letter objects."""
+    are the bundles' own letters (EdgeInstance.signed of EdgeBundle.instance),
+    so a drawn walk and the same walk parsed share their letter objects."""
     table = _EXTENSIONS.setdefault(g, {})
     key = (at, omega_cap)
     if key not in table:
         out = []
         for b in g.out_bundles(at):
-            out.extend(_shared(g, e).signed[True] for e in b.instances(omega_cap))
+            out.extend(e.signed[True] for e in b.instances(omega_cap))
         for b in g.in_bundles(at):
-            out.extend(_shared(g, e).signed[False] for e in b.instances(omega_cap))
+            out.extend(e.signed[False] for e in b.instances(omega_cap))
         table[key] = out
     return table[key]
 
@@ -170,7 +165,7 @@ def random_directed_path(
         options = []
         for b in g.out_bundles(p.terminus):
             cap = 3 if is_omega(b.multiplicity) else None
-            options.extend(_shared(g, e) for e in b.instances(cap))
+            options.extend(b.instances(cap))
         if not options:
             break
         p = p.append(rng.choice(options))

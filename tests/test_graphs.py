@@ -9,6 +9,7 @@ from graphck.graphs import (
     OMEGA,
     CapError,
     EdgeBundle,
+    EdgeInstance,
     Graph,
     GraphError,
     GraphSyntaxError,
@@ -17,7 +18,10 @@ from graphck.graphs import (
     parse_graph,
     subgraph_le,
 )
+from graphck.invariants import enumerate_invariants, open_set_of, quotient_data, tree_invariant_of
 from graphck.paths import Path, parse_path
+from graphck.structure import find_cycles
+from graphck.trees import FiberTree
 from helpers import oracle_parse_graph, random_graph, random_walk_path, reachable
 
 
@@ -136,20 +140,26 @@ def test_instance_parsing(graphs):
             g2.instance("e#2")
         with pytest.raises(GraphError, match="bad edge index 'x'"):
             g2.instance("e#x")
+        with pytest.raises(GraphError, match="out of range"):
+            g2.bundle("e").instance(2)
+        with pytest.raises(GraphError, match="negative edge index"):
+            g.bundle("a").instance(-1)
+    # nor is a bad index stored in the bundle
+    assert 2 not in g2.bundle("e").__dict__.get("_made", {}) and -1 not in g.bundle("a")._made
     # int() would read all of these; only ASCII digits name an instance
-    kept = dict(g._instances)
+    kept = dict(g.bundle("a")._made)
     for idx in ("1_000", "+2", " 1", "\u0663", "2 ", "", "-1"):
         with pytest.raises(GraphError, match="^bad edge index %s$" % re.escape(repr(idx))):
             g.instance("a#" + idx)
-        assert g._instances == kept
+        assert g.bundle("a")._made == kept
     assert g.instance("a#1000").index == 1000 and g.instance("a#007").index == 7
 
 
 def test_instances_and_letters_are_built_once(graphs):
     g = graphs["oinf"]
     e = g.instance("a#2")
-    assert g.instance("a#2") is e is g.interned(g.bundle("a"), 2)
-    assert g.interned(g.bundle("a"), 3) is g.instance("a#3")
+    assert g.instance("a#2") is e is g.bundle("a").instance(2) is g.bundle("a")._made[2]
+    assert g.bundle("a").instance(3) is g.instance("a#3")
     s = parse_path(g, "a#2").word[0]
     assert s is e.signed[True] and s.reverse() is e.signed[False]
     assert s.reverse().reverse() is s
@@ -167,6 +177,40 @@ def test_every_spelling_of_an_instance_is_one_object(graphs):
     oinf = graphs["oinf"]
     assert oinf.instance("a#1") is oinf.instance("a#01") is oinf.instance("a#001")
     assert oinf.instance("a#1") is not oinf.instance("a#10")
+
+
+def test_every_route_to_an_instance_gives_the_bundles_one_object(graphs):
+    exclusions = 0
+    for name, g in graphs.items():
+        ident = Graph.restricted(g.vertices, g.bundles, name + ".same")
+        for b in g.bundles:
+            twin = EdgeBundle(b.name, b.origin, b.terminus, b.multiplicity)
+            for cap in (1, 2, 3):
+                for e in b.instances(cap):
+                    text = "%s#%d" % (b.name, e.index)
+                    assert e is b.instance(e.index) is g.instance(text) is ident.instance(text)
+                    assert parse_path(g, text).word[0] is e.signed[True]
+                    assert parse_path(g, "~" + text).word[0] is e.signed[False]
+                    # an equal bundle that is another object keeps its own
+                    other = twin.instance(e.index)
+                    assert other == e and hash(other) == hash(e) and other is not e
+        for v in g.vertices:
+            for cap in (1, 2, 3):
+                want = [b.instance(i) for b in g.out_bundles(v) for i in b.indices(cap)]
+                got = g.out_instances(v, cap)
+                assert len(got) == len(want) and all(x is y for x, y in zip(got, want)), (name, v)
+        for c in find_cycles(g):
+            assert all(e is g.instance(str(e)) for e in c.instances), (name, c)
+            walk = parse_path(g, ".".join(map(str, c.instances)))
+            assert all(s is e.signed[True] for s, e in zip(walk.word, c.instances)), (name, c)
+        fib = FiberTree(g, g.vertices[0])
+        for inv in enumerate_invariants(g):
+            quotient = quotient_data(g, inv).graph
+            assert all(quotient.instance(b.name) is g.instance(b.name) for b in quotient.bundles)
+            for excluded in tree_invariant_of(open_set_of(fib, inv, depth=2), depth=1).values():
+                assert all(e is g.instance(str(e)) for e in excluded), (name, inv)
+                exclusions += len(excluded)
+    assert exclusions > 0
 
 
 def test_hashes_are_the_dataclass_formulas(graphs):
@@ -200,7 +244,8 @@ def test_edges_letters_and_walks_keep_what_they_compute(graphs):
             formula = hash((b.name, b.origin, b.terminus, b.multiplicity))
             assert hash(b) == formula and hash(b) == formula
             for i in b.indices(3):
-                for e in (g.interned(b, i), b.instance(i)):
+                # the bundle's own instance, and a second, equal one
+                for e in (b.instance(i), EdgeInstance(b, i)):
                     assert hash(e) == hash((b, i)) and hash(e) == hash((b, i))
                     back, ahead = e.signed
                     assert (ahead.origin, ahead.terminus) == (b.origin, b.terminus)

@@ -9,8 +9,9 @@ package, its command line or the benchmark, or the allow list below gives
 the reason it stays.  A class on the list covers its methods, and listed
 code counts as a caller of other methods.  Every absolute import names a
 standard-library module: the runtime needs nothing else.  Every letter
-the package builds comes from ``EdgeInstance.signed``, so equal letters
-of one instance are one object.
+the package builds comes from ``EdgeInstance.signed``, and every edge
+instance from ``EdgeBundle.instance``, so equal letters of one instance,
+and equal instances of one bundle, are one object.
 
 Uses are matched by name, not by owner: a method counts as called when
 an attribute or variable of the same name is used anywhere in the
@@ -164,33 +165,43 @@ def test_every_method_of_a_public_class_has_a_caller():
     assert sorted(_uncalled(methods, used)) == []
 
 
-def test_letters_are_built_only_by_edge_instance_signed():
+def _built_only_in(callee: str, cls: str, method: str) -> tuple[int, list[str]]:
+    """How many calls of callee the method cls.method of graphs.py makes,
+    and where else in the package callee is called."""
+
     def calls(node):
         return [
             n
             for n in ast.walk(node)
             if isinstance(n, ast.Call)
             and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
-            == "SignedEdge"
+            == callee
         ]
 
     trees = _modules()
     allowed = {
         id(call)
-        for cls in trees["graphs.py"].body
-        if isinstance(cls, ast.ClassDef) and cls.name == "EdgeInstance"
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and node.name == "signed"
+        for c in trees["graphs.py"].body
+        if isinstance(c, ast.ClassDef) and c.name == cls
+        for node in c.body
+        if isinstance(node, ast.FunctionDef) and node.name == method
         for call in calls(node)
     }
-    assert len(allowed) == 2
     stray = [
         "%s:%d" % (fname, call.lineno)
         for fname, tree in trees.items()
         for call in calls(tree)
         if id(call) not in allowed
     ]
-    assert not stray, stray
+    return len(allowed), stray
+
+
+def test_letters_are_built_only_by_edge_instance_signed():
+    assert _built_only_in("SignedEdge", "EdgeInstance", "signed") == (2, [])
+
+
+def test_instances_are_built_only_by_edge_bundle_instance():
+    assert _built_only_in("EdgeInstance", "EdgeBundle", "instance") == (1, [])
 
 
 def test_package_imports_only_the_standard_library():

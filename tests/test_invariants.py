@@ -194,7 +194,7 @@ def test_open_set_roundtrip_on_corpus(graphs):
                 fam = tree_invariant_of(w, depth=1)
                 for p, f in fam.items():
                     # the graph's own instances, so cones share parse_path's letters
-                    assert all(e is g.interned(e.bundle, e.index) for e in f), (name, p)
+                    assert all(e is g.bundle(e.bundle.name).instance(e.index) for e in f), (name, p)
                     assert lifted.member(p), (name, inv, base, p)
                     assert f == lifted.f_set(p), (name, inv, base, p)
                 for p in fib.directed_to_depth(1):

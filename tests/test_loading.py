@@ -25,15 +25,15 @@ from graphck import graphs
 IMPORTED = {"cli", "corpus", "graphs"}
 LOADS = {
     "import": set(),
-    "analyze chain": {"paths", "points", "structure"},
-    "ideals mix": {"invariants", "paths", "points", "ringsets", "structure", "trees"},
+    "analyze chain": {"structure"},
+    "ideals mix": {"invariants", "paths", "ringsets", "structure", "trees"},
     "rep-verify chain": {"fock"},
     "setcalc chain V(a)": {"paths", "ringsets", "setexpr", "trees"},
     "standard-form chain a.b w": {"cover", "paths", "points", "ringsets", "trees"},
     "cocycle chain a.b w": {"cover", "paths", "points", "ringsets", "trees"},
     "af-blocks chain": {"cover", "paths", "points", "ringsets", "trees"},
     "limit-check chain": {"cover", "fock", "invariants", "paths", "points", "ringsets", "trees"},
-    "corpus-run": {"fock", "invariants", "paths", "points", "ringsets", "structure", "trees"},
+    "corpus-run": {"fock", "invariants", "paths", "ringsets", "structure", "trees"},
 }
 # Standard-library modules that only some commands need.
 ON_DEMAND_STDLIB = ("importlib.resources", "random")
