@@ -12,6 +12,7 @@ at its last reversal.  An aperiodic ray is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import CapError, EdgeInstance, Graph, subgraph_le
 from .paths import Path, directed_upto
@@ -185,24 +186,60 @@ class ArrowBlock:
         return "(%s, %s) at %s" % (self.beta1, self.beta2, self.terminus)
 
 
-def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> list[Path]:
-    """The directed paths of the marked subgraph of length at most n, omega
-    bundles cut off at omega_cap instances.  Instances are taken in g, so
-    paths compare across the inclusion."""
+MAX_AF_PAIRS = 10**5
+"""The most path pairs af_block_enumerate lists, and the most paths
+directed_paths_upto lists, each the diagonal pair of one block; the
+tests and the transcript list at most 198 pairs and 22,621 paths."""
+
+
+def path_counts(sub: Graph, n: int, omega_cap: int = 3) -> Iterator[dict[str, int]]:
+    """Level k = 0..n: n_k(t), the directed paths of sub of length k into
+    each vertex t, omega bundles cut at omega_cap: n_0(t) = 1 and n_{k+1}(t)
+    sums m(b) n_k(o(b)) over the bundles b into t.  Levels are computed on
+    demand, hold only the vertices with a path, and end at the first empty
+    one, so each costs no more than the paths it counts and their steps."""
+    steps: dict[str, list[tuple[str, int]]] = {v: [] for v in sub.vertices}
+    for b in sub.bundles:
+        steps[b.origin].append((b.terminus, len(b.indices(omega_cap))))
+    level = dict.fromkeys(sub.vertices, 1)
+    for _ in range(n + 1):
+        if not level:
+            return
+        yield level
+        level, below = {}, level
+        for o, count in below.items():
+            for t, m in steps[o]:
+                level[t] = level.get(t, 0) + m * count
+
+
+def _count_paths(g: Graph, sub: Graph, n: int, omega_cap: int, pairs: bool) -> None:
+    """Check the arguments of directed_paths_upto, then sum the paths, or
+    their pairs n_k(t)^2, level by level and raise CapError once the sum
+    passes MAX_AF_PAIRS."""
     if n < 0:
         raise PointError("length must be at least 0, got %d" % n)
     if omega_cap < 1:
         raise PointError("omega cap must be at least 1, got %d" % omega_cap)
     if not subgraph_le(sub, g):
         raise PointError("marked subgraph is not included in the graph")
+    total = 0
+    for k, level in enumerate(path_counts(sub, n, omega_cap)):
+        total += sum(c * c for c in level.values()) if pairs else sum(level.values())
+        if total > MAX_AF_PAIRS:
+            what = "pairs of paths" if pairs else "directed paths"
+            raise CapError("%d %s up to length %d, more than %d" % (total, what, k, MAX_AF_PAIRS))
+
+
+def directed_paths_upto(g: Graph, sub: Graph, n: int, omega_cap: int = 3) -> list[Path]:
+    """The directed paths of the marked subgraph of length at most n, omega
+    bundles cut off at omega_cap instances.  Instances are taken in g, so
+    paths compare across the inclusion.  More than MAX_AF_PAIRS paths
+    raise CapError before any is built."""
+    _count_paths(g, sub, n, omega_cap, pairs=False)
     steps: dict[str, list[EdgeInstance]] = {v: [] for v in sub.vertices}
     for b in sub.bundles:
         steps[b.origin].extend(map(g.bundle(b.name).instance, b.indices(omega_cap)))
     return directed_upto([Path.unit(v) for v in sub.vertices], steps.__getitem__, n)
-
-
-MAX_AF_PAIRS = 10**5
-"""The most path pairs af_block_enumerate lists; the corpus and tests need < 1000."""
 
 
 def af_block_enumerate(
@@ -213,13 +250,13 @@ def af_block_enumerate(
     at the terminus as its source region.
 
     Enlarging the subgraph or the length bound only ever adds pairs.
-    More than MAX_AF_PAIRS pairs raise CapError before any is built.
+    More than MAX_AF_PAIRS pairs raise CapError before any path is built;
+    they number the sum of n_k(t)^2 over the table of path_counts.
     """
+    _count_paths(g, sub, n, omega_cap, pairs=True)
     groups: dict[tuple[int, str], list[Path]] = {}
     for p in directed_paths_upto(g, sub, n, omega_cap):
         groups.setdefault((len(p), p.terminus), []).append(p)
-    if (pairs := sum(len(paths) ** 2 for paths in groups.values())) > MAX_AF_PAIRS:
-        raise CapError("%d pairs of paths, more than %d" % (pairs, MAX_AF_PAIRS))
     blocks = []
     for (_, t), paths in sorted(groups.items()):
         region = RingSet.basic(FiberTree(g, t), Path.unit(t))

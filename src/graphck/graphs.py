@@ -15,7 +15,8 @@ Vertex classes used throughout the package:
 A bundle owns its instances (``EdgeBundle.instance``), so each edge
 instance, and each of its two letters (``EdgeInstance.signed``), is one
 object.  Bundles and instances keep their hash, the dataclass formula,
-after first use; a letter stores its sort key, hash and ends.
+after first use; a letter stores its sort key, hash and ends.  A hash
+depends on PYTHONHASHSEED, so each pickles as the call that rebuilds it.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ class EdgeBundle:
             self.__dict__["_hash"] = h
         return h
 
+    def __reduce__(self):  # through the constructor: a hash is kept per process
+        return (EdgeBundle, (self.name, self.origin, self.terminus, self.multiplicity))
+
     def instance(self, index: int = 0) -> "EdgeInstance":
         """This bundle's one instance at index, built on first use and kept
         outside the dataclass fields; a bad index raises and is not kept."""
@@ -206,6 +210,9 @@ class EdgeInstance:
             h = self.__dict__["_hash"] = hash((self.bundle, self.index))
         return h
 
+    def __reduce__(self):  # the bundle's one instance, with a fresh hash
+        return (EdgeBundle.instance, (self.bundle, self.index))
+
     @_cached
     def signed(self) -> tuple["SignedEdge", "SignedEdge"]:
         """The backward and the forward letter of this instance, built once:
@@ -245,10 +252,17 @@ class SignedEdge:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):  # the instance's own letter, with a fresh hash
+        return (_letter, (self.edge, self.forward))
+
     def __str__(self) -> str:
         return str(self.edge) if self.forward else "~" + str(self.edge)
 
     __repr__ = __str__
+
+
+def _letter(edge: EdgeInstance, forward: bool) -> SignedEdge:
+    return edge.signed[forward]
 
 
 class Graph:
@@ -371,12 +385,6 @@ class Graph:
     @_cached
     def _walks(self) -> dict:
         """Stripped text -> the walk it names, filled in by paths.parse_path."""
-        return {}
-
-    @_cached
-    def family_verdicts(self) -> dict:
-        """Family -> admissibility verdict, filled in by invariants.is_invariant:
-        the graph and a family are immutable, so each is checked once."""
         return {}
 
     # Derived facts, computed once per graph.  Everything below rests on one

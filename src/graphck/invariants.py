@@ -15,13 +15,14 @@ those vertices B(H), the families are in bijection with the pairs
 (H, R) for R within B(H), so there are sum over H of 2^|B(H)| of them.
 enumerate_invariants lists the closed sets H from the generator reach
 masks cached on the graph, at O(V) each, and builds every family
-straight from (H, R).  is_invariant reads any family so, R its excluding
-members: it is admissible exactly when R lies among the emitters, H is
-closed, and each r in R sends its omega bundles into H and excludes the
-forced set.  That is O(V+E) set work; a family failing it runs the
-clause-by-clause check, which words the failures.  Verdicts are cached
-on the graph, so quotient_data's check of an enumerated family is a
-lookup; its residue keeps V - H, with the marks R and regular - H.
+straight from (H, R): admissible by construction, it is not checked
+again.  is_invariant, the one check, is for a family from outside; it
+reads any family so, R its excluding members: it is admissible exactly
+when R lies among the emitters, H is closed, and each r in R sends its
+omega bundles into H and excludes the forced set.  That is O(V+E) set
+work; a family failing it runs the clause-by-clause check, which words
+the failures.  quotient_data checks its input so, once; its residue
+keeps V - H, with the marks R and regular - H.
 hasse_edges reads the order off bit columns over the list, at
 O(n (V + X)) big-int operations for n families and X excluded edges,
 plus about one per cover to pick the covers out.
@@ -41,6 +42,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .graphs import (
+    CapError,
     EdgeBundle,
     EdgeInstance,
     Graph,
@@ -116,27 +118,20 @@ class CheckResult:
         return self.ok
 
 
-def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
-    """Decide admissibility, with human-readable failure witnesses.
-
-    Edges are handled bundle-wise: an omega bundle always has instances
-    outside the finite exclusion set, so its terminus is forced into the
-    family with empty exclusions; excluded instances of the same bundle
-    then contradict that.  This avoids quantifying over instances.  The
-    verdict is kept in g.family_verdicts, so a family is checked once per
-    graph however often it is asked about.
-    """
-    res = g.family_verdicts.get(inv)
-    if res is None:
-        res = g.family_verdicts[inv] = _check_family(g, inv)
-    return res
-
-
 _ADMISSIBLE = CheckResult(True)
 _NOTE = "excluded edge %s lands on the infinite-valence member %s with exclusions"
 
 
-def _check_family(g: Graph, inv: Invariant) -> CheckResult:
+def is_invariant(g: Graph, inv: Invariant) -> CheckResult:
+    """Decide admissibility, with human-readable failure witnesses.
+
+    _check_h_r's set passes accept an admissible family; any other runs
+    the clause-by-clause check, which words the failures.  Edges are
+    handled bundle-wise: an omega bundle always has instances outside the
+    finite exclusion set, so its terminus is forced into the family with
+    empty exclusions; excluded instances of the same bundle then
+    contradict that.  This avoids quantifying over instances.
+    """
     res = _check_h_r(g, inv)
     if res is not None:
         return res
@@ -275,13 +270,21 @@ def _closed_sets(g: Graph):
             stack.append((k + 1, chosen | 1 << j))
 
 
+MAX_FAMILIES = 10**4
+"""The most families enumerate_invariants lists; the tests need 4096, the
+lattice benchmark 256, and the corpus and the transcript 18."""
+
+
 def enumerate_invariants(g: Graph) -> Enumeration:
     """All admissible families, smallest first.
 
     One family per closed set H and subset R of its breaking vertices
     B(H) (see the module docstring), built straight from (H, R) with its
-    sort key.  Every family still passes through is_invariant, whose
-    notes are collected; a failure raises.
+    sort key: each is admissible by construction, so none is checked.
+    A finite bundle from one breaking vertex of H to another carries a
+    note in every family whose R holds both ends, so the notes are read
+    off B(H).  Past MAX_FAMILIES families it raises CapError, counting
+    each closed set's 2^|B(H)| families before it builds them.
 
     Excluding part of a bundle is never admissible, and neither is
     excluding any instance of an omega bundle: the unexcluded instances
@@ -303,6 +306,11 @@ def enumerate_invariants(g: Graph) -> Enumeration:
             excl = frozenset(e for b in bundles if b.terminus not in h for e in b.instances())
             if excl:
                 breaking.append((u, excl, (u, tuple(sorted(e.sort_key() for e in excl)))))
+        if len(found) + (1 << len(breaking)) > MAX_FAMILIES:
+            raise CapError("more than %d families" % MAX_FAMILIES)
+        b_h = {u for u, _, _ in breaking}
+        for u in b_h:
+            notes.update(_NOTE % (b.name, b.terminus) for b in g._out[u] if b.terminus in b_h)
         hs = tuple(sorted(h))
         for k in range(len(breaking) + 1):
             for picks in itertools.combinations(breaking, k):
@@ -312,13 +320,7 @@ def enumerate_invariants(g: Graph) -> Enumeration:
                     key = (len(inv.vertices), tuple(sorted(hs + rs)), tuple(x for _, _, x in picks))
                 else:
                     inv, key = Invariant(h, ()), (len(h), hs, ())
-                res = is_invariant(g, inv)
-                if not res.ok:
-                    raise InvariantError(
-                        "enumerated family %s is not admissible: %s" % (inv, res.failures[0])
-                    )
                 found.append((key, inv))
-                notes.update(res.notes)
     found.sort(key=itemgetter(0))
     return Enumeration(tuple(inv for _, inv in found), tuple(sorted(notes)))
 
@@ -499,24 +501,18 @@ class QuotientData:
 
 
 def quotient_data(g: Graph, inv: Invariant) -> QuotientData:
-    """The quotient data of a family, which must be admissible.  The check
-    reads g.family_verdicts, so after enumerate_invariants it is a lookup."""
+    """The quotient data of a family, which must be admissible.  Then each
+    mark is a regular vertex of the residue: each r in R keeps a finite
+    bundle leaving H and no omega bundle outside H, and each regular vertex
+    outside H has an edge leaving H, as H is saturated."""
     res = is_invariant(g, inv)
     if not res.ok:
         raise InvariantError("not an admissible family: %s" % (res.failures[0],))
     rset = inv.r_vertices
     h = inv.vertices - rset
-    # the residue's regular vertices, read off its bundles in the same pass
-    bundles, origins, emitting = [], set(), set()
-    for b in g.bundles:
-        if b.origin not in h and b.terminus not in h:
-            bundles.append(b)
-            (emitting if is_omega(b.multiplicity) else origins).add(b.origin)
-    marks = rset | (g.regular_vertices - h)
-    bad = marks - (origins - emitting)
-    if bad:
-        raise InvariantError("marks %s fell out of the regular vertices" % sorted(bad))
+    bundles = [b for b in g.bundles if b.origin not in h and b.terminus not in h]
     kept = [v for v in g.vertices if v not in h]
+    marks = rset | (g.regular_vertices - h)
     return QuotientData(Graph.restricted(kept, bundles, (g.name or "graph") + ".quotient"), marks)
 
 

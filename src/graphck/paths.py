@@ -122,6 +122,9 @@ class Path:
             _set_hash(self, hash((self.origin, self.word)))
         return self._hash
 
+    def __reduce__(self):  # through the constructor: a hash is kept per process
+        return (Path, (self.origin, self.word))
+
     def __str__(self) -> str:
         if not self.word:
             return self.origin

@@ -707,7 +707,7 @@ def oracle_free_point_from(g: Graph, u: str):
 
 def oracle_check_family(g: Graph, inv):
     """Admissibility clause by clause, every failure and note in order:
-    the check that invariants._check_family runs when a family excludes
+    the check that invariants.is_invariant runs when a family excludes
     something or fails one of its two set passes."""
     from graphck.invariants import CheckResult
 

@@ -12,6 +12,7 @@ from graphck.cli import main
 from graphck.cover import MAX_AF_PAIRS
 from graphck.fock import MAX_BASIS
 from graphck.graphs import MAX_INSTANCES
+from graphck.invariants import MAX_FAMILIES
 
 
 def run(capsys, *argv):
@@ -103,15 +104,15 @@ def test_ideals_lists_no_cycles(tmp_path, capsys):
 
 
 def test_ideals_checks_each_family_once(capsys, monkeypatch):
-    # quotient_data asks is_invariant again, which reads the kept verdict
+    # quotient_data checks each family; the enumeration checks none
     calls = []
-    real = invariants._check_family
+    real = invariants.is_invariant
 
     def counting(g, inv):
         calls.append(inv)
         return real(g, inv)
 
-    monkeypatch.setattr(invariants, "_check_family", counting)
+    monkeypatch.setattr(invariants, "is_invariant", counting)
     for name in corpus.GRAPH_NAMES:
         calls.clear()
         code, data = run_json(capsys, "ideals", name)
@@ -369,7 +370,7 @@ def test_omega_truncation_and_af_pairs_past_their_caps_exit_2(capsys):
     big = MAX_INSTANCES + 1
     too_big = "omega cap %d is more than %d" % (big, MAX_INSTANCES)
     # every pair of the 10**4 loops, and the unit with itself
-    too_many = "%d pairs of paths, more than %d" % (MAX_INSTANCES**2 + 1, MAX_AF_PAIRS)
+    too_many = "%d pairs of paths up to length 1, more than %d" % (MAX_INSTANCES**2 + 1, MAX_AF_PAIRS)
     cases = [
         (["af-blocks", "oinf", "--length", "1", "--omega-truncate", str(big)], too_big),
         (["rep-verify", "oinf", "--depth", "1", "--omega-truncate", str(big)], too_big),
@@ -390,6 +391,37 @@ def test_a_basis_past_its_cap_exits_2_before_it_is_built(capsys):
     assert time.perf_counter() - start < 1.0
     want = "cap exceeded: %d basis paths up to length 3, more than %d\n" % (1010101, MAX_BASIS)
     assert (code, out, err) == (2, "", want)
+
+
+def test_enumerations_past_their_caps_exit_2_before_they_are_built(capsys, tmp_path):
+    # the first three ran out of memory: 2^26 closed sets, about 10^16 pairs
+    # of paths and 2^25 paths; each count is now read before anything is
+    # built.  The table holds only the vertices with a path, so a loop beside
+    # 2000 isolated vertices is counted to the cap at one vertex a level
+    isolated = tmp_path / "isolated.graph"
+    isolated.write_text("".join("vertex v%d\n" % i for i in range(26)))
+    looped = tmp_path / "looped.graph"
+    looped.write_text("".join("vertex v%d\n" % i for i in range(2000)) + "edge a : v0 -> v0\n")
+    cases = [
+        (
+            ["af-blocks", str(looped), "--length", "1000000"],
+            "%d pairs of paths up to length 98001, more than %d" % (MAX_AF_PAIRS + 1, MAX_AF_PAIRS),
+        ),
+        (["ideals", str(isolated)], "more than %d families" % MAX_FAMILIES),
+        (
+            ["af-blocks", "oinf", "--length", "4", "--omega-truncate", "100"],
+            "100010001 pairs of paths up to length 2, more than %d" % MAX_AF_PAIRS,
+        ),
+        (
+            ["limit-check", "o2", "--length", "24"],
+            "%d directed paths up to length 16, more than %d" % (2**17 - 1, MAX_AF_PAIRS),
+        ),
+    ]
+    for argv, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out, err) == (2, "", "cap exceeded: %s\n" % message), argv
 
 
 def test_setcalc_unknown_base_is_a_usage_error(capsys):

@@ -7,10 +7,12 @@ from graphck.cover import (
     af_block_enumerate,
     compose_arrows,
     degree,
+    directed_paths_upto,
     end_member,
     in_transversal,
     invert_arrow,
     lift_invariant,
+    path_counts,
     point_in_boundary,
     standard_form,
     transversal_translate,
@@ -23,7 +25,7 @@ from graphck.ringsets import RingSet
 from graphck.structure import free_point_from
 from graphck.trees import FiberTree
 
-from helpers import act_on_ringset, random_lasso, random_point, random_walk_path
+from helpers import act_on_ringset, random_graph, random_lasso, random_point, random_walk_path
 
 
 def pt(g, text):
@@ -342,3 +344,23 @@ def test_af_block_ranges_disjoint(graphs):
 def test_af_blocks_reject_foreign_subgraph(graphs):
     with pytest.raises(PointError):
         af_block_enumerate(graphs["two"], graphs["chain"], 1)
+
+
+def test_path_counts_match_the_paths_by_length_and_terminus(graphs):
+    # the table that sizes af_block_enumerate and directed_paths_upto before
+    # they build a path; it ends at its first empty level
+    rng = random.Random(3207)
+    pool = list(graphs.values()) + [random_graph(rng) for _ in range(60)]
+    for g in pool:
+        for n in range(5):
+            for cap in (1, 2, 3):
+                built = {}
+                for p in directed_paths_upto(g, g, n, cap):
+                    built[len(p), p.terminus] = built.get((len(p), p.terminus), 0) + 1
+                table = list(path_counts(g, n, cap))
+                counts = {(k, t): c for k, level in enumerate(table) for t, c in level.items()}
+                assert counts == built, (g, n, cap)
+                assert len(table) == min(n + 1, 1 + max((k for k, _ in built), default=-1))
+                pairs = sum(c * c for c in counts.values())
+                if pairs <= 200:
+                    assert len(af_block_enumerate(g, g, n, cap)) == pairs, (g, n, cap)

@@ -1,6 +1,10 @@
 import dataclasses
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -358,3 +362,48 @@ def test_a_finite_bundle_lists_at_most_the_cap():
         with pytest.raises(CapError):
             g.out_instances("u")
         assert g.instance("e#%d" % (m - 1)).index == m - 1
+
+
+_PICKLE_SCRIPT = """
+import json, pickle, sys
+from graphck.graphs import parse_graph
+from graphck.paths import parse_path
+g = parse_graph("vertex u; vertex v; edge e : u -> v * 2; edge f : v -> u * omega")
+p = parse_path(g, "e#1.f#4.~f#2")
+objs = [g.bundle("e"), g.bundle("f"), p.word[0].edge, p.word[0], p.word[2], p]
+if sys.argv[1] == "dump":
+    hashes = [hash(x) for x in objs + list(p.word)]  # every kept hash is filled
+    sys.stdout.buffer.write(pickle.dumps((objs, hashes)))
+else:
+    got, hashes = pickle.loads(sys.stdin.buffer.read())
+    print(json.dumps({
+        "equal": [x == y for x, y in zip(got, objs)],
+        "hash": [hash(x) == hash(y) for x, y in zip(got, objs)],
+        "set": [len({x, y}) for x, y in zip(got, objs)],
+        "stale": [h != hash(y) for h, y in zip(hashes, objs)],
+        "one_object": [got[2] is got[0].instance(1), got[3] is got[2].signed[True],
+                       got[5].word[0] is got[3], got[5].word[1].edge is got[1].instance(4)],
+    }))
+"""
+
+
+def test_pickles_rebuild_their_hashes():
+    # a hash depends on PYTHONHASHSEED, so an object pickled under one seed
+    # and loaded under another must hash as it does when built afresh there:
+    # a bundle, an instance, a letter and a walk each
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+    def run(seed, arg, data=None):
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, arg],
+            input=data, capture_output=True, check=True, env=dict(env, PYTHONHASHSEED=seed),
+        ).stdout
+
+    seen = json.loads(run("1", "load", run("0", "dump")))
+    assert seen == {
+        "equal": [True] * 6,
+        "hash": [True] * 6,
+        "set": [1] * 6,
+        "stale": [True] * 6,
+        "one_object": [True] * 4,
+    }
