@@ -51,9 +51,8 @@ from .graphs import (
     is_omega,
     subgraph_le,
 )
-from .paths import Path
-from .ringsets import BasicSet, RingSet
-from .trees import FiberTree
+from .ringsets import BasicSet, RingSet, swallow_test
+from .trees import FiberTree, check_depth
 
 
 @dataclass(frozen=True)
@@ -393,81 +392,66 @@ def _universe(tree, depth: int):
     # at vertices reached against the direction are not translation stable
     if isinstance(tree, FiberTree):
         return tree.directed_to_depth(depth)
+    check_depth(depth)
     return tree.vertices
-
-
-def _absorb_union(tree, blocks: Iterable[BasicSet]) -> RingSet:
-    """The union of the blocks in order; a covered block leaves no piece
-    outside the running set, and the union then returns that set."""
-    rs = RingSet.empty(tree)
-    for b in blocks:
-        rs = rs.union(RingSet.of(tree, [b]))
-    return rs
 
 
 def open_set_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     """The union of the cones V(p; F at endpoint) over member vertices.
 
-    Over a fiber the union runs over all walks up to the given depth;
-    unions absorb, so deeper walks only matter until their cones are
-    covered.
+    Over a fiber the union runs over all walks up to the given depth,
+    shortest first, so RingSet.union_of keeps each cone that no shorter
+    kept cone holds, in one pass; a finite tree's vertices take the
+    running union.
     """
     walks = _universe(tree, depth)
     blocks = (BasicSet(p, inv.f(u)) for p in walks if (u := tree.endpoint(p)) in inv.vertices)
-    return _absorb_union(tree, blocks)
+    return RingSet.union_of(tree, blocks)
 
 
-def _named_omega_indices(w: RingSet, p) -> dict[EdgeBundle, int]:
-    """Highest omega-bundle index appearing in the set's blocks or in p."""
-    mx: dict[EdgeBundle, int] = {}
-
-    def note(e: EdgeInstance):
-        if is_omega(e.bundle.multiplicity):
-            prev = mx.get(e.bundle, -1)
-            if e.index > prev:
-                mx[e.bundle] = e.index
-
-    for b in w.blocks:
-        if isinstance(b.apex, Path):
-            for s in b.apex.word:
-                note(s.edge)
-        for e in b.excluded:
-            note(e)
-    if isinstance(p, Path):
-        for s in p.word:
-            note(s.edge)
+def _named_omega_indices(edges, named: dict) -> dict[EdgeBundle, int]:
+    """named, or a copy raised to the highest index of each omega bundle
+    among the edges."""
+    mx = named
+    for e in edges:
+        if is_omega(e.bundle.multiplicity) and e.index > mx.get(e.bundle, -1):
+            if mx is named:
+                mx = dict(named)
+            mx[e.bundle] = e.index
     return mx
 
 
 def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
     """Scan the tree for apexes whose cone boundary the set swallows.
 
-    Returns {vertex: minimal exclusion set}.  Finite-valence vertices may
-    only join with the full cone.  At an infinite-valence vertex the
-    exclusion candidates are the finitely many indices the set itself
-    names; one fresh index probes all the rest at once, since unnamed
-    siblings are interchangeable.
+    Returns {vertex: minimal exclusion set}.  A vertex whose full cone
+    is swallowed joins with no exclusions, as each child's cone is then
+    swallowed too; no other finite-valence vertex joins.  At an
+    infinite-valence vertex the exclusion candidates are the finitely
+    many indices the set itself names; one fresh index probes all the
+    rest at once, since unnamed siblings are interchangeable.  One
+    swallow_test of the set answers every walk and child: over a fiber
+    whose blocks sit at directed walks it walks down over the set's apex
+    words and keeps the answers for full cones; otherwise each question
+    makes pieces.
     """
     tree = w.tree
-    universe = list(_universe(tree, depth))
-    seen = set(universe)
-    for b in w.blocks:
-        if b.apex not in seen:
-            universe.append(b.apex)
-            seen.add(b.apex)
-
-    def swallows(apex, excluded=frozenset()) -> bool:
-        # every block asked about is valid: an apex and its own out-edges
-        return w.boundary_contains(RingSet(tree, (BasicSet(apex, excluded),)))
-
+    universe = dict.fromkeys([*_universe(tree, depth), *(b.apex for b in w.blocks)])
+    swallows = swallow_test(w)
+    emitters = tree.graph.infinite_emitters
+    in_w = None  # the omega indices that w names, once an emitter asks
     fam = {}
     for p in universe:
-        v = tree.endpoint(p)
-        if v not in tree.graph.infinite_emitters:
-            if swallows(p):
-                fam[p] = frozenset()
+        if swallows(p):  # so is every child: F is empty
+            fam[p] = frozenset()
             continue
-        named = _named_omega_indices(w, p)
+        v = tree.endpoint(p)
+        if v not in emitters:
+            continue
+        if in_w is None:
+            edges = (e for b in w.blocks for e in (*(s.edge for s in tree.word(b.apex)), *b.excluded))
+            in_w = _named_omega_indices(edges, {})
+        named = _named_omega_indices((s.edge for s in tree.word(p)), in_w)
         bundles = tree.graph.out_bundles(v)
         omegas = [b for b in bundles if is_omega(b.multiplicity)]
         if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
@@ -481,9 +465,10 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
 
 
 def family_open_set(tree, fam: dict) -> RingSet:
-    """The union of the cones of a scanned family, smallest walks first."""
+    """The union of the cones of a scanned family, smallest walks first:
+    over a fiber, RingSet.union_of's one pass when every walk is directed."""
     order = sorted(fam, key=tree.vkey)
-    return _absorb_union(tree, (BasicSet(p, fam[p]) for p in order))
+    return RingSet.union_of(tree, (BasicSet(p, fam[p]) for p in order))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,20 @@ sweep of self minus other.  A set an operation returns is checked
 disjoint once (see union): three or more blocks by the sweep, two by
 their one intersection.  _absorb tells from root words, without building
 the child walk, whether the child along an excluded edge is a full cone,
-and a block keeps the sort key _sorted computes for it.  boundary_contains
-makes the pieces of other minus self one block at a time (O(k m)
-relations) and stops at the first that touches the boundary; no
-canonical form is built.
+and a block keeps the sort key _sorted computes for it.
+
+On a fiber, a directed apex p has the directed walks below it as its
+cone, so two directed cones meet only when one apex is a prefix of the
+other; _covered reads from root words whether a block at a proper prefix
+of p holds all of V(p).  union_of joins directed blocks, shortest first,
+in one pass: each either lies in a block kept before it or meets none of
+them, and one _canonical runs at the end.  swallow_test decides whether a
+set covers V(p; E) up to sets that avoid the boundary by one walk down
+from p over the set's apex words (see its docstring), which
+boundary_contains asks once per block of other.  A tree that is not a
+fiber, or an apex with a reversed letter, makes the pieces of the block
+minus the set instead (O(k m) relations) and stops at the first that
+touches the boundary.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from typing import Callable, Iterable, Iterator
 
 from .graphs import EdgeInstance, GraphError
 from .paths import PathError
-from .trees import TreeError
+from .trees import FiberTree, TreeError
 
 
 class RingError(GraphError):
@@ -226,6 +236,97 @@ def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
     return _swept(tree, _sorted(tree, blocks))
 
 
+def _covered(cuts: dict, keys: tuple) -> bool:
+    """Does a block of cuts (letter keys of a directed apex -> those of its
+    excluded edges) sit at a proper prefix of the directed walk with these
+    letter keys without excluding its next letter, so that it holds all of
+    the walk's cone?"""
+    for k in range(len(keys)):
+        cut = cuts.get(keys[:k])
+        if cut is not None and keys[k] not in cut:
+            return True
+    return False
+
+
+def _cut(b: BasicSet) -> frozenset:
+    return frozenset(e.signed[True].sort_key() for e in b.excluded)
+
+
+def _directed(tree, blocks) -> bool:
+    return isinstance(tree, FiberTree) and all(s.forward for b in blocks for s in b.apex.word)
+
+
+def _pieces_test(tree, blocks) -> Callable[..., bool]:
+    """swallow_test's answer from the pieces of the block minus the
+    blocks: the first on the boundary decides."""
+
+    def swallows(apex, excluded=frozenset()) -> bool:
+        pieces = _pieces(tree, (BasicSet(apex, excluded),), blocks)
+        return not any(tree.touches_boundary(d.apex, d.excluded) for d in pieces)
+
+    return swallows
+
+
+def swallow_test(w: "RingSet") -> Callable[..., bool]:
+    """swallows(apex, excluded=frozenset()): does w cover V(apex; excluded)
+    up to sets that avoid the boundary, as w.boundary_contains would say?
+
+    On a fiber whose blocks of w all have directed apexes, the apexes
+    asked about must be directed too, and p is decided by a walk down from
+    p over w's apex words: yes when a block at a proper prefix of p holds
+    V(p); when w has a block V(p; F), yes exactly when each child along
+    F - excluded is swallowed; when no block lies at or below p, yes
+    exactly when V(p; excluded) misses the boundary, which a full cone
+    never does; otherwise p is outside w, so no at a sink or infinite
+    emitter, and at a regular vertex yes exactly when each child off
+    excluded is swallowed.  No block at a proper prefix holds a child the
+    walk goes on to, so the walk runs on letter keys and end vertices, and
+    keeps its answers for full cones for the test's lifetime.  Any other
+    tree or w takes _pieces_test."""
+    tree, blocks = w.tree, w.blocks
+    if not _directed(tree, blocks):
+        return _pieces_test(tree, blocks)
+    at = {b.apex.letter_keys: b for b in blocks}
+    cuts = {keys: _cut(b) for keys, b in at.items()}
+    below = {keys[:k] for keys in at for k in range(len(keys) + 1)}  # apex words, prefixes
+    regular = tree.graph.regular_vertices
+    known: dict = {}  # letter keys of a walk no block at a proper prefix holds -> swallowed
+
+    def children(keys, edges):
+        return all(full(keys + (e.signed[True].sort_key(),), e.terminus) for e in edges)
+
+    def full(keys, v) -> bool:
+        hit = known.get(keys)
+        if hit is None:
+            b = at.get(keys)
+            if b is not None:
+                hit = children(keys, b.excluded)
+            else:
+                hit = keys in below and v in regular and children(keys, tree.graph.out_instances(v))
+            known[keys] = hit
+        return hit
+
+    def swallows(apex, excluded=frozenset()) -> bool:
+        keys = apex.letter_keys
+        if not excluded and keys in known:
+            return known[keys]
+        if _covered(cuts, keys):
+            return True
+        v = apex.terminus
+        if not excluded:
+            return full(keys, v)
+        b = at.get(keys)
+        if b is not None:
+            return children(keys, b.excluded - excluded)
+        if keys not in below:
+            return not tree.touches_boundary(apex, excluded)
+        if v not in regular:
+            return False
+        return children(keys, [e for e in tree.graph.out_instances(v) if e not in excluded])
+
+    return swallows
+
+
 @dataclass(frozen=True)
 class RingSet:
     """A finite disjoint union of basic sets over one tree.  The constructor
@@ -241,6 +342,34 @@ class RingSet:
         for b in blocks:
             _validate_basic(tree, b)
         return cls(tree, _canonical(tree, blocks))
+
+    @classmethod
+    def union_of(cls, tree, blocks: Iterable[BasicSet]) -> "RingSet":
+        """The union of the blocks, each validated, as joining them one at
+        a time by union builds it.  On a fiber, a block at a directed walk
+        no shorter than the kept blocks, all directed, either lies in one of
+        them (_covered) or meets none, so it is dropped or kept, and the
+        kept blocks are made canonical once.  Any other block sends all of
+        them through the running union."""
+        blocks = list(blocks)
+        for b in blocks:
+            _validate_basic(tree, b)
+        if _directed(tree, blocks):
+            kept, cuts = [], {}
+            for b in blocks:
+                keys = b.apex.letter_keys
+                if _covered(cuts, keys):
+                    continue
+                if keys in cuts or kept and len(keys) < len(kept[-1].apex.letter_keys):
+                    break  # a kept block may meet b without holding it
+                kept.append(b)
+                cuts[keys] = _cut(b)
+            else:
+                return cls(tree, _canonical(tree, kept))
+        rs = cls.empty(tree)
+        for b in blocks:
+            rs = rs.union(cls(tree, (b,)))
+        return rs
 
     @classmethod
     def empty(cls, tree) -> "RingSet":
@@ -313,11 +442,18 @@ class RingSet:
         return False
 
     def boundary_contains(self, other: "RingSet") -> bool:
-        """Does self cover other up to sets that avoid the boundary?  The
-        first piece of other minus self on the boundary decides."""
+        """Does self cover other up to sets that avoid the boundary?  Each
+        block of other asks swallow_test(self) in order, or _pieces_test
+        when one has a reversed letter."""
         self._check_same(other)
-        pieces = _pieces(self.tree, other.blocks, self.blocks)
-        return not any(self.tree.touches_boundary(d.apex, d.excluded) for d in pieces)
+        tree = self.tree
+        if self.blocks == other.blocks:
+            return True
+        if _directed(tree, other.blocks):
+            swallows = swallow_test(self)
+        else:
+            swallows = _pieces_test(tree, self.blocks)
+        return all(swallows(b.apex, b.excluded) for b in other.blocks)
 
     def boundary_equal(self, other: "RingSet") -> bool:
         return self.boundary_contains(other) and other.boundary_contains(self)

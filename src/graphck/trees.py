@@ -24,6 +24,8 @@ with no step list; ``walk`` builds the steps where they are needed.
 A fiber keeps what its queries share: ``directed_to_depth`` sorts its
 walks once per (depth, omega cap) and hands the same tuple to every later
 call, whose letters come from each instance's cached pair of signed edges.
+It refuses a depth below 0 and an omega cap below 1 with TreeError, as
+check_depth does for any tree.
 
 Tree edges are identified by the underlying edge instance, anchored at the
 vertex they leave; all excluded-edge bookkeeping in the calculus compares
@@ -40,6 +42,11 @@ Step = tuple[EdgeInstance, bool]  # instance plus direction of traversal
 
 class TreeError(GraphError):
     pass
+
+
+def check_depth(depth: int) -> None:
+    if depth < 0:
+        raise TreeError("depth must be at least 0, got %d" % depth)
 
 
 class Tree:
@@ -247,6 +254,9 @@ class FiberTree(Tree):
         key = (depth, omega_cap)
         out = self._directed.get(key)
         if out is None:
+            check_depth(depth)
+            if omega_cap < 1:
+                raise TreeError("omega cap must be at least 1, got %d" % omega_cap)
             walks = directed_upto(
                 [self.unit], lambda v: self.graph.out_instances(v, omega_cap), depth
             )

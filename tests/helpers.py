@@ -1549,14 +1549,63 @@ def oracle_relation(tree, u, v):
 
 
 def oracle_absorb_union(tree, blocks):
-    """invariants._absorb_union as it was: each block joins by a union
-    unless the running set already contains it."""
+    """invariants._absorb_union as it was before RingSet.union_of: each
+    block joins the running set by a union, which returns the set itself
+    when it already holds the block."""
     rs = RingSet.empty(tree)
     for b in blocks:
-        block = RingSet.of(tree, [b])
-        if not rs.contains(block):
-            rs = rs.union(block)
+        rs = rs.union(RingSet.of(tree, [b]))
     return rs
+
+
+def oracle_boundary_covers(w, block) -> bool:
+    """w.boundary_contains of one block as it was before swallow_test: the
+    pieces of the block minus w, the first on the boundary deciding."""
+    from graphck.ringsets import _pieces
+
+    pieces = _pieces(w.tree, [block], w.blocks)
+    return not any(w.tree.touches_boundary(d.apex, d.excluded) for d in pieces)
+
+
+def oracle_tree_invariant_of(w, depth: int = 4) -> dict:
+    """invariants.tree_invariant_of as it was before swallow_test: each
+    question asks oracle_boundary_covers, and each walk gathers the omega
+    indices that w and the walk name."""
+    from graphck.ringsets import BasicSet
+
+    tree = w.tree
+    if isinstance(tree, FiberTree):
+        universe = list(tree.directed_to_depth(depth))
+    else:
+        universe = list(tree.vertices)
+    seen = set(universe)
+    universe += [a for a in dict.fromkeys(b.apex for b in w.blocks) if a not in seen]
+
+    def swallows(apex, excluded=frozenset()):
+        return oracle_boundary_covers(w, BasicSet(apex, excluded))
+
+    fam = {}
+    for p in universe:
+        v = tree.endpoint(p)
+        if v not in tree.graph.infinite_emitters:
+            if swallows(p):
+                fam[p] = frozenset()
+            continue
+        named: dict = {}
+        edges = [s.edge for b in w.blocks for s in tree.word(b.apex)]
+        edges += [e for b in w.blocks for e in b.excluded] + [s.edge for s in tree.word(p)]
+        for e in edges:
+            if is_omega(e.bundle.multiplicity):
+                named[e.bundle] = max(named.get(e.bundle, -1), e.index)
+        bundles = tree.graph.out_bundles(v)
+        omegas = [b for b in bundles if is_omega(b.multiplicity)]
+        if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):
+            continue
+        candidates = [e for b in bundles for e in b.instances(named.get(b, -1) + 1)]
+        fmin = frozenset(e for e in candidates if not swallows(tree.child(p, e)))
+        if swallows(p, fmin):
+            fam[p] = fmin
+    return fam
 
 
 def oracle_intersect(x, y):

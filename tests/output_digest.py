@@ -7,6 +7,9 @@ The cone-set part hashes, in a fixed order, the repr of
 * every ``parse_setexpr`` result of seeded expressions over fibers of the
   corpus graphs (comparisons included),
 * every ``&``, ``|``, ``^`` and ``-`` of pairs of those sets on one fiber,
+* on the first fiber of each corpus graph, ``boundary_contains`` and
+  ``boundary_equal`` of every ordered pair of those sets, and
+  ``tree_invariant_of(s, depth=1)`` of each set ``s``,
 * every roundtrip ``open_set_of`` -> ``tree_invariant_of`` ->
   ``family_open_set`` of the corpus families, over every base,
 * ``parse_setexpr`` of each seeded expression mangled as the fuzz test
@@ -147,6 +150,16 @@ def cone_set_records(seed: int):
             for y in sets:
                 for op, name in OPS.items():
                     yield "%r %s %r = %s" % (x, op, y, _answer(getattr(x, name), y))
+        if i < len(corpus.GRAPH_NAMES):  # one fiber per corpus graph
+            for x in sets:
+                yield "%r scans to %s" % (x, _answer(lambda: _family(tree_invariant_of(x, depth=1))))
+                for y in sets:
+                    yield "%r covers %r on the boundary: %s, equal: %s" % (
+                        x,
+                        y,
+                        _answer(x.boundary_contains, y),
+                        _answer(x.boundary_equal, y),
+                    )
     for name in corpus.GRAPH_NAMES:
         g = corpus.load(name)
         for inv in enumerate_invariants(g):

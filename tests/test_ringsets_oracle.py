@@ -299,9 +299,16 @@ def test_one_sweep_still_catches_overlapping_pieces(graphs, monkeypatch):
     for call in (lambda: cone.minus(sub), lambda: sub.union(cone), lambda: cone.symmdiff(sub)):
         with pytest.raises(RingError, match="overlap"):
             call()
+    # a finite tree's open set takes the running union, so basic_diff
+    with pytest.raises(RingError, match="overlap"):
+        open_set_of(FiniteTree(graphs["t2"]), Invariant.make(["g00", "g10"]), depth=4)
+    # a fiber's open set takes union_of's one pass, which calls no
+    # basic_diff: with a coverage test that keeps every block, the final
+    # sweep must raise (c0's cone holds g00's)
+    monkeypatch.setattr(ringsets, "_covered", lambda cuts, keys: False)
     t2 = FiberTree(graphs["t2"], "r")
     with pytest.raises(RingError, match="overlap"):
-        open_set_of(t2, Invariant.make(["g00", "g10"]), depth=4)
+        open_set_of(t2, Invariant.make(["c0", "g00", "g10"]), depth=4)
 
 
 def test_canonical_and_overlap_verdicts():
