@@ -246,8 +246,9 @@ def af_block_enumerate(
     g: Graph, sub: Graph, n: int, omega_cap: int = 3
 ) -> list[ArrowBlock]:
     """All ordered pairs of directed paths of the marked subgraph, of equal
-    length at most n, sharing a terminus; each pair carries the full cone
-    at the terminus as its source region.
+    length at most n, sharing a terminus, by length, terminus and then
+    each path's sort key; each pair carries the full cone at the terminus
+    as its source region.
 
     Enlarging the subgraph or the length bound only ever adds pairs.
     More than MAX_AF_PAIRS pairs raise CapError before any path is built;
@@ -264,5 +265,4 @@ def af_block_enumerate(
         for b1 in paths:
             for b2 in paths:
                 blocks.append(ArrowBlock(b1, b2, region))
-    blocks.sort(key=lambda blk: (blk.length, blk.terminus, blk.beta1.sort_key(), blk.beta2.sort_key()))
     return blocks

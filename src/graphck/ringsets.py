@@ -21,24 +21,25 @@ of r reaching past r's last reversed letter.  So a signed sum of blocks is
 constant between the words where its F-sets start, and one lexicographic
 sweep over those words with a stack of prefixes gives its value on each
 piece: O(n log n) for n blocks, no walk.  contains and equals read the
-sweep of self minus other.  A set an operation returns is checked
-disjoint once (see union): three or more blocks by the sweep, two by
-their one intersection.  _absorb tells from root words, without building
-the child walk, whether the child along an excluded edge is a full cone,
-and a block keeps the sort key _sorted computes for it.
+sweep of self minus other.  RingSet.of checks the blocks it is given
+disjoint by the same sweep; an operation's blocks are disjoint as it
+builds them, so they are absorbed and sorted but not swept.  _absorb
+tells from root words, without building the child walk, whether the
+child along an excluded edge is a full cone, and a block keeps the sort
+key _sorted computes for it.
 
 On a fiber, a directed apex p has the directed walks below it as its
 cone, so two directed cones meet only when one apex is a prefix of the
 other; _covered reads from root words whether a block at a proper prefix
 of p holds all of V(p).  union_of joins directed blocks, shortest first,
 in one pass: each either lies in a block kept before it or meets none of
-them, and one _canonical runs at the end.  swallow_test decides whether a
-set covers V(p; E) up to sets that avoid the boundary by one walk down
-from p over the set's apex words (see its docstring), which
-boundary_contains asks once per block of other.  A tree that is not a
-fiber, or an apex with a reversed letter, makes the pieces of the block
-minus the set instead (O(k m) relations) and stops at the first that
-touches the boundary.
+them, and the kept blocks are absorbed and sorted once.  swallow_test
+decides whether a set covers V(p; E) up to sets that avoid the boundary
+by one walk down from p over the set's apex words (see its docstring),
+which boundary_contains asks once per block of other.  A tree that is
+not a fiber, or an apex with a reversed letter, makes the pieces of the
+block minus the set instead (O(k m) relations) and stops at the first
+that touches the boundary.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     return [b for b in blocks if b is not None]
 
 
-def _sorted(tree, blocks: Iterable[BasicSet]) -> list[BasicSet]:
+def _sorted(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
     """Absorbed and sorted, not checked; the blocks must be valid.  Each
     block keeps its sort key, which is not a field."""
     blocks = list(blocks)
@@ -217,23 +218,19 @@ def _sorted(tree, blocks: Iterable[BasicSet]) -> list[BasicSet]:
             if "_key" not in b.__dict__:
                 b.__dict__["_key"] = (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded)))
         blocks.sort(key=attrgetter("_key"))
-    return blocks
+    return tuple(blocks)
 
 
-def _swept(tree, blocks: list[BasicSet]) -> tuple[BasicSet, ...]:
-    """The blocks, checked disjoint: two by their intersection, more by the
-    sweep of their sum, and the overlapping pair found pairwise."""
-    if len(blocks) == 2 or len(blocks) > 2 and any(n > 1 for n in _levels(tree, blocks)):
+def _swept(tree, blocks: tuple[BasicSet, ...]) -> tuple[BasicSet, ...]:
+    """The blocks, checked disjoint by the sweep of their sum, and the
+    overlapping pair found pairwise.  Only blocks from outside need it:
+    an operation builds disjoint blocks."""
+    if len(blocks) > 1 and any(n > 1 for n in _levels(tree, blocks)):
         for i, b in enumerate(blocks):
             for c in blocks[i + 1 :]:
                 if basic_intersect(tree, b, c) is not None:
                     raise RingError("blocks %s and %s overlap" % (b, c))
-    return tuple(blocks)
-
-
-def _canonical(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
-    """Absorbed, sorted and checked disjoint; the blocks must be valid."""
-    return _swept(tree, _sorted(tree, blocks))
+    return blocks
 
 
 def _covered(cuts: dict, keys: tuple) -> bool:
@@ -330,7 +327,8 @@ def swallow_test(w: "RingSet") -> Callable[..., bool]:
 @dataclass(frozen=True)
 class RingSet:
     """A finite disjoint union of basic sets over one tree.  The constructor
-    trusts its blocks, as every operation builds them; of and basic check."""
+    trusts its blocks, as every operation builds them disjoint; of and
+    basic check blocks that come from outside, and only of sweeps."""
 
     tree: object
     blocks: tuple[BasicSet, ...]
@@ -341,7 +339,7 @@ class RingSet:
         blocks = list(blocks)
         for b in blocks:
             _validate_basic(tree, b)
-        return cls(tree, _canonical(tree, blocks))
+        return cls(tree, _swept(tree, _sorted(tree, blocks)))
 
     @classmethod
     def union_of(cls, tree, blocks: Iterable[BasicSet]) -> "RingSet":
@@ -349,8 +347,8 @@ class RingSet:
         a time by union builds it.  On a fiber, a block at a directed walk
         no shorter than the kept blocks, all directed, either lies in one of
         them (_covered) or meets none, so it is dropped or kept, and the
-        kept blocks are made canonical once.  Any other block sends all of
-        them through the running union."""
+        kept blocks are absorbed and sorted once.  Any other block sends
+        all of them through the running union."""
         blocks = list(blocks)
         for b in blocks:
             _validate_basic(tree, b)
@@ -365,7 +363,7 @@ class RingSet:
                 kept.append(b)
                 cuts[keys] = _cut(b)
             else:
-                return cls(tree, _canonical(tree, kept))
+                return cls(tree, _sorted(tree, kept))
         rs = cls.empty(tree)
         for b in blocks:
             rs = rs.union(cls(tree, (b,)))
@@ -395,31 +393,31 @@ class RingSet:
         self._check_same(other)
         tree = self.tree
         out = [d for b in self.blocks for c in other.blocks if (d := basic_intersect(tree, b, c))]
-        return RingSet(tree, _canonical(tree, out))
+        return RingSet(tree, _sorted(tree, out))
 
     def minus(self, other: "RingSet") -> "RingSet":
         self._check_same(other)
         parts = _pieces(self.tree, self.blocks, other.blocks)
-        return RingSet(self.tree, _canonical(self.tree, parts))
+        return RingSet(self.tree, _sorted(self.tree, parts))
 
     def union(self, other: "RingSet") -> "RingSet":
         """self plus the pieces of other outside it, or self when there are
         none (a basic set is never empty).  The pieces are absorbed and
-        sorted as in other minus self, but only the result is swept: a fold
-        replaces two disjoint blocks by their union, which keeps the sum of
-        the blocks, so an overlap among the pieces still shows there."""
+        sorted as in other minus self; they are disjoint from each other
+        and from self, and a fold replaces two disjoint blocks by their
+        union, so the result needs no sweep."""
         self._check_same(other)
         fresh = _sorted(self.tree, _pieces(self.tree, other.blocks, self.blocks))
-        return RingSet(self.tree, _canonical(self.tree, [*self.blocks, *fresh])) if fresh else self
+        return RingSet(self.tree, _sorted(self.tree, [*self.blocks, *fresh])) if fresh else self
 
     def symmdiff(self, other: "RingSet") -> "RingSet":
         """The two differences, absorbed and sorted as in minus, make the
-        blocks of the result; only the result is swept, as in union."""
+        blocks of the result, disjoint as in union."""
         self._check_same(other)
         tree = self.tree
         blocks = _sorted(tree, _pieces(tree, self.blocks, other.blocks))
         blocks += _sorted(tree, _pieces(tree, other.blocks, self.blocks))
-        return RingSet(tree, _canonical(tree, blocks))
+        return RingSet(tree, _sorted(tree, blocks))
 
     def equals(self, other: "RingSet") -> bool:
         self._check_same(other)

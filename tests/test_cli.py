@@ -7,11 +7,11 @@ import time
 import pytest
 
 import graphck
-from graphck import corpus, invariants
+from graphck import cli, corpus, invariants
 from graphck.cli import main
 from graphck.cover import MAX_AF_PAIRS
 from graphck.fock import MAX_BASIS
-from graphck.graphs import MAX_INSTANCES
+from graphck.graphs import MAX_INSTANCES, Graph
 from graphck.invariants import MAX_FAMILIES
 
 
@@ -194,6 +194,15 @@ def test_limit_check(capsys):
         code, data = run_json(capsys, "limit-check", name, "--seed", "11")
         assert code == 0, name
         assert data["failures"] == 0
+
+
+def test_limit_check_on_a_stray_subgraph_fails_the_check(capsys, monkeypatch):
+    # a "subgraph" with a vertex the graph lacks is no inclusion: the marks
+    # it induces cannot be pushed down to it
+    monkeypatch.setattr(cli, "_random_subgraph", lambda rng, g: Graph(["stray"], [], name="stray"))
+    code, out, err = run(capsys, "limit-check", "chain")
+    assert code == 3 and not out
+    assert err == "check failed: not a subgraph inclusion\n"
 
 
 def test_corpus_run(capsys):

@@ -363,4 +363,11 @@ def test_path_counts_match_the_paths_by_length_and_terminus(graphs):
                 assert len(table) == min(n + 1, 1 + max((k for k, _ in built), default=-1))
                 pairs = sum(c * c for c in counts.values())
                 if pairs <= 200:
-                    assert len(af_block_enumerate(g, g, n, cap)) == pairs, (g, n, cap)
+                    blocks = af_block_enumerate(g, g, n, cap)
+                    assert len(blocks) == pairs, (g, n, cap)
+                    # built in order: by length, terminus and each path's sort key
+                    keys = [
+                        (b.length, b.terminus, b.beta1.sort_key(), b.beta2.sort_key())
+                        for b in blocks
+                    ]
+                    assert keys == sorted(keys), (g, n, cap)

@@ -11,7 +11,8 @@ code counts as a caller of other methods.  Every absolute import names a
 standard-library module: the runtime needs nothing else.  Every letter
 the package builds comes from ``EdgeInstance.signed``, and every edge
 instance from ``EdgeBundle.instance``, so equal letters of one instance,
-and equal instances of one bundle, are one object.
+and equal instances of one bundle, are one object.  Only ``RingSet.of``
+checks blocks disjoint, as operations build disjoint blocks.
 
 Uses are matched by name, not by owner: a method counts as called when
 an attribute or variable of the same name is used anywhere in the
@@ -165,9 +166,9 @@ def test_every_method_of_a_public_class_has_a_caller():
     assert sorted(_uncalled(methods, used)) == []
 
 
-def _built_only_in(callee: str, cls: str, method: str) -> tuple[int, list[str]]:
-    """How many calls of callee the method cls.method of graphs.py makes,
-    and where else in the package callee is called."""
+def _built_only_in(callee: str, module: str, cls: str, method: str) -> tuple[int, list[str]]:
+    """How many calls of callee the method cls.method of the module file
+    makes, and where else in the package callee is called."""
 
     def calls(node):
         return [
@@ -181,7 +182,7 @@ def _built_only_in(callee: str, cls: str, method: str) -> tuple[int, list[str]]:
     trees = _modules()
     allowed = {
         id(call)
-        for c in trees["graphs.py"].body
+        for c in trees[module].body
         if isinstance(c, ast.ClassDef) and c.name == cls
         for node in c.body
         if isinstance(node, ast.FunctionDef) and node.name == method
@@ -197,11 +198,16 @@ def _built_only_in(callee: str, cls: str, method: str) -> tuple[int, list[str]]:
 
 
 def test_letters_are_built_only_by_edge_instance_signed():
-    assert _built_only_in("SignedEdge", "EdgeInstance", "signed") == (2, [])
+    assert _built_only_in("SignedEdge", "graphs.py", "EdgeInstance", "signed") == (2, [])
 
 
 def test_instances_are_built_only_by_edge_bundle_instance():
-    assert _built_only_in("EdgeInstance", "EdgeBundle", "instance") == (1, [])
+    assert _built_only_in("EdgeInstance", "graphs.py", "EdgeBundle", "instance") == (1, [])
+
+
+def test_only_ring_set_of_sweeps_its_blocks():
+    # an operation builds disjoint blocks; only blocks from outside are swept
+    assert _built_only_in("_swept", "ringsets.py", "RingSet", "of") == (1, [])
 
 
 def test_package_imports_only_the_standard_library():

@@ -283,9 +283,41 @@ def test_absorb_union_against_contains_then_union(graphs):
                 assert back.blocks == oracle_absorb_union(fib, blocks).blocks, (g, inv, base)
 
 
-def test_one_sweep_still_catches_overlapping_pieces(graphs, monkeypatch):
-    # union, symmdiff and the open-set union sweep only what they return:
-    # with a basic_diff that repeats its first piece, that sweep must raise
+def test_oracles_catch_overlapping_pieces(graphs, monkeypatch):
+    # only RingSet.of sweeps, so the oracles check what operations build:
+    # a basic_diff that repeats its first piece, through minus, union,
+    # symmdiff and a finite tree's running union, and a coverage test that
+    # keeps every block, through a fiber's one-pass union, give blocks that
+    # differ from the oracles' (c0's cone holds g00's)
+    g = graphs["chain"]
+    fib = FiberTree(g, "u")
+    cone, sub = RingSet.basic(fib, fib.unit), RingSet.basic(fib, parse_path(g, "a"))
+    finite, t2 = FiniteTree(graphs["t2"]), FiberTree(graphs["t2"], "r")
+    pair, triple = Invariant.make(["g00", "g10"]), Invariant.make(["c0", "g00", "g10"])
+    cases = {
+        "minus": (lambda: cone.minus(sub), oracle_minus(cone, sub)),
+        "union": (lambda: sub.union(cone), oracle_union(sub, cone)),
+        "symmdiff": (lambda: cone.symmdiff(sub), oracle_symmdiff(cone, sub)),
+        "finite": (
+            lambda: open_set_of(finite, pair, depth=4),
+            oracle_absorb_union(
+                finite, [BasicSet(v, pair.f(v)) for v in finite.vertices if v in pair.vertices]
+            ).blocks,
+        ),
+        "fiber": (
+            lambda: open_set_of(t2, triple, depth=4),
+            oracle_absorb_union(
+                t2,
+                [
+                    BasicSet(p, triple.f(p.terminus))
+                    for p in t2.directed_to_depth(4)
+                    if p.terminus in triple.vertices
+                ],
+            ).blocks,
+        ),
+    }
+    for name, (call, want) in cases.items():
+        assert call().blocks == want, name
     real = ringsets.basic_diff
 
     def repeating(tree, b, c):
@@ -293,22 +325,52 @@ def test_one_sweep_still_catches_overlapping_pieces(graphs, monkeypatch):
         return out[:1] + out
 
     monkeypatch.setattr(ringsets, "basic_diff", repeating)
-    g = graphs["chain"]
-    fib = FiberTree(g, "u")
-    cone, sub = RingSet.basic(fib, fib.unit), RingSet.basic(fib, parse_path(g, "a"))
-    for call in (lambda: cone.minus(sub), lambda: sub.union(cone), lambda: cone.symmdiff(sub)):
-        with pytest.raises(RingError, match="overlap"):
-            call()
-    # a finite tree's open set takes the running union, so basic_diff
-    with pytest.raises(RingError, match="overlap"):
-        open_set_of(FiniteTree(graphs["t2"]), Invariant.make(["g00", "g10"]), depth=4)
-    # a fiber's open set takes union_of's one pass, which calls no
-    # basic_diff: with a coverage test that keeps every block, the final
-    # sweep must raise (c0's cone holds g00's)
+    for name in ("minus", "union", "symmdiff", "finite"):
+        call, want = cases[name]
+        assert call().blocks != want, name
+    monkeypatch.setattr(ringsets, "basic_diff", real)
     monkeypatch.setattr(ringsets, "_covered", lambda cuts, keys: False)
-    t2 = FiberTree(graphs["t2"], "r")
-    with pytest.raises(RingError, match="overlap"):
-        open_set_of(t2, Invariant.make(["c0", "g00", "g10"]), depth=4)
+    call, want = cases["fiber"]
+    assert call().blocks != want
+
+
+def test_no_operation_sweeps_what_it_builds(graphs, monkeypatch):
+    # only RingSet.of sweeps: with a sweep that raises, every operation,
+    # both routes of union_of, the open sets and the scans run on corpus
+    # fibers, on a finite tree and on sets with reversed letters
+    rng = random.Random(8800)
+    cases = []  # (tree, basic sets, families)
+    for g in graphs.values():
+        families = enumerate_invariants(g)
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            cases.append((tree, _basics(rng, tree, fiber_vertices(tree, 2, 2), 6), families))
+    finite = FiniteTree(graphs["t2"])
+    t2_families = enumerate_invariants(graphs["t2"])
+    cases.append((finite, _basics(rng, finite, list(finite.vertices), 6), t2_families))
+
+    def sweep(tree, blocks):
+        raise AssertionError("swept %s" % (blocks,))
+
+    monkeypatch.setattr(ringsets, "_swept", sweep)
+    seen = {"reversed": 0, "directed": 0, "running": 0, "finite": 0}
+    for tree, basics, families in cases:
+        sets = [RingSet.basic(tree, b) for b in basics]
+        x = sets[0].union(sets[1]).union(sets[2])
+        y = sets[3].symmdiff(sets[4]).union(sets[5])
+        for w in (x, y, x.minus(y), x.intersect(y), x.symmdiff(y)):
+            w.boundary_contains(x)
+            x.boundary_contains(w)
+            back = family_open_set(tree, tree_invariant_of(w, depth=1))
+            seen["reversed"] += not all(s.forward for b in w.blocks for s in tree.word(b.apex))
+            for blocks in (w.blocks, back.blocks, basics):
+                route = "directed" if ringsets._directed(tree, blocks) else "running"
+                seen[route] += 1
+                RingSet.union_of(tree, blocks)
+        for inv in families:
+            open_set_of(tree, inv, depth=2)
+        seen["finite"] += isinstance(tree, FiniteTree)
+    assert min(seen.values()) > 0 and seen["reversed"] > 50, seen
 
 
 def test_canonical_and_overlap_verdicts():
