@@ -115,6 +115,9 @@ MAX_INSTANCES = 10**4
 """The most instances EdgeBundle.indices lists for a finite bundle; the
 corpus, the tests and the benchmark use multiplicities up to 3."""
 
+MAX_NUMERAL_DIGITS = 100
+"""The most digits of a multiplicity or an instance index; int() takes 4,300."""
+
 
 @dataclass(frozen=True)
 class EdgeBundle:
@@ -232,7 +235,9 @@ class EdgeInstance:
 class SignedEdge:
     """An edge instance together with a traversal direction; built once per
     instance (``EdgeInstance.signed``), it keeps its sort key, its hash and
-    the vertices it leaves and enters, ``origin`` and ``terminus``."""
+    the vertices it leaves and enters, ``origin`` and ``terminus``.  Equality
+    is on ``(edge, forward)``, tested by identity, then sort key, then edge,
+    so the letters of a second parse or of a pickle are equal to the first."""
 
     edge: EdgeInstance
     forward: bool = True
@@ -248,6 +253,11 @@ class SignedEdge:
 
     def sort_key(self):
         return self._key
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SignedEdge:
+            return NotImplemented
+        return self is other or self._key == other._key and self.edge == other.edge
 
     def __hash__(self) -> int:
         return self._hash
@@ -303,6 +313,7 @@ class Graph:
         self.vertices = vertices
         self.bundles = bundles
         self._vertex_set = frozenset(vertices)
+        self._out_instances: dict = {}  # (v, omega_cap) -> out_instances(v, omega_cap)
 
     def _grouped(self, end) -> dict[str, tuple[EdgeBundle, ...]]:
         """Vertex -> its bundles at the given end, in order.  The indexes are
@@ -351,7 +362,7 @@ class Graph:
         bundle: each spelling (``a``, ``a#0``, ``a#00``) is its one object."""
         name, hash_sign, idx = text.partition("#")
         b = self.bundle(name)
-        if hash_sign and not (idx.isascii() and idx.isdigit()):
+        if hash_sign and not (idx.isascii() and idx.isdigit() and len(idx) <= MAX_NUMERAL_DIGITS):
             raise GraphError("bad edge index %r" % idx)
         return b.instance(int(idx) if idx else 0)
 
@@ -360,9 +371,12 @@ class Graph:
         return self._out[v]
 
     def out_instances(self, v: str, omega_cap: int | None = None) -> tuple[EdgeInstance, ...]:
-        """The edge instances leaving v, bundle by bundle; an omega bundle is
-        cut off at omega_cap and raises CapError without one."""
-        return tuple(e for b in self.out_bundles(v) for e in b.instances(omega_cap))
+        """The edge instances leaving v, bundle by bundle, kept per v and cap;
+        an omega bundle is cut off at omega_cap, and raises CapError without one."""
+        got = self._out_instances
+        if (v, omega_cap) not in got:
+            got[v, omega_cap] = tuple(e for b in self.out_bundles(v) for e in b.instances(omega_cap))
+        return got[v, omega_cap]
 
     def in_bundles(self, v: str) -> tuple[EdgeBundle, ...]:
         self.check_vertex(v)
@@ -601,7 +615,9 @@ def parse_graph(text: str, name: str = "") -> Graph:
                     elif mult_text == "omega":
                         bundles.append(EdgeBundle.trusted(bname, orig, term, OMEGA))
                     else:
-                        if not (mult_text.isascii() and mult_text.isdigit()):
+                        if len(mult_text) > MAX_NUMERAL_DIGITS or not (
+                            mult_text.isascii() and mult_text.isdigit()
+                        ):
                             raise GraphSyntaxError("bad multiplicity %r" % mult_text, lineno)
                         try:
                             bundles.append(EdgeBundle(bname, orig, term, int(mult_text)))

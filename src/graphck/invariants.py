@@ -51,7 +51,7 @@ from .graphs import (
     is_omega,
     subgraph_le,
 )
-from .ringsets import BasicSet, RingSet, swallow_test
+from .ringsets import BasicSet, RingSet, check_exclusions, swallow_test
 from .trees import FiberTree, check_depth
 
 
@@ -400,13 +400,18 @@ def open_set_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     """The union of the cones V(p; F at endpoint) over member vertices.
 
     Over a fiber the union runs over all walks up to the given depth,
-    shortest first, so RingSet.union_of keeps each cone that no shorter
+    shortest first, so RingSet.joined keeps each cone that no shorter
     kept cone holds, in one pass; a finite tree's vertices take the
-    running union.
+    running union.  A member's exclusions are checked at its first walk.
     """
-    walks = _universe(tree, depth)
-    blocks = (BasicSet(p, inv.f(u)) for p in walks if (u := tree.endpoint(p)) in inv.vertices)
-    return RingSet.union_of(tree, blocks)
+    blocks, checked = [], set()
+    for p in _universe(tree, depth):
+        if (u := tree.endpoint(p)) in inv.vertices:
+            blocks.append(b := BasicSet(p, inv.f(u)))
+            if u not in checked:
+                checked.add(u)
+                check_exclusions(tree, b)
+    return RingSet.joined(tree, blocks)
 
 
 def _named_omega_indices(edges, named: dict) -> dict[EdgeBundle, int]:

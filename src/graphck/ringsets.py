@@ -24,22 +24,22 @@ piece: O(n log n) for n blocks, no walk.  contains and equals read the
 sweep of self minus other.  RingSet.of checks the blocks it is given
 disjoint by the same sweep; an operation's blocks are disjoint as it
 builds them, so they are absorbed and sorted but not swept.  _absorb
-tells from root words, without building the child walk, whether the
-child along an excluded edge is a full cone, and a block keeps the sort
-key _sorted computes for it.
+tells from the apex's letter keys, kept by the tree and hashed in C,
+without building the child walk, whether the child along an excluded
+edge is a full cone, and a block keeps the sort key _sorted computes.
 
 On a fiber, a directed apex p has the directed walks below it as its
 cone, so two directed cones meet only when one apex is a prefix of the
 other; _covered reads from root words whether a block at a proper prefix
-of p holds all of V(p).  union_of joins directed blocks, shortest first,
-in one pass: each either lies in a block kept before it or meets none of
-them, and the kept blocks are absorbed and sorted once.  swallow_test
-decides whether a set covers V(p; E) up to sets that avoid the boundary
-by one walk down from p over the set's apex words (see its docstring),
-which boundary_contains asks once per block of other.  A tree that is
-not a fiber, or an apex with a reversed letter, makes the pieces of the
-block minus the set instead (O(k m) relations) and stops at the first
-that touches the boundary.
+of p holds all of V(p).  joined, union_of less its checks, joins
+directed blocks, shortest first, in one pass: each either lies in a
+block kept before it or meets none of them, and the kept blocks are
+absorbed and sorted once.  swallow_test decides whether a set covers
+V(p; E) up to sets that avoid the boundary by one walk down from p over
+the set's apex words (see its docstring), which boundary_contains asks
+once per block of other.  A tree that is not a fiber, or an apex with a
+reversed letter, makes the pieces of the block minus the set instead
+(O(k m) relations) and stops at the first that touches the boundary.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .graphs import EdgeInstance, GraphError
-from .paths import PathError
-from .trees import FiberTree, TreeError
+from .trees import FiberTree
 
 
 class RingError(GraphError):
@@ -77,9 +76,17 @@ class BasicSet:
 def _validate_basic(tree, b: BasicSet) -> None:
     try:
         tree.check_vertex(b.apex)
+    except GraphError as exc:
+        raise RingError("bad basic set %s: %s" % (b, exc)) from None
+    check_exclusions(tree, b)
+
+
+def check_exclusions(tree, b: BasicSet) -> None:
+    """RingError unless b's excluded edges leave its apex, a tree vertex."""
+    try:
         for e in sorted(b.excluded, key=tree.ekey):
             tree.validate_out_edge(b.apex, e)
-    except (GraphError, TreeError, PathError) as exc:
+    except GraphError as exc:
         raise RingError("bad basic set %s: %s" % (b, exc)) from None
 
 
@@ -161,17 +168,17 @@ def _levels(tree, plus, minus=()) -> Iterator[int]:
 
 
 def _full_child(tree, b: BasicSet, full: dict, depths: set):
-    """(e, the child's root word) for b's first excluded edge e, in edge
+    """(e, the child's letter keys) for b's first excluded edge e, in edge
     order, whose child is a full cone (a key of full), or None.  The child
     along e at v has v's word plus e's forward letter, or v's word less its
     last letter when that is ~e; depths holds at least the keys' lengths."""
-    w = tree.word(b.apex)
+    w, keys = tree.word(b.apex), tree.letter_keys(b.apex)
     n = len(w)
     hits = []
     if n + 1 in depths:
-        hits = [(e, k) for e in b.excluded if (k := w + (e.signed[True],)) in full]
-    if n - 1 in depths and not w[-1].forward and w[-1].edge in b.excluded and w[:-1] in full:
-        hits.append((w[-1].edge, w[:-1]))
+        hits = [(e, k) for e in b.excluded if (k := keys + (e.signed[True].sort_key(),)) in full]
+    if n - 1 in depths and not w[-1].forward and w[-1].edge in b.excluded and keys[:-1] in full:
+        hits.append((w[-1].edge, keys[:-1]))
     return min(hits, key=lambda hit: tree.ekey(hit[0])) if hits else None
 
 
@@ -180,10 +187,10 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
     the order of a scan from the front that restarts after every fold and
     moves the folded block to the back.  A fold that leaves exclusions
     enables no earlier fold, so only a new full cone restarts the scan."""
-    full: dict[tuple, list[int]] = {}  # root word -> positions of full cones
+    full: dict[tuple, list[int]] = {}  # letter keys of the apex -> positions of full cones
     for i, b in enumerate(blocks):
         if not b.excluded:
-            full.setdefault(tree.word(b.apex), []).append(i)
+            full.setdefault(tree.letter_keys(b.apex), []).append(i)
     depths = {len(w) for w in full}
     i = 0
     while full and i < len(blocks):
@@ -201,9 +208,9 @@ def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
         if merged.excluded:
             i += 1
         else:  # a new full cone, which earlier blocks may fold in
-            w = tree.word(b.apex)
-            full.setdefault(w, []).append(len(blocks) - 1)
-            depths.add(len(w))
+            keys = tree.letter_keys(b.apex)
+            full.setdefault(keys, []).append(len(blocks) - 1)
+            depths.add(len(keys))
             i = 0
     return [b for b in blocks if b is not None]
 
@@ -343,15 +350,20 @@ class RingSet:
 
     @classmethod
     def union_of(cls, tree, blocks: Iterable[BasicSet]) -> "RingSet":
-        """The union of the blocks, each validated, as joining them one at
-        a time by union builds it.  On a fiber, a block at a directed walk
-        no shorter than the kept blocks, all directed, either lies in one of
-        them (_covered) or meets none, so it is dropped or kept, and the
-        kept blocks are absorbed and sorted once.  Any other block sends
-        all of them through the running union."""
+        """The union of the blocks, each validated, as joined builds it."""
         blocks = list(blocks)
         for b in blocks:
             _validate_basic(tree, b)
+        return cls.joined(tree, blocks)
+
+    @classmethod
+    def joined(cls, tree, blocks: list[BasicSet]) -> "RingSet":
+        """The union of valid blocks, as joining them one at a time by union
+        builds it.  On a fiber, a block at a directed walk no shorter than
+        the kept blocks, all directed, either lies in one of them (_covered)
+        or meets none, so it is dropped or kept, and the kept blocks are
+        absorbed and sorted once.  Any other block sends all of them through
+        the running union."""
         if _directed(tree, blocks):
             kept, cuts = [], {}
             for b in blocks:

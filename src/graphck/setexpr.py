@@ -15,7 +15,7 @@ import re
 
 from .graphs import GraphError, SetExprError
 from .paths import parse_path
-from .ringsets import RingSet
+from .ringsets import BasicSet, RingSet, check_exclusions
 from .trees import FiberTree
 
 __all__ = ["SetExprError", "parse_setexpr", "first_apex"]
@@ -139,7 +139,9 @@ class _Parser:
                 self.pos += 1
                 excluded.append(self._instance(self.word()))
         self.expect(")")
-        return RingSet.basic(self.tree, apex, excluded)
+        b = BasicSet(apex, frozenset(excluded))
+        check_exclusions(self.tree, b)  # _apex has checked the apex
+        return RingSet(self.tree, (b,))
 
     def _apex(self, text: str):
         apex = text

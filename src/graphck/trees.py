@@ -9,7 +9,8 @@ out-edge inspection, child steps, and the unique walk between two vertices.
 
 Each tree supplies only ``check_vertex``, ``child``, ``vkey`` and
 
-* ``word(v)``: the reduced word of signed edges from the root to v,
+* ``word(v)``: the reduced word of signed edges from the root to v, and
+  ``letter_keys(v)``, the sort keys of its letters, kept per vertex,
 * ``endpoint(v)``: the graph vertex under v; v's out-edges are its
   ``graph.out_bundles``, enumerated by ``graph.out_instances``,
 * ``along(v, n)``: the vertex n letters along v's root word.
@@ -18,8 +19,9 @@ The rest is written once in ``Tree``.  Two root words part at their longest
 common prefix, and the unique walk between their vertices is the reversed
 tail of the first followed by the tail of the second (Serre, *Trees*).
 ``relation(u, v)`` reads off that split alone whether the cones at u and v
-are equal, nested, meet or are apart, in O(depth) letter comparisons and
-with no step list; ``walk`` builds the steps where they are needed.
+are equal, nested, meet or are apart, in one pass of O(depth) letter
+comparisons (letters that differ differ in their sort keys) and with no
+step list; ``walk`` builds the steps where they are needed.
 
 A fiber keeps what its queries share: ``directed_to_depth`` sorts its
 walks once per (depth, omega cap) and hands the same tuple to every later
@@ -67,34 +69,34 @@ class Tree:
         edges of its first and last step.  kind is "equal", "below" (all
         steps forward: v in V(u)), "above" (all backward), "meet" (forward,
         then backward) or "apart" (disjoint cones), and low is the apex of
-        V(u) & V(v), or None when apart.
+        V(u) & V(v), or None when apart.  One pass over the letters past the
+        prefix returns "apart" at the first forward step after a backward one.
         """
         a, b = self.word(u), self.word(v)
-        k, n = 0, min(len(a), len(b))
-        while k < n and (a[k] is b[k] or a[k] == b[k]):
+        k, la, lb = 0, len(a), len(b)
+        while k < la and k < lb and (a[k] is b[k] or a[k] == b[k]):
             k += 1
-        if k == len(a) == len(b):
+        if k == la == lb:
             return ("equal", None, None, k, u)
-        first = a[-1].edge if len(a) > k else b[k].edge
-        last = b[-1].edge if len(b) > k else a[k].edge
+        first = a[-1].edge if la > k else b[k].edge
+        last = b[-1].edge if lb > k else a[k].edge
         # the walk steps forward climbing the reversed letters at the end of
         # a[k:], down to i, then if i == k along b's forward letters, up to j
-        i, j = len(a), k
+        i, j = la, k
         while i > k and not a[i - 1].forward:
             i -= 1
-        while i == k and j < len(b) and b[j].forward:
+        while i == k and j < lb and b[j].forward:
             j += 1
-        # apart when a later step is forward: a backward letter in a[k:i-1], a forward in b[j:]
-        m, n = k, j
-        while m < i - 1 and a[m].forward:
-            m += 1
-        while n < len(b) and not b[n].forward:
-            n += 1
-        if m < i - 1 or n < len(b):
-            return ("apart", first, last, k, None)
-        if i == k and j == len(b):
+        # apart at a later forward step: a reversed letter in a[k:i-1], a forward one in b[j:]
+        for m in range(k, i - 1):
+            if not a[m].forward:
+                return ("apart", first, last, k, None)
+        for m in range(j, lb):
+            if b[m].forward:
+                return ("apart", first, last, k, None)
+        if i == k and j == lb:
             return ("below", first, last, k, v)
-        if i == len(a) and j == k:
+        if i == la and j == k:
             return ("above", first, last, k, u)
         return ("meet", first, last, k, self.along(u, i) if j == k else self.along(v, j))
 
@@ -110,10 +112,6 @@ class Tree:
 
     def ekey(self, e: EdgeInstance):
         return e.sort_key()
-
-    def letter_keys(self, v) -> tuple:
-        """Sort keys of the letters of v's root word."""
-        return tuple(s.sort_key() for s in self.word(v))
 
     def is_boundary_vertex(self, v) -> bool:
         return self.endpoint(v) not in self.graph.regular_vertices
@@ -159,6 +157,7 @@ class FiniteTree(Tree):
         if len(words) != len(graph.vertices):
             raise TreeError("tree is not connected")
         self._words = words
+        self._keys = {v: tuple(s.sort_key() for s in w) for v, w in words.items()}
 
     def __eq__(self, other):
         return isinstance(other, FiniteTree) and other.graph is self.graph
@@ -178,6 +177,9 @@ class FiniteTree(Tree):
 
     def word(self, v: str) -> tuple[SignedEdge, ...]:
         return self._words[v]
+
+    def letter_keys(self, v: str) -> tuple:
+        return self._keys[v]
 
     def endpoint(self, v: str) -> str:
         return self.graph.check_vertex(v)

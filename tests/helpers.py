@@ -917,10 +917,11 @@ def oracle_hasse_edges(invariants):
     below = [[invariant_leq(a, b) and a != b for b in invs] for a in invs]
     edges = []
     for i in range(len(invs)):
+        above = [m for m in range(len(invs)) if below[i][m]]  # the m with below[i][m]
         for j in range(len(invs)):
             if not below[i][j]:
                 continue
-            if any(below[i][m] and below[m][j] for m in range(len(invs))):
+            if any(below[m][j] for m in above):
                 continue
             edges.append((i, j))
     return edges
@@ -1546,6 +1547,38 @@ def oracle_relation(tree, u, v):
         return ("above", first, last, k, u)
     low = tree.along(u, len(a) - drop) if drop <= climb else tree.along(v, k + drop - climb)
     return ("meet", first, last, k, low)
+
+
+def oracle_scan_relation(tree, u, v):
+    """Tree.relation as it was before its one-pass shape tests: the same
+    prefix loop, then scans for i, j and the first late forward step.  The
+    prefix loop compares letters by the dataclass formula (edge, forward),
+    so it does not rest on SignedEdge.__eq__."""
+    a, b = tree.word(u), tree.word(v)
+    k, n = 0, min(len(a), len(b))
+    while k < n and (a[k] is b[k] or (a[k].edge, a[k].forward) == (b[k].edge, b[k].forward)):
+        k += 1
+    if k == len(a) == len(b):
+        return ("equal", None, None, k, u)
+    first = a[-1].edge if len(a) > k else b[k].edge
+    last = b[-1].edge if len(b) > k else a[k].edge
+    i, j = len(a), k
+    while i > k and not a[i - 1].forward:
+        i -= 1
+    while i == k and j < len(b) and b[j].forward:
+        j += 1
+    m, n = k, j
+    while m < i - 1 and a[m].forward:
+        m += 1
+    while n < len(b) and not b[n].forward:
+        n += 1
+    if m < i - 1 or n < len(b):
+        return ("apart", first, last, k, None)
+    if i == k and j == len(b):
+        return ("below", first, last, k, v)
+    if i == len(a) and j == k:
+        return ("above", first, last, k, u)
+    return ("meet", first, last, k, tree.along(u, i) if j == k else tree.along(v, j))
 
 
 def oracle_absorb_union(tree, blocks):

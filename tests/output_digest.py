@@ -44,13 +44,20 @@ the ``str`` (never the ``repr``) of
 
 An error is hashed by its type and message.  A change meant to keep every
 answer prints the same digests before and after; pytest does not collect
-this file.
+this file, but ``tests/test_golden.py`` computes the seed-5 digests in
+process and compares them with ``tests/golden/digests.json``.  When a
+change to an answer is meant, regenerate that file with
+
+    PYTHONPATH=src python tests/output_digest.py --seed 5 --json > tests/golden/digests.json
+
+and say in CHANGES.md which answers changed and why.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import random
 import sys
@@ -336,22 +343,36 @@ def point_records(seed: int):
             yield "%s in %s: %s" % (x, expr, _said(end_member, rs, x))
 
 
+PARTS = (
+    ("cone sets", cone_set_records),
+    ("lattice", lattice_records),
+    ("census", census_records),
+    ("points", point_records),
+)
+
+
+def digest(records) -> tuple[str, int]:
+    """The sha256 of the records, one line each, and how many there were."""
+    h = hashlib.sha256()
+    n = 0
+    for line in records:
+        h.update(line.encode("utf-8") + b"\n")
+        n += 1
+    return h.hexdigest(), n
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seed", type=int, default=19)
+    p.add_argument("--json", action="store_true", help="print the digests as one JSON object")
     args = p.parse_args(argv)
-    for part, records in (
-        ("cone sets", cone_set_records),
-        ("lattice", lattice_records),
-        ("census", census_records),
-        ("points", point_records),
-    ):
-        h = hashlib.sha256()
-        n = 0
-        for line in records(args.seed):
-            h.update(line.encode("utf-8") + b"\n")
-            n += 1
-        print("%s  %d records, seed %d: %s" % (h.hexdigest(), n, args.seed, part))
+    found = {}
+    for part, records in PARTS:
+        found[part], n = digest(records(args.seed))
+        if not args.json:
+            print("%s  %d records, seed %d: %s" % (found[part], n, args.seed, part))
+    if args.json:
+        print(json.dumps({"seed": args.seed, "digests": found}, indent=2))
     return 0
 
 

@@ -11,7 +11,7 @@ from graphck import cli, corpus, invariants
 from graphck.cli import main
 from graphck.cover import MAX_AF_PAIRS
 from graphck.fock import MAX_BASIS
-from graphck.graphs import MAX_INSTANCES, Graph
+from graphck.graphs import MAX_INSTANCES, MAX_NUMERAL_DIGITS, Graph
 from graphck.invariants import MAX_FAMILIES
 
 
@@ -501,3 +501,34 @@ def test_a_bundle_past_the_instance_cap_exits_2(tmp_path, capsys):
     # the census never lists instances
     code, data = run_json(capsys, "analyze", str(path))
     assert code == 0 and data["paths_into"] == {"u": 1, "v": "omega", "w": 10**12 + 1}
+
+
+def _cli(*argv):
+    """(exit code, stdout, stderr) of graphck in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(graphck.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "graphck.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_multiplicity_past_the_numeral_cap_exits_1_in_one_line(tmp_path):
+    # int() refuses text of more than 4,300 digits with a ValueError
+    big = "1" + "0" * 5000
+    path = tmp_path / "big.graph"
+    path.write_text("vertex u\nvertex v\nedge a : u -> v * %s\n" % big)
+    code, out, err = _cli("analyze", str(path))
+    assert (code, out, err) == (1, "", "error: line 3: bad multiplicity %r\n" % big)
+    ok = tmp_path / "ok.graph"
+    ok.write_text("vertex u\nvertex v\nedge a : u -> v * %s\n" % ("9" * MAX_NUMERAL_DIGITS))
+    assert _cli("analyze", str(ok))[0] == 0
+
+
+def test_an_instance_index_past_the_numeral_cap_exits_1_in_one_line(capsys):
+    big = "1" + "0" * 5000
+    code, out, err = _cli("setcalc", "chain", "V(a#%s)" % big)
+    assert (code, out) == (1, "") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.endswith(": in path 'a#%s': bad edge index '%s'\n" % (big, big))
+    code, out, _ = run(capsys, "standard-form", "oinf", "a#" + "9" * MAX_NUMERAL_DIGITS, "u")
+    assert code == 0

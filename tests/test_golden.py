@@ -1,5 +1,6 @@
 """The golden CLI transcript replays byte for byte, in process and under
-two hash seeds (see golden_transcript.py for how it is written)."""
+two hash seeds (see golden_transcript.py for how it is written), and the
+seed-5 digests of output_digest.py equal the golden ones."""
 
 import json
 import os
@@ -7,7 +8,10 @@ import subprocess
 import sys
 
 import graphck
+import output_digest
 from golden_transcript import HERE, TRANSCRIPT, run
+
+DIGESTS = os.path.join(HERE, "golden", "digests.json")
 
 _REPLAY = """
 import json, sys
@@ -56,3 +60,13 @@ def test_sample_replays_under_two_hash_seeds():
     argvs = [r["argv"] for r in sample]
     for seed in ("0", "1"):
         assert _replay_under_hash_seed(seed, argvs) == sample, seed
+
+
+def test_output_digests_equal_the_golden_ones():
+    # the four parts of output_digest.py, in process; its docstring says how
+    # to regenerate the file when an answer is meant to change
+    with open(DIGESTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    seed = want["seed"]
+    got = {part: output_digest.digest(records(seed))[0] for part, records in output_digest.PARTS}
+    assert got == want["digests"]

@@ -1,13 +1,16 @@
 import dataclasses
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from graphck import corpus
 from graphck.graphs import (
     MAX_INSTANCES,
     OMEGA,
@@ -109,6 +112,11 @@ def test_out_bundles(graphs):
         g.out_instances("u")
     assert [str(e) for e in g.out_instances("u", omega_cap=2)] == ["a#0", "a#1"]
     assert g.out_bundles("u") is bundles
+    # one tuple per vertex and cap, handed to every caller; a refusal is not kept
+    assert g.out_instances("u", omega_cap=2) is g.out_instances("u", 2)
+    assert g.out_instances("u", 3) is not g.out_instances("u", 2)
+    with pytest.raises(CapError):
+        g.out_instances("u")
     for ask in (g.out_bundles, g.out_instances):
         with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
             ask("nowhere")
@@ -235,6 +243,26 @@ def test_hashes_are_the_dataclass_formulas(graphs):
                 assert all(hash(q) == hash((q.origin, q.word)) for q in paths)
             assert s.sort_key() is s.sort_key() == (b.name, 0, True)
             assert e.signed[True].sort_key() is e.signed[True].sort_key() == (b.name, 0, False)
+
+
+def test_letter_equality_is_the_dataclass_formula(graphs):
+    # SignedEdge.__eq__ tests identity, then the sort key, then the edge: on
+    # letters of two parses of each corpus graph and of pickled copies, and
+    # across graphs where a bundle name has other ends (a is u -> v in chain
+    # and u -> u in loop), == and hash agree with (edge, forward)
+    copies = [corpus.load(name) for name in corpus.GRAPH_NAMES]
+    copies += [pickle.loads(pickle.dumps(g)) for g in graphs.values()]
+    pool = [*graphs.values(), *copies]
+    letters = [s for g in pool for b in g.bundles for e in b.instances(2) for s in e.signed]
+    seen = Counter()
+    for s in letters:
+        for t in letters:
+            same = (s.edge, s.forward) == (t.edge, t.forward)
+            assert (s == t) is same and (s != t) is not same, (s, t)
+            assert not same or hash(s) == hash(t), (s, t)
+            seen["same key, other ends" if s.sort_key() == t.sort_key() and not same else same] += 1
+    assert graphs["chain"].bundle("a").terminus != graphs["loop"].bundle("a").terminus
+    assert min(seen.values()) > 500, seen
 
 
 def test_edges_letters_and_walks_keep_what_they_compute(graphs):

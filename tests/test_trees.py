@@ -1,11 +1,16 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from graphck import corpus
 from graphck.graphs import GraphError, parse_graph
 from graphck.paths import Path, parse_path
 from graphck.trees import FiberTree, FiniteTree, TreeError
-from helpers import fiber_vertices, random_tree_graph
+from helpers import fiber_vertices, oracle_scan_relation, random_tree_graph
+
+FIBER_SIZE = 60  # walks per fiber whose pairs the cross-parse relation test compares
 
 
 def t2(graphs):
@@ -138,3 +143,41 @@ def test_fiber_rejects_foreign_walks(graphs):
         fiber.check_vertex(Path.unit("u"))
     with pytest.raises(TreeError):
         fiber.validate_out_edge(fiber.unit, g.instance("a"))
+
+
+def _rebuilt(g, p: Path) -> Path:
+    """The walk p rebuilt letter for letter on g, another parse of its graph."""
+    word = (g.bundle(s.edge.bundle.name).instance(s.edge.index).signed[s.forward] for s in p.word)
+    return Path(p.origin, tuple(word))
+
+
+def _spelled(rel):
+    """A relation with its low walk spelled by the dataclass formula of its
+    letters, so comparing two does not rest on SignedEdge.__eq__."""
+    kind, first, last, k, low = rel
+    if low is not None:
+        low = (low.origin, [(s.edge, s.forward) for s in low.word])
+    return kind, first, last, k, low
+
+
+def test_relation_across_two_parses_matches_the_prefix_scan():
+    # letters of equal graphs are equal though they are distinct objects: on
+    # a fiber of one parse, walks up to depth 3 (reversed letters too) and
+    # their copies on a second parse relate as the old prefix scan says
+    rng = random.Random(3100)
+    pairs = [(corpus.load(name), corpus.load(name)) for name in corpus.GRAPH_NAMES]
+    for seed in (rng.random() for _ in range(12)):
+        pairs.append(tuple(random_tree_graph(random.Random(seed), 6) for _ in range(2)))
+    kinds = Counter()
+    for g, again in pairs:
+        for base in g.vertices:
+            tree = FiberTree(g, base)
+            walks = fiber_vertices(tree, 3, 2)[:FIBER_SIZE]
+            copies = [_rebuilt(again, p) for p in walks]
+            assert all(q.word[0] is not p.word[0] for p, q in zip(walks, copies) if p.word)
+            for u, q in itertools.product(walks, copies):
+                for x, y in ((u, q), (q, u)):
+                    got = tree.relation(x, y)
+                    assert _spelled(got) == _spelled(oracle_scan_relation(tree, x, y)), (tree, x, y)
+                    kinds[got[0]] += 1
+    assert min(kinds[k] for k in ("equal", "below", "above", "meet", "apart")) > 100, kinds
