@@ -107,9 +107,18 @@ def cmd_ideals(args) -> int:
     from .structure import is_essentially_principal
 
     g = _load(args.graph)
-    faithful = is_essentially_principal(g)
     en = enumerate_invariants(g)
     order = hasse_edges(en.invariants)
+    if args.dot:
+        lines = ["digraph families {"]
+        for i, inv in enumerate(en.invariants):
+            lines.append('  n%d [label="%s"];' % (i, inv))
+        for a, b in order:
+            lines.append("  n%d -> n%d;" % (a, b))
+        lines.append("}")
+        print("\n".join(lines))
+        return 0
+    faithful = is_essentially_principal(g)
     families = []
     for i, inv in enumerate(en.invariants):
         qd = quotient_data(g, inv)
@@ -134,15 +143,6 @@ def cmd_ideals(args) -> int:
         "flagged": [],
         "notes": list(en.notes),
     }
-    if args.dot:
-        lines = ["digraph families {"]
-        for i, inv in enumerate(en.invariants):
-            lines.append('  n%d [label="%s"];' % (i, inv))
-        for a, b in order:
-            lines.append("  n%d -> n%d;" % (a, b))
-        lines.append("}")
-        print("\n".join(lines))
-        return 0
     lines = [
         "%s: %d families (order faithful: %s)"
         % (g.name, len(en.invariants), "yes" if faithful else "no")
@@ -517,7 +517,7 @@ def main(argv=None) -> int:
     except CapError as exc:
         print("cap exceeded: %s" % exc, file=sys.stderr)
         return 2
-    except (GraphSyntaxError, SetExprError, PathError, PointError, FockError, UsageError, KeyError) as exc:
+    except (GraphSyntaxError, SetExprError, PathError, PointError, FockError, UsageError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (InvariantError, GraphError) as exc:

@@ -178,10 +178,6 @@ class ArrowBlock:
     def terminus(self) -> str:
         return self.beta1.terminus
 
-    @property
-    def length(self) -> int:
-        return len(self.beta1)
-
     def __str__(self) -> str:
         return "(%s, %s) at %s" % (self.beta1, self.beta2, self.terminus)
 

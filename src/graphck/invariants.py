@@ -90,13 +90,6 @@ class Invariant:
     def r_vertices(self) -> frozenset[str]:
         return frozenset(u for u, _ in self.exclusions)
 
-    def sort_key(self):
-        return (
-            len(self.vertices),
-            tuple(sorted(self.vertices)),
-            tuple((u, tuple(sorted(e.sort_key() for e in es))) for u, es in self.exclusions),
-        )
-
     def __str__(self) -> str:
         vs = ",".join(sorted(self.vertices))
         if not self.exclusions:
@@ -275,11 +268,14 @@ lattice benchmark 256, and the corpus and the transcript 18."""
 
 
 def enumerate_invariants(g: Graph) -> Enumeration:
-    """All admissible families, smallest first.
+    """All admissible families, in the one order the package lists them
+    in: by member count, then by the sorted member names, then by the
+    excluding members in name order, each with its excluded edges' sort
+    keys sorted.
 
     One family per closed set H and subset R of its breaking vertices
-    B(H) (see the module docstring), built straight from (H, R) with its
-    sort key: each is admissible by construction, so none is checked.
+    B(H) (see the module docstring), built straight from (H, R) with that
+    key: each is admissible by construction, so none is checked.
     A finite bundle from one breaking vertex of H to another carries a
     note in every family whose R holds both ends, so the notes are read
     off B(H).  Past MAX_FAMILIES families it raises CapError, counting
@@ -295,7 +291,7 @@ def enumerate_invariants(g: Graph) -> Enumeration:
     found = []
     notes = set()
     for h in _closed_sets(g):
-        # (vertex, forced exclusions, their part of Invariant.sort_key)
+        # (vertex, forced exclusions, their part of the key)
         breaking = []
         for u in emitters:
             bundles = g._out[u]
@@ -313,7 +309,7 @@ def enumerate_invariants(g: Graph) -> Enumeration:
         hs = tuple(sorted(h))
         for k in range(len(breaking) + 1):
             for picks in itertools.combinations(breaking, k):
-                if picks:  # the key is Invariant.sort_key's, from the parts
+                if picks:
                     rs = tuple(u for u, _, _ in picks)
                     inv = Invariant(h.union(rs), tuple((u, es) for u, es, _ in picks))
                     key = (len(inv.vertices), tuple(sorted(hs + rs)), tuple(x for _, _, x in picks))
@@ -414,16 +410,15 @@ def open_set_of(tree, inv: Invariant, depth: int = 4) -> RingSet:
     return RingSet.joined(tree, blocks)
 
 
-def _named_omega_indices(edges, named: dict) -> dict[EdgeBundle, int]:
-    """named, or a copy raised to the highest index of each omega bundle
-    among the edges."""
-    mx = named
-    for e in edges:
-        if is_omega(e.bundle.multiplicity) and e.index > mx.get(e.bundle, -1):
-            if mx is named:
-                mx = dict(named)
-            mx[e.bundle] = e.index
-    return mx
+def _named_omega_indices(w: RingSet) -> dict[EdgeBundle, int]:
+    """The highest index of each omega bundle that w names in its apex
+    words and exclusions."""
+    named: dict[EdgeBundle, int] = {}
+    for b in w.blocks:
+        for e in (*(s.edge for s in w.tree.word(b.apex)), *b.excluded):
+            if is_omega(e.bundle.multiplicity) and e.index > named.get(e.bundle, -1):
+                named[e.bundle] = e.index
+    return named
 
 
 def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
@@ -433,18 +428,23 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
     is swallowed joins with no exclusions, as each child's cone is then
     swallowed too; no other finite-valence vertex joins.  At an
     infinite-valence vertex the exclusion candidates are the finitely
-    many indices the set itself names; one fresh index probes all the
-    rest at once, since unnamed siblings are interchangeable.  One
-    swallow_test of the set answers every walk and child: over a fiber
-    whose blocks sit at directed walks it walks down over the set's apex
-    words and keeps the answers for full cones; otherwise each question
-    makes pieces.
+    many indices the set names, read once per scan; one fresh index
+    probes all the rest at once, since unnamed siblings are
+    interchangeable.  The scanned walk's own letters add none: a walk
+    with a reversed letter is an apex of the set, so its letters are
+    named, and a directed walk p extends only forward.  A local swap at p
+    of two instances of one omega bundle that the set does not name fixes
+    the set, so the children of p along them are both swallowed or both
+    not, even when p's own word uses one of them.  One swallow_test of
+    the set answers every walk and child: over a fiber whose blocks sit
+    at directed walks it walks down over the set's apex words and keeps
+    the answers for full cones; otherwise each question makes pieces.
     """
     tree = w.tree
     universe = dict.fromkeys([*_universe(tree, depth), *(b.apex for b in w.blocks)])
     swallows = swallow_test(w)
     emitters = tree.graph.infinite_emitters
-    in_w = None  # the omega indices that w names, once an emitter asks
+    named = _named_omega_indices(w)
     fam = {}
     for p in universe:
         if swallows(p):  # so is every child: F is empty
@@ -453,10 +453,6 @@ def tree_invariant_of(w: RingSet, depth: int = 4) -> dict:
         v = tree.endpoint(p)
         if v not in emitters:
             continue
-        if in_w is None:
-            edges = (e for b in w.blocks for e in (*(s.edge for s in tree.word(b.apex)), *b.excluded))
-            in_w = _named_omega_indices(edges, {})
-        named = _named_omega_indices((s.edge for s in tree.word(p)), in_w)
         bundles = tree.graph.out_bundles(v)
         omegas = [b for b in bundles if is_omega(b.multiplicity)]
         if not all(swallows(tree.child(p, b.instance(named.get(b, -1) + 1))) for b in omegas):

@@ -84,7 +84,7 @@ def _validate_basic(tree, b: BasicSet) -> None:
 def check_exclusions(tree, b: BasicSet) -> None:
     """RingError unless b's excluded edges leave its apex, a tree vertex."""
     try:
-        for e in sorted(b.excluded, key=tree.ekey):
+        for e in sorted(b.excluded, key=EdgeInstance.sort_key):
             tree.validate_out_edge(b.apex, e)
     except GraphError as exc:
         raise RingError("bad basic set %s: %s" % (b, exc)) from None
@@ -117,15 +117,19 @@ def basic_diff(tree, b: BasicSet, c: BasicSet) -> list[BasicSet]:
     if rel[0] == "above":
         return []
     if rel[0] == "equal":
-        fresh = sorted(c.excluded - b.excluded, key=tree.ekey)
+        fresh = sorted(c.excluded - b.excluded, key=EdgeInstance.sort_key)
         return [BasicSet(tree.child(b.apex, e)) for e in fresh]
-    # the chain of cones hanging off the forward walk down to the overlap
+    # the chain of cones off the forward walk down to the overlap: up b's
+    # word a to where the overlap's word w parts from it, then down w
+    a, w = tree.word(b.apex), tree.word(rel[4])
+    m = len(w) if a[: len(w)] == w else rel[3]
     out, at, cut = [], b.apex, b.excluded
-    for e, _ in tree.walk(b.apex, rel[4]):
-        out.append(BasicSet(at, cut | {e}))
-        at, cut = tree.child(at, e), frozenset()
+    for s in (*reversed(a[m:]), *w[m:]):
+        out.append(BasicSet(at, cut | {s.edge}))
+        at, cut = tree.child(at, s.edge), frozenset()
     if rel[0] == "below":
-        out.extend(BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=tree.ekey))
+        fresh = sorted(c.excluded, key=EdgeInstance.sort_key)
+        out.extend(BasicSet(tree.child(c.apex, e)) for e in fresh)
     return out
 
 
@@ -179,7 +183,7 @@ def _full_child(tree, b: BasicSet, full: dict, depths: set):
         hits = [(e, k) for e in b.excluded if (k := keys + (e.signed[True].sort_key(),)) in full]
     if n - 1 in depths and not w[-1].forward and w[-1].edge in b.excluded and keys[:-1] in full:
         hits.append((w[-1].edge, keys[:-1]))
-    return min(hits, key=lambda hit: tree.ekey(hit[0])) if hits else None
+    return min(hits, key=lambda hit: hit[0].sort_key()) if hits else None
 
 
 def _absorb(tree, blocks: list[BasicSet]) -> list[BasicSet]:
@@ -223,7 +227,8 @@ def _sorted(tree, blocks: Iterable[BasicSet]) -> tuple[BasicSet, ...]:
         blocks = _absorb(tree, blocks)
         for b in blocks:
             if "_key" not in b.__dict__:
-                b.__dict__["_key"] = (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded)))
+                keys = sorted(map(EdgeInstance.sort_key, b.excluded))
+                b.__dict__["_key"] = (tree.vkey(b.apex), keys)
         blocks.sort(key=attrgetter("_key"))
     return tuple(blocks)
 

@@ -49,14 +49,6 @@ class Cycle:
     kind: str
     count: object = 1
 
-    @property
-    def origin(self) -> str:
-        return self.instances[0].origin
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return tuple(e.origin for e in self.instances)
-
     def __str__(self) -> str:
         body = ".".join(str(e) for e in self.instances)
         return "[%s]" % body
@@ -185,7 +177,6 @@ def find_cycles(g: Graph, cap: int = 10000) -> tuple[Cycle, ...]:
 
 @dataclass(frozen=True)
 class StructureReport:
-    graph: Graph
     cycles: tuple[Cycle, ...]
     af: bool
     locally_contractive: bool
@@ -267,7 +258,6 @@ def structure_report(g: Graph, cycle_cap: int = 10000) -> StructureReport:
         "purely_infinite_simple": simple or contractive,
     }
     return StructureReport(
-        graph=g,
         cycles=cycles,
         witnesses={name: w for name, w in wit.items() if w},
         **{name: not w for name, w in wit.items()},

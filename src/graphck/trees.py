@@ -5,7 +5,7 @@ graph whose undirected shape is a tree, all multiplicities 1) and the fiber
 over a base vertex of a graph's path covering, whose vertices are all
 reduced walks starting at the base.  Fibers are typically infinite, so the
 interface never asks for global enumeration; everything is driven by
-out-edge inspection, child steps, and the unique walk between two vertices.
+out-edge inspection, child steps, and the root words of vertices.
 
 Each tree supplies only ``check_vertex``, ``child``, ``vkey`` and
 
@@ -21,7 +21,9 @@ tail of the first followed by the tail of the second (Serre, *Trees*).
 ``relation(u, v)`` reads off that split alone whether the cones at u and v
 are equal, nested, meet or are apart, in one pass of O(depth) letter
 comparisons (letters that differ differ in their sort keys) and with no
-step list; ``walk`` builds the steps where they are needed.
+step list.  It is the one prefix scan: where the walk itself is needed,
+as in ringsets.basic_diff, it is read off the two root words and the
+prefix length relation returns.
 
 A fiber keeps what its queries share: ``directed_to_depth`` sorts its
 walks once per (depth, omega cap) and hands the same tuple to every later
@@ -38,8 +40,6 @@ from __future__ import annotations
 
 from .graphs import EdgeInstance, Graph, GraphError, SignedEdge, is_omega
 from .paths import Path, directed_upto
-
-Step = tuple[EdgeInstance, bool]  # instance plus direction of traversal
 
 
 class TreeError(GraphError):
@@ -99,19 +99,6 @@ class Tree:
         if i == la and j == k:
             return ("above", first, last, k, u)
         return ("meet", first, last, k, self.along(u, i) if j == k else self.along(v, j))
-
-    def walk(self, u, v) -> tuple[Step, ...]:
-        """The unique reduced walk from u to v, as anchored steps."""
-        a = self.word(self.check_vertex(u))
-        b = self.word(self.check_vertex(v))
-        k = 0
-        while k < len(a) and k < len(b) and a[k] == b[k]:
-            k += 1
-        up = tuple((s.edge, not s.forward) for s in reversed(a[k:]))
-        return up + tuple((s.edge, s.forward) for s in b[k:])
-
-    def ekey(self, e: EdgeInstance):
-        return e.sort_key()
 
     def is_boundary_vertex(self, v) -> bool:
         return self.endpoint(v) not in self.graph.regular_vertices

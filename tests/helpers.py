@@ -565,7 +565,7 @@ def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
 
     cycle_verts = set()
     for c in cycles:
-        cycle_verts.update(c.vertices)
+        cycle_verts.update(e.origin for e in c.instances)
     reach = {v: reachable(g, v) for v in g.vertices}
     meets_all = True
     for v in g.vertices:
@@ -611,7 +611,6 @@ def oracle_structure_report(g: Graph, cycle_cap: int = 10000):
             wit["purely_infinite_simple"] = wit["locally_contractive"]
 
     return StructureReport(
-        graph=g,
         cycles=cycles,
         af=af,
         locally_contractive=locally_contractive,
@@ -849,6 +848,16 @@ class OracleEnumeration:
     notes: tuple
 
 
+def invariant_sort_key(inv):
+    """The order enumerate_invariants lists families in: member count,
+    sorted members, then each excluding member with its sorted edge keys."""
+    return (
+        len(inv.vertices),
+        tuple(sorted(inv.vertices)),
+        tuple((u, tuple(sorted(e.sort_key() for e in es))) for u, es in inv.exclusions),
+    )
+
+
 def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
     """All admissible families by checking every candidate with
     is_invariant; omega_f_bound > 0 also probes exclusion sets sampling
@@ -878,7 +887,7 @@ def oracle_enumerate_invariants(g: Graph, omega_f_bound: int = 0):
                             "%s stands for an infinite batch of families along its omega exclusions"
                             % inv
                         )
-    found.sort(key=lambda i: i.sort_key())
+    found.sort(key=invariant_sort_key)
     return OracleEnumeration(tuple(found), tuple(flagged), tuple(sorted(notes)))
 
 
@@ -1346,7 +1355,7 @@ def oracle_touches_boundary(tree, apex, excluded=frozenset()):
 
 def oracle_classify(tree, u, v):
     """Relative position of two apexes from the step list of their walk."""
-    steps = tree.walk(u, v)
+    steps = oracle_walk(tree, u, v)
     if not steps:
         return ("equal", steps)
     drop = 0
@@ -1403,7 +1412,7 @@ def oracle_basic_diff(tree, b, c):
     if b.apex == c.apex:
         return [
             BasicSet(tree.child(b.apex, e))
-            for e in sorted(c.excluded - b.excluded, key=tree.ekey)
+            for e in sorted(c.excluded - b.excluded, key=EdgeInstance.sort_key)
         ]
     tag = oracle_classify(tree, b.apex, c.apex)
     if tag[0] == "apart":
@@ -1414,7 +1423,7 @@ def oracle_basic_diff(tree, b, c):
             return [b]
         out = _oracle_descend_chain(tree, b.apex, b.excluded, [e for e, _ in steps])
         out.extend(
-            BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=tree.ekey)
+            BasicSet(tree.child(c.apex, e)) for e in sorted(c.excluded, key=EdgeInstance.sort_key)
         )
         return out
     if tag[0] == "above":
@@ -1455,7 +1464,7 @@ def oracle_canonical(tree, blocks):
         changed = False
         full = {b.apex: i for i, b in enumerate(blocks) if not b.excluded}
         for i, b in enumerate(blocks):
-            for e in sorted(b.excluded, key=tree.ekey):
+            for e in sorted(b.excluded, key=EdgeInstance.sort_key):
                 j = full.get(tree.child(b.apex, e))
                 if j is not None and j != i:
                     merged = BasicSet(b.apex, b.excluded - {e})
@@ -1466,7 +1475,7 @@ def oracle_canonical(tree, blocks):
                     break
             if changed:
                 break
-    blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(tree.ekey, b.excluded))))
+    blocks.sort(key=lambda b: (tree.vkey(b.apex), sorted(map(EdgeInstance.sort_key, b.excluded))))
     for i, b in enumerate(blocks):
         for c in blocks[i + 1 :]:
             if oracle_basic_intersect(tree, b, c) is not None:
@@ -1501,7 +1510,7 @@ def oracle_absorb(tree, blocks):
     while full and i < len(blocks):
         b = blocks[i]
         if b is not None and b.excluded and i not in kids:
-            es = sorted(_oracle_near(tree, b, ends), key=tree.ekey)
+            es = sorted(_oracle_near(tree, b, ends), key=EdgeInstance.sort_key)
             kids[i] = [(e, tree.child(b.apex, e)) for e in es]
         e, kid = next(((e, kid) for e, kid in kids.get(i, ()) if kid in full), (None, None))
         if e is None:

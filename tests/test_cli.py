@@ -61,11 +61,17 @@ def test_ideals_json(capsys):
     assert [0, 1] in data["hasse"]
 
 
-def test_ideals_dot(capsys):
+def test_ideals_dot(capsys, monkeypatch):
+    # --dot prints the order alone, so it builds no quotient
+    checks = []
+    real = invariants.is_invariant
+    monkeypatch.setattr(invariants, "is_invariant", lambda *a: checks.append(a) or real(*a))
     code, out, _ = run(capsys, "ideals", "two", "--dot")
     assert code == 0
     assert out.startswith("digraph")
     assert out.count("->") == len([l for l in out.splitlines() if "->" in l])
+    assert checks == []
+    assert run(capsys, "ideals", "two")[0] == 0 and checks
 
 
 def test_ideals_order_not_faithful(capsys):

@@ -331,7 +331,7 @@ def test_af_block_ranges_disjoint(graphs):
         blocks = af_block_enumerate(g, g, 2)
         by_group = {}
         for b in blocks:
-            by_group.setdefault((b.length, b.terminus, b.beta2), []).append(b)
+            by_group.setdefault((len(b.beta1), b.terminus, b.beta2), []).append(b)
         for group in by_group.values():
             for i, b1 in enumerate(group):
                 for b2 in group[i + 1:]:
@@ -367,7 +367,7 @@ def test_path_counts_match_the_paths_by_length_and_terminus(graphs):
                     assert len(blocks) == pairs, (g, n, cap)
                     # built in order: by length, terminus and each path's sort key
                     keys = [
-                        (b.length, b.terminus, b.beta1.sort_key(), b.beta2.sort_key())
+                        (len(b.beta1), b.terminus, b.beta1.sort_key(), b.beta2.sort_key())
                         for b in blocks
                     ]
                     assert keys == sorted(keys), (g, n, cap)

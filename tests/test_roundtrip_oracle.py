@@ -5,17 +5,20 @@ pieces kept in helpers (oracle_absorb_union, oracle_boundary_covers and
 oracle_tree_invariant_of).  Blocks must agree in value, repr and order,
 families in value and order."""
 
+import itertools
 import random
 
 import pytest
 
 from graphck import corpus
+from graphck.graphs import PathError
 from graphck.invariants import (
     enumerate_invariants,
     family_open_set,
     open_set_of,
     tree_invariant_of,
 )
+from graphck.paths import parse_path
 from graphck.ringsets import BasicSet, RingSet, swallow_test
 from graphck.setexpr import parse_setexpr
 from graphck.trees import FiberTree, FiniteTree, TreeError
@@ -146,6 +149,50 @@ def test_scans_and_boundary_predicates_of_any_set_match_oracles():
                 want = all(oracle_boundary_covers(x, b) for b in y.blocks)
                 assert x.boundary_contains(y) == want, (x, y)
     assert directed >= 300
+
+
+def _omega_named_cones(g, base, named):
+    """The cones V(p) and V(p; F) of a fiber whose walks p, of at most two
+    letters either way, and excluded edges F, at most two, use a only at
+    the named indices; other bundles are finite."""
+    letters = ["a#%d" % i for i in named] + [b.name for b in g.bundles if b.name != "a"]
+    letters += ["~" + x for x in letters]
+    cones = []
+    for n in range(3):
+        for word in itertools.product(letters, repeat=n):
+            try:
+                p = parse_path(g, ".".join(word) or base)
+            except PathError:
+                continue
+            if p.origin != base:
+                continue
+            steps = [e for b in g.out_bundles(p.terminus) if b.name != "a" for e in b.instances()]
+            steps += [g.instance("a#%d" % i) for i in named if g.bundle("a").origin == p.terminus]
+            for k in range(3):
+                for cut in itertools.combinations(steps, k):
+                    cones.append("V(%s; %s)" % (p, ",".join(map(str, cut))) if cut else "V(%s)" % p)
+    return cones
+
+
+def test_scans_of_sets_naming_few_omega_indices_match_the_oracle(graphs):
+    # the depth 2 scan reads walks along a#0-a#2 and every apex of the set,
+    # whose omega indices the set may not name: the candidates come from
+    # the set alone, the oracle's from the set and each scanned walk
+    rng = random.Random(3201)
+    excluding = 0
+    for name, base in (("oinf", "u"), ("mix", "u"), ("mix", "v"), ("mix", "w")):
+        g = graphs[name]
+        fib = FiberTree(g, base)
+        for named in ((), (1,), (3,), (0, 2), (1, 4)):
+            cones = _omega_named_cones(g, base, named)
+            unions = [rng.sample(cones, min(len(cones), rng.randint(2, 3))) for _ in range(20)]
+            exprs = cones + [" | ".join(u) for u in unions]
+            for expr in exprs:
+                w = parse_setexpr(fib, expr)
+                fam = tree_invariant_of(w, depth=2)
+                _same_family(fam, oracle_tree_invariant_of(w, depth=2), (name, base, expr))
+                excluding += any(fam.values())
+    assert excluding >= 300
 
 
 def test_depths_and_omega_caps_out_of_range_raise(graphs):

@@ -1,6 +1,6 @@
-"""Differential tests: the common-prefix walk and the out-degree boundary
-test of graphck.trees against the per-tree versions kept in helpers
-(oracle_walk, oracle_touches_boundary)."""
+"""Differential tests: the common-prefix relation and the out-degree
+boundary test of graphck.trees against the per-tree versions kept in
+helpers (oracle_relation, oracle_touches_boundary)."""
 
 import itertools
 import random
@@ -9,8 +9,8 @@ from graphck.paths import Path, directed_upto
 from graphck.trees import FiberTree, FiniteTree
 from helpers import (
     fiber_vertices,
+    oracle_relation,
     oracle_touches_boundary,
-    oracle_walk,
     random_graph,
     random_tree_graph,
 )
@@ -28,11 +28,11 @@ def _first_step_sets(tree, apex):
 
 
 def _agree(tree, vertices):
-    """Walks on every pair and boundary tests at every apex equal the
+    """Relations on every pair and boundary tests at every apex equal the
     oracle's; returns how many boundary tests came out each way."""
     for u in vertices:
         for v in vertices:
-            assert tree.walk(u, v) == oracle_walk(tree, u, v), (tree, u, v)
+            assert tree.relation(u, v) == oracle_relation(tree, u, v), (tree, u, v)
     seen = {True: 0, False: 0}
     for apex in vertices:
         for excluded in _first_step_sets(tree, apex):
